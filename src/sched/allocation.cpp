@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <optional>
 #include <stdexcept>
 
@@ -13,9 +12,78 @@ namespace mcs::sched {
 
 namespace {
 
-// PlannedCapacity and pick_machine migrated to sched/scoring.hpp: the
-// placement pass (K=4 planned capacity, node scoring, zone/anti-affinity
+// PlannedCapacity, ReleaseProfile and pick_machine live in sched/scoring.hpp:
+// the placement pass (K=4 planned capacity, node scoring, zone/anti-affinity
 // admission) is shared with the engine, the fuzzer, and the benches.
+
+/// Ready-queue indices stable-sorted by `cmp` (ties keep queue order).
+template <typename Compare>
+std::vector<std::size_t> sorted_order(const SchedulerView& view,
+                                      const Compare& cmp) {
+  std::vector<std::size_t> order(view.ready->size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return cmp((*view.ready)[a], (*view.ready)[b], view);
+                   });
+  return order;
+}
+
+/// The queue's componentwise minimum demand, its "floor" (+inf when empty).
+/// Where the floor fits nowhere no queued task fits, and `take` only shrinks
+/// the bound: a placement loop may stop there, bit-identically (DESIGN.md §9).
+infra::ResourceVector min_demand(const std::vector<ReadyTask>& ready) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  infra::ResourceVector floor{kInf, kInf, kInf, kInf};
+  for (const ReadyTask& t : ready) {
+    for (std::size_t d = 0; d < core::kResourceDims; ++d) {
+      floor[d] = std::min(floor[d], t.demand[d]);
+    }
+  }
+  return floor;
+}
+
+// Comparators for the ordered and backfilling policies.
+struct FcfsCmp {
+  bool operator()(const ReadyTask& a, const ReadyTask& b,
+                  const SchedulerView&) const {
+    if (a.job_submit != b.job_submit) return a.job_submit < b.job_submit;
+    if (a.job != b.job) return a.job < b.job;
+    return a.task_index < b.task_index;
+  }
+};
+struct SjfCmp {
+  bool operator()(const ReadyTask& a, const ReadyTask& b,
+                  const SchedulerView&) const {
+    return a.work_seconds < b.work_seconds;
+  }
+};
+struct LjfCmp {
+  bool operator()(const ReadyTask& a, const ReadyTask& b,
+                  const SchedulerView&) const {
+    return a.work_seconds > b.work_seconds;
+  }
+};
+struct FairShareCmp {
+  bool operator()(const ReadyTask& a, const ReadyTask& b,
+                  const SchedulerView& view) const {
+    double ua = 0.0, ub = 0.0;
+    if (view.user_usage != nullptr) {
+      const std::vector<double>& usage = *view.user_usage;
+      if (a.user_id < usage.size()) ua = usage[a.user_id];
+      if (b.user_id < usage.size()) ub = usage[b.user_id];
+    }
+    if (ua != ub) return ua < ub;  // least-served user first
+    return FcfsCmp{}(a, b, view);
+  }
+};
+struct EdfCmp {
+  bool operator()(const ReadyTask& a, const ReadyTask& b,
+                  const SchedulerView& view) const {
+    if (a.deadline != b.deadline) return a.deadline < b.deadline;
+    return FcfsCmp{}(a, b, view);
+  }
+};
 
 /// Shared skeleton: order the ready queue by a comparator, then greedily
 /// place under a fit heuristic.
@@ -28,16 +96,13 @@ class OrderedPolicy final : public AllocationPolicy {
   [[nodiscard]] std::string name() const override { return name_; }
 
   std::vector<Assignment> decide(const SchedulerView& view) override {
-    std::vector<std::size_t> order(view.ready->size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return cmp_((*view.ready)[a], (*view.ready)[b], view);
-                     });
     PlannedCapacity planned(view.machines);
+    const infra::ResourceVector floor = min_demand(*view.ready);
+    if (!planned.may_fit_anywhere(floor)) return {};
     std::vector<Assignment> out;
     out.reserve(view.ready->size());
-    for (std::size_t idx : order) {
+    for (std::size_t idx : sorted_order(view, cmp_)) {
+      if (!planned.may_fit_anywhere(floor)) break;
       const ReadyTask& t = (*view.ready)[idx];
       if (auto m = pick_machine(view.machines, planned, t, fit_, view)) {
         planned.take(*m, t.demand);
@@ -77,21 +142,10 @@ class EasyBackfilling final : public AllocationPolicy {
   [[nodiscard]] std::string name() const override { return "easy-backfill"; }
 
   std::vector<Assignment> decide(const SchedulerView& view) override {
-    if (view.ready->empty()) return {};
-    // FCFS order.
-    std::vector<std::size_t> order(view.ready->size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       const ReadyTask& ta = (*view.ready)[a];
-                       const ReadyTask& tb = (*view.ready)[b];
-                       if (ta.job_submit != tb.job_submit)
-                         return ta.job_submit < tb.job_submit;
-                       if (ta.job != tb.job) return ta.job < tb.job;
-                       return ta.task_index < tb.task_index;
-                     });
-
     PlannedCapacity planned(view.machines);
+    const infra::ResourceVector floor = min_demand(*view.ready);
+    if (!planned.may_fit_anywhere(floor)) return {};
+    const std::vector<std::size_t> order = sorted_order(view, FcfsCmp{});
     std::vector<Assignment> out;
     out.reserve(view.ready->size());
     std::size_t head_pos = 0;
@@ -105,18 +159,22 @@ class EasyBackfilling final : public AllocationPolicy {
       out.push_back(Assignment{order[head_pos], *m});
       ++head_pos;
     }
-    if (head_pos >= order.size()) return out;
+    if (head_pos >= order.size() || !planned.may_fit_anywhere(floor)) {
+      return out;  // nothing left that could backfill
+    }
 
     // The head task cannot start: compute its reservation (shadow time) —
     // the earliest expected_end at which some machine could fit it,
     // assuming running tasks release their resources then.
     const ReadyTask& head = (*view.ready)[order[head_pos]];
-    const auto [shadow, reserved_machine] = reservation_for(head, view);
+    const auto [shadow, reserved_machine] =
+        ReleaseProfile(view).reservation_for(head, view);
 
     // Backfill: later tasks may start now iff they fit AND
     // (a) their estimated completion is before the shadow time, or
     // (b) they avoid the reserved machine.
     for (std::size_t p = head_pos + 1; p < order.size(); ++p) {
+      if (!planned.may_fit_anywhere(floor)) break;
       const ReadyTask& t = (*view.ready)[order[p]];
       auto m = pick_machine(view.machines, planned, t, Fit::kFirst, view);
       if (!m) continue;
@@ -131,46 +189,7 @@ class EasyBackfilling final : public AllocationPolicy {
     }
     return out;
   }
-
- private:
-  /// Earliest time at which `t` is expected to fit on some machine, and
-  /// that machine's id, under the current running set.
-  static std::pair<sim::SimTime, infra::MachineId> reservation_for(
-      const ReadyTask& t, const SchedulerView& view) {
-    sim::SimTime best_time = sim::kTimeInfinity;
-    infra::MachineId best_machine = 0;
-    for (const infra::Machine* m : view.machines) {
-      if (!t.demand.fits_within(m->capacity())) continue;
-      if (!machine_in_zone(t, m->id())) continue;
-      // Sort this machine's running tasks by end time and release them
-      // in order until the task fits.
-      std::vector<const RunningView*> on_machine;
-      on_machine.reserve(view.running->size());
-      for (const RunningView& r : *view.running) {
-        if (r.machine == m->id()) on_machine.push_back(&r);
-      }
-      std::sort(on_machine.begin(), on_machine.end(),
-                [](const RunningView* a, const RunningView* b) {
-                  return a->expected_end < b->expected_end;
-                });
-      infra::ResourceVector free = m->available();
-      sim::SimTime when = view.now;
-      bool fits = t.demand.fits_within(free);
-      for (const RunningView* r : on_machine) {
-        if (fits) break;
-        free += r->demand;
-        when = r->expected_end;
-        fits = t.demand.fits_within(free);
-      }
-      if (fits && when < best_time) {
-        best_time = when;
-        best_machine = m->id();
-      }
-    }
-    return {best_time, best_machine};
-  }
 };
-
 
 // ---- conservative backfilling ---------------------------------------------------
 
@@ -181,27 +200,21 @@ class ConservativeBackfilling final : public AllocationPolicy {
   }
 
   std::vector<Assignment> decide(const SchedulerView& view) override {
-    if (view.ready->empty()) return {};
-    std::vector<std::size_t> order(view.ready->size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       const ReadyTask& ta = (*view.ready)[a];
-                       const ReadyTask& tb = (*view.ready)[b];
-                       if (ta.job_submit != tb.job_submit)
-                         return ta.job_submit < tb.job_submit;
-                       if (ta.job != tb.job) return ta.job < tb.job;
-                       return ta.task_index < tb.task_index;
-                     });
-
     PlannedCapacity planned(view.machines);
-    // Earliest reservation start per machine among queued-but-unstarted
-    // tasks; a backfill must complete before it.
-    std::map<infra::MachineId, sim::SimTime> reservation_at;
+    const infra::ResourceVector floor = min_demand(*view.ready);
+    if (!planned.may_fit_anywhere(floor)) return {};
+    const ReleaseProfile profile(view);
+    // Earliest reservation start per machine id among queued-but-unstarted
+    // tasks (kTimeInfinity: none); a backfill must complete before it.
+    std::vector<sim::SimTime> reservation_at(planned.id_bound(),
+                                             sim::kTimeInfinity);
     std::vector<Assignment> out;
     out.reserve(view.ready->size());
 
-    for (std::size_t idx : order) {
+    for (std::size_t idx : sorted_order(view, FcfsCmp{})) {
+      // Nothing left fits anywhere, so no later reservation can gate a
+      // backfill this round.
+      if (!planned.may_fit_anywhere(floor)) break;
       const ReadyTask& t = (*view.ready)[idx];
       auto m = pick_machine(view.machines, planned, t, Fit::kFirst, view);
       if (m) {
@@ -210,79 +223,39 @@ class ConservativeBackfilling final : public AllocationPolicy {
         // here is delayed).
         const sim::SimTime est_end =
             view.now + sim::from_seconds(t.work_seconds / planned.speed(*m));
-        auto rit = reservation_at.find(*m);
-        if (rit == reservation_at.end() || est_end <= rit->second) {
+        if (est_end <= reservation_at[*m]) {
           planned.take(*m, t.demand);
           out.push_back(Assignment{idx, *m});
           continue;
         }
       }
       // Cannot start: record this task's reservation so later (smaller)
-      // tasks cannot delay it.
-      const auto [when, machine] = reservation_for(t, view);
-      if (when == sim::kTimeInfinity) continue;  // can never fit anywhere
-      auto rit = reservation_at.find(machine);
-      if (rit == reservation_at.end() || when < rit->second) {
-        reservation_at[machine] = when;
-      }
+      // tasks cannot delay it. One that can never fit anywhere gets
+      // kTimeInfinity and records nothing.
+      const auto [when, machine] = profile.reservation_for(t, view);
+      reservation_at[machine] = std::min(reservation_at[machine], when);
     }
     return out;
-  }
-
- private:
-  static std::pair<sim::SimTime, infra::MachineId> reservation_for(
-      const ReadyTask& t, const SchedulerView& view) {
-    sim::SimTime best_time = sim::kTimeInfinity;
-    infra::MachineId best_machine = 0;
-    for (const infra::Machine* m : view.machines) {
-      if (!t.demand.fits_within(m->capacity())) continue;
-      if (!machine_in_zone(t, m->id())) continue;
-      std::vector<const RunningView*> on_machine;
-      on_machine.reserve(view.running->size());
-      for (const RunningView& r : *view.running) {
-        if (r.machine == m->id()) on_machine.push_back(&r);
-      }
-      std::sort(on_machine.begin(), on_machine.end(),
-                [](const RunningView* a, const RunningView* b) {
-                  return a->expected_end < b->expected_end;
-                });
-      infra::ResourceVector free = m->available();
-      sim::SimTime when = view.now;
-      bool fits = t.demand.fits_within(free);
-      for (const RunningView* r : on_machine) {
-        if (fits) break;
-        free += r->demand;
-        when = r->expected_end;
-        fits = t.demand.fits_within(free);
-      }
-      if (fits && when < best_time) {
-        best_time = when;
-        best_machine = m->id();
-      }
-    }
-    return {best_time, best_machine};
   }
 };
 
 // ---- HEFT ---------------------------------------------------------------------
-
 
 class Heft final : public AllocationPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "heft"; }
 
   std::vector<Assignment> decide(const SchedulerView& view) override {
-    std::vector<std::size_t> order(view.ready->size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    // Highest upward rank first; FCFS tiebreak.
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return (*view.ready)[a].rank > (*view.ready)[b].rank;
-                     });
     PlannedCapacity planned(view.machines);
+    const infra::ResourceVector floor = min_demand(*view.ready);
+    if (!planned.may_fit_anywhere(floor)) return {};
+    // Highest upward rank first; FCFS tiebreak.
+    const auto by_rank = [](const ReadyTask& a, const ReadyTask& b,
+                            const SchedulerView&) { return a.rank > b.rank; };
     std::vector<Assignment> out;
     out.reserve(view.ready->size());
-    for (std::size_t idx : order) {
+    for (std::size_t idx : sorted_order(view, by_rank)) {
+      if (!planned.may_fit_anywhere(floor)) break;
       const ReadyTask& t = (*view.ready)[idx];
       if (!planned.may_fit_anywhere(t.demand)) continue;
       // Earliest-finish-time machine among those with room now.
@@ -402,48 +375,6 @@ class RandomPolicy final : public AllocationPolicy {
 
  private:
   sim::Rng rng_;
-};
-
-// Comparators for the ordered policies.
-struct FcfsCmp {
-  bool operator()(const ReadyTask& a, const ReadyTask& b,
-                  const SchedulerView&) const {
-    if (a.job_submit != b.job_submit) return a.job_submit < b.job_submit;
-    if (a.job != b.job) return a.job < b.job;
-    return a.task_index < b.task_index;
-  }
-};
-struct SjfCmp {
-  bool operator()(const ReadyTask& a, const ReadyTask& b,
-                  const SchedulerView&) const {
-    return a.work_seconds < b.work_seconds;
-  }
-};
-struct LjfCmp {
-  bool operator()(const ReadyTask& a, const ReadyTask& b,
-                  const SchedulerView&) const {
-    return a.work_seconds > b.work_seconds;
-  }
-};
-struct FairShareCmp {
-  bool operator()(const ReadyTask& a, const ReadyTask& b,
-                  const SchedulerView& view) const {
-    double ua = 0.0, ub = 0.0;
-    if (view.user_usage != nullptr) {
-      const std::vector<double>& usage = *view.user_usage;
-      if (a.user_id < usage.size()) ua = usage[a.user_id];
-      if (b.user_id < usage.size()) ub = usage[b.user_id];
-    }
-    if (ua != ub) return ua < ub;  // least-served user first
-    return FcfsCmp{}(a, b, view);
-  }
-};
-struct EdfCmp {
-  bool operator()(const ReadyTask& a, const ReadyTask& b,
-                  const SchedulerView& view) const {
-    if (a.deadline != b.deadline) return a.deadline < b.deadline;
-    return FcfsCmp{}(a, b, view);
-  }
 };
 
 }  // namespace

@@ -11,6 +11,7 @@
 // digest goldens (tests/goldens/) pin that equivalence.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -83,6 +84,8 @@ class PlannedCapacity {
   }
 
   [[nodiscard]] double speed(infra::MachineId id) const { return speed_[id]; }
+  /// One past the round's largest machine id: the size of a dense table.
+  [[nodiscard]] std::size_t id_bound() const { return present_.size(); }
 
   [[nodiscard]] const infra::ResourceVector& free_on(
       infra::MachineId id) const {
@@ -172,6 +175,70 @@ class PlannedCapacity {
   return word < t.zone_words &&
          (t.zone_mask[word] >> (id & 63) & 1) != 0;
 }
+
+/// The running set's release order, built once per decide() for the
+/// backfilling policies: running tasks bucketed by machine id (CSR layout),
+/// each bucket stable-sorted by expected_end. A reservation query walks one
+/// bucket per admissible machine instead of re-filtering and re-sorting the
+/// whole running set per machine (DESIGN.md §9).
+class ReleaseProfile {
+ public:
+  explicit ReleaseProfile(const SchedulerView& view) {
+    infra::MachineId max_id = 0;
+    for (const infra::Machine* m : view.machines) {
+      max_id = std::max(max_id, m->id());
+    }
+    // Only the view's machines are walked: tasks past its largest id (on a
+    // draining machine) are dropped.
+    by_end_.reserve(view.running->size());
+    for (const RunningView& r : *view.running) {
+      if (r.machine <= max_id) by_end_.push_back(&r);
+    }
+    std::stable_sort(by_end_.begin(), by_end_.end(),
+                     [](const RunningView* a, const RunningView* b) {
+                       return a->machine != b->machine
+                                  ? a->machine < b->machine
+                                  : a->expected_end < b->expected_end;
+                     });
+    begin_.assign(max_id + 2, 0);
+    for (const RunningView* r : by_end_) ++begin_[r->machine + 1];
+    for (std::size_t i = 1; i < begin_.size(); ++i) begin_[i] += begin_[i - 1];
+  }
+
+  /// Earliest time at which `t` is expected to fit on some admissible
+  /// machine of `view` (the view this profile was built from), assuming
+  /// running tasks release their resources at expected_end, and that
+  /// machine's id; kTimeInfinity when no machine can ever hold it.
+  // mcs-lint: hot
+  [[nodiscard]] std::pair<sim::SimTime, infra::MachineId> reservation_for(
+      const ReadyTask& t, const SchedulerView& view) const {
+    sim::SimTime best_time = sim::kTimeInfinity;
+    infra::MachineId best_machine = 0;
+    for (const infra::Machine* m : view.machines) {
+      if (!t.demand.fits_within(m->capacity())) continue;
+      if (!machine_in_zone(t, m->id())) continue;
+      // Release this machine's tasks in end-time order until `t` fits.
+      infra::ResourceVector free = m->available();
+      sim::SimTime when = view.now;
+      bool fits = t.demand.fits_within(free);
+      for (std::size_t i = begin_[m->id()]; !fits && i < begin_[m->id() + 1];
+           ++i) {
+        free += by_end_[i]->demand;
+        when = by_end_[i]->expected_end;
+        fits = t.demand.fits_within(free);
+      }
+      if (fits && when < best_time) {
+        best_time = when;
+        best_machine = m->id();
+      }
+    }
+    return {best_time, best_machine};
+  }
+
+ private:
+  std::vector<const RunningView*> by_end_;  ///< by machine id, then end time
+  std::vector<std::size_t> begin_;  ///< bucket of id: [begin_[id], begin_[id+1])
+};
 
 /// Running-task count of (job_slot, machine) in the engine-built table
 /// (sorted by job_slot then machine); 0 when absent or no table.

@@ -1,14 +1,18 @@
 // Tests for the placement/scoring pass (sched/scoring.hpp): score-policy
 // hand fixtures, deterministic tie-breaking, zone label filtering, the
-// anti-affinity table, LabelFilterCache memoization, and engine-level
-// zone/spread enforcement.
+// anti-affinity table, LabelFilterCache memoization, the backfilling release
+// profile against its naive reference, and engine-level zone/spread
+// enforcement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sched/engine.hpp"
 #include "sched/scoring.hpp"
+#include "sim/random.hpp"
 #include "workload/task.hpp"
 
 namespace mcs::sched {
@@ -314,6 +318,148 @@ TEST(LabelFilterCacheTest, RebuildsWhenTheFleetGrows) {
   EXPECT_EQ(cache.mask_for("z0", dc)[0], 0b101u);  // rebuilt, not stale
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.size(), 1u);
+}
+
+// ---- backfilling release profile -----------------------------------------------
+
+/// The per-machine filter+sort reservation query ReleaseProfile replaced,
+/// kept verbatim as the reference it is diffed against.
+std::pair<sim::SimTime, infra::MachineId> naive_reservation_for(
+    const ReadyTask& t, const SchedulerView& view) {
+  sim::SimTime best_time = sim::kTimeInfinity;
+  infra::MachineId best_machine = 0;
+  for (const infra::Machine* m : view.machines) {
+    if (!t.demand.fits_within(m->capacity())) continue;
+    if (!machine_in_zone(t, m->id())) continue;
+    // Sort this machine's running tasks by end time and release them
+    // in order until the task fits.
+    std::vector<const RunningView*> on_machine;
+    on_machine.reserve(view.running->size());
+    for (const RunningView& r : *view.running) {
+      if (r.machine == m->id()) on_machine.push_back(&r);
+    }
+    std::sort(on_machine.begin(), on_machine.end(),
+              [](const RunningView* a, const RunningView* b) {
+                return a->expected_end < b->expected_end;
+              });
+    infra::ResourceVector free = m->available();
+    sim::SimTime when = view.now;
+    bool fits = t.demand.fits_within(free);
+    for (const RunningView* r : on_machine) {
+      if (fits) break;
+      free += r->demand;
+      when = r->expected_end;
+      fits = t.demand.fits_within(free);
+    }
+    if (fits && when < best_time) {
+      best_time = when;
+      best_machine = m->id();
+    }
+  }
+  return {best_time, best_machine};
+}
+
+/// A multiple of 0.25 in [0, max_quarters / 4]. Quarters are dyadic, so
+/// release sums are exact in any order and a reservation cannot depend on
+/// how ties on expected_end are ordered.
+double quarters(sim::Rng& rng, std::int64_t max_quarters) {
+  return 0.25 * static_cast<double>(rng.uniform_int(0, max_quarters));
+}
+
+TEST(ReleaseProfileTest, MatchesNaiveReservationOnRandomViews) {
+  std::size_t finite = 0;
+  std::size_t never = 0;
+  for (std::uint64_t seed = 1; seed <= 250; ++seed) {
+    sim::Rng rng(seed);
+    infra::Datacenter dc("rv", "sim");
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 10));
+    for (std::size_t i = 0; i < n; ++i) {
+      const double cores = static_cast<double>(rng.uniform_int(2, 16));
+      const double gpus = static_cast<double>(rng.uniform_int(0, 2));
+      dc.add_machine("m" + std::to_string(i),
+                     infra::ResourceVector{cores, cores * 4.0, gpus}, 1.0, 0);
+    }
+    // Every fifth view runs nothing. Elsewhere end times come from five
+    // values, so ties are common, and ends at 1 s are already overdue.
+    std::vector<RunningView> running;
+    for (std::size_t i = 0; i < n && seed % 5 != 0; ++i) {
+      infra::Machine& m = dc.machine(static_cast<infra::MachineId>(i));
+      for (std::int64_t k = rng.uniform_int(0, 8); k > 0; --k) {
+        const infra::ResourceVector d{
+            0.25 + quarters(rng, 16), quarters(rng, 32),
+            static_cast<double>(rng.uniform_int(0, 1))};
+        if (!m.can_fit(d)) continue;
+        m.allocate(d);
+        running.push_back(
+            RunningView{m.id(), rng.uniform_int(1, 5) * sim::kSecond, d});
+      }
+    }
+    // Draining machines leave the view while their tasks keep running.
+    SchedulerView view;
+    view.now = 2 * sim::kSecond;
+    view.running = &running;
+    for (const infra::Machine* m :
+         static_cast<const infra::Datacenter&>(dc).machines()) {
+      if (!rng.chance(0.2)) view.machines.push_back(m);
+    }
+    const ReleaseProfile profile(view);
+    const std::uint64_t mask[1] = {
+        static_cast<std::uint64_t>(rng.uniform_int(0, 1023))};
+    for (int q = 0; q < 8; ++q) {
+      // Up to 20 cores and 3 gpus: some demands fit no machine ever.
+      ReadyTask t = ready_task(infra::ResourceVector{
+          0.25 + quarters(rng, 80), quarters(rng, 160),
+          static_cast<double>(rng.uniform_int(0, 3))});
+      if (rng.chance(0.3)) {
+        t.zone_mask = mask;
+        t.zone_words = 1;
+      }
+      const auto got = profile.reservation_for(t, view);
+      EXPECT_EQ(got, naive_reservation_for(t, view))
+          << "seed " << seed << " query " << q;
+      if (got.first == sim::kTimeInfinity) {
+        ++never;
+      } else {
+        ++finite;
+      }
+    }
+  }
+  // The generator reaches both outcomes often.
+  EXPECT_GT(finite, 200u);
+  EXPECT_GT(never, 200u);
+}
+
+TEST(ReleaseProfileTest, SaturatedFloorProposesNothingUnderEveryPolicy) {
+  // Two 8-core machines with one core free each; the smallest queued cpu
+  // demand is 2 cores, so the queue's floor fits nowhere.
+  auto dc = make_zoned_dc(2, 0);
+  std::vector<RunningView> running;
+  for (infra::MachineId id = 0; id < 2; ++id) {
+    const infra::ResourceVector held{7.0, 8.0, 0.0};
+    dc.machine(id).allocate(held);
+    running.push_back(RunningView{id, 60 * sim::kSecond, held});
+  }
+  std::vector<ReadyTask> ready;
+  for (std::size_t i = 0; i < 6; ++i) {
+    ReadyTask t = ready_task(
+        infra::ResourceVector{2.0 + static_cast<double>(i % 3), 1.0, 0.0},
+        i + 1);
+    t.work_seconds = 10.0 * static_cast<double>(i + 1);
+    ready.push_back(t);
+  }
+  SchedulerView view;
+  view.ready = &ready;
+  view.machines = static_cast<const infra::Datacenter&>(dc).machines();
+  view.running = &running;
+  for (const std::string& name : all_policy_names()) {
+    EXPECT_TRUE(make_policy(name)->decide(view).empty()) << name;
+  }
+  // Control: with one machine idle again, every policy places something.
+  dc.machine(0).release(running[0].demand);
+  running.erase(running.begin());
+  for (const std::string& name : all_policy_names()) {
+    EXPECT_FALSE(make_policy(name)->decide(view).empty()) << name;
+  }
 }
 
 // ---- engine-level placement enforcement ----------------------------------------
