@@ -192,9 +192,9 @@ BENCHMARK(BM_EngineThroughput);
 void BM_ScoringPolicies(benchmark::State& state) {
   // The scoring pass on a K=4 heterogeneous, gpu-sparse fleet: 3 racks of
   // cpu-only machines plus one gpu rack, 20% of tasks accelerated. Arg(0-3)
-  // selects the NodeScorePolicy, so the per-policy cost of the scored
-  // pick_machine loop (vs the kNone legacy fast path at Arg 0) reads
-  // directly off the report. The scoring pass must stay allocation-free:
+  // selects the NodeScorePolicy, so the per-policy cost of scoring in the
+  // pick_machine loop (vs unscored first fit at Arg 0) reads directly off
+  // the report. The scoring pass must stay allocation-free:
   // mcs_lint H2/H3 gate the loop, this benchmark gates the constant factor.
   const auto policy = static_cast<sched::NodeScorePolicy>(state.range(0));
   state.SetLabel(sched::to_string(policy));

@@ -6,6 +6,9 @@
 # (sched/scoring.hpp) changed *nothing* about legacy scheduling decisions:
 # every float op sequence, every tie-break, every merge order is pinned.
 #
+# The het batch (mcs_check --het: vector demands, zones, spread limits, node
+# scoring) is pinned the same way, so the placement pass cannot drift unseen.
+#
 # The golden values live in tests/goldens/scalar_digests.txt (key=value).
 # If a change legitimately alters scheduling behavior, the goldens must be
 # re-pinned in the same commit with an explanation — this script failing on
@@ -25,7 +28,8 @@ fi
 
 want_sched="$(sed -n 's/^exp_scheduling_reps8=//p' "${goldens}")"
 want_check="$(sed -n 's/^mcs_check_seeds100=//p' "${goldens}")"
-if [[ -z "${want_sched}" || -z "${want_check}" ]]; then
+want_het="$(sed -n 's/^mcs_check_het_seeds100=//p' "${goldens}")"
+if [[ -z "${want_sched}" || -z "${want_check}" || -z "${want_het}" ]]; then
   echo "FAIL: ${goldens} is missing golden keys" >&2
   exit 2
 fi
@@ -39,10 +43,14 @@ for threads in 1 8; do
   got="$(MCS_THREADS=${threads} "${mcs_check}" --seeds 100 --digest)"
   echo "mcs_check --seeds 100 MCS_THREADS=${threads}: ${got} (want summary ${want_check})"
   if [[ "${got}" != "summary ${want_check}" ]]; then fail=1; fi
+
+  got="$(MCS_THREADS=${threads} "${mcs_check}" --seeds 100 --het --digest)"
+  echo "mcs_check --seeds 100 --het MCS_THREADS=${threads}: ${got} (want summary ${want_het})"
+  if [[ "${got}" != "summary ${want_het}" ]]; then fail=1; fi
 done
 
 if [[ "${fail}" -ne 0 ]]; then
-  echo "FAIL: scalar digests drifted from the pre-refactor goldens" >&2
+  echo "FAIL: digests drifted from the pinned goldens" >&2
   exit 1
 fi
-echo "OK: scalar configurations are bit-identical to the pre-vector goldens"
+echo "OK: scalar and het configurations are bit-identical to the goldens"

@@ -12,9 +12,13 @@ namespace mcs::sched {
 
 namespace {
 
-// PlannedCapacity, ReleaseProfile and pick_machine live in sched/scoring.hpp:
-// the placement pass (K=4 planned capacity, node scoring, zone/anti-affinity
-// admission) is shared with the engine, the fuzzer, and the benches.
+// Every queue-ordering policy (FCFS, SJF, LJF, fair-share, EDF, EASY and
+// conservative backfilling) is one OrderedPolicy skeleton that differs only
+// in its comparator, Fit heuristic and reservation depth; HEFT and MinMin
+// share one earliest-finish scan. PlannedCapacity, ReleaseProfile and
+// pick_machine live in sched/scoring.hpp: the placement pass (K=4 planned
+// capacity, node scoring, zone/anti-affinity admission) is shared with the
+// engine, the fuzzer, and the benches.
 
 /// Ready-queue indices stable-sorted by `cmp` (ties keep queue order).
 template <typename Compare>
@@ -43,7 +47,7 @@ infra::ResourceVector min_demand(const std::vector<ReadyTask>& ready) {
   return floor;
 }
 
-// Comparators for the ordered and backfilling policies.
+// Comparators for the ordered policies.
 struct FcfsCmp {
   bool operator()(const ReadyTask& a, const ReadyTask& b,
                   const SchedulerView&) const {
@@ -85,13 +89,21 @@ struct EdfCmp {
   }
 };
 
-/// Shared skeleton: order the ready queue by a comparator, then greedily
-/// place under a fit heuristic.
+/// The one list-scheduling skeleton (DESIGN.md §9). Order the ready queue
+/// by `cmp` and walk it once: a task starts when pick_machine places it and
+/// it is expected to end by the earliest reservation on that machine. A task
+/// that cannot start takes a reservation at the earliest time some machine
+/// could hold it (ReleaseProfile), while fewer than `depth` were granted this
+/// round. Depth 0 is greedy list scheduling (FCFS/SJF/LJF/fair-share/EDF),
+/// depth 1 is EASY backfilling (only the blocked head is protected) and
+/// SIZE_MAX is conservative backfilling (every blocked task is) — Mu'alem &
+/// Feitelson's reservation depth.
 template <typename Compare>
 class OrderedPolicy final : public AllocationPolicy {
  public:
-  OrderedPolicy(std::string name, Compare cmp, Fit fit)
-      : name_(std::move(name)), cmp_(std::move(cmp)), fit_(fit) {}
+  OrderedPolicy(std::string name, Compare cmp, Fit fit, std::size_t depth)
+      : name_(std::move(name)), cmp_(std::move(cmp)), fit_(fit),
+        depth_(depth) {}
 
   [[nodiscard]] std::string name() const override { return name_; }
 
@@ -99,15 +111,39 @@ class OrderedPolicy final : public AllocationPolicy {
     PlannedCapacity planned(view.machines);
     const infra::ResourceVector floor = min_demand(*view.ready);
     if (!planned.may_fit_anywhere(floor)) return {};
+    // Built on the first reservation, so a depth-0 round never pays for
+    // them. reservation_at: earliest reservation per machine id
+    // (kTimeInfinity: none).
+    std::optional<ReleaseProfile> profile;
+    std::vector<sim::SimTime> reservation_at;
+    std::size_t granted = 0;
     std::vector<Assignment> out;
     out.reserve(view.ready->size());
     for (std::size_t idx : sorted_order(view, cmp_)) {
+      // Nothing left fits anywhere, so nothing can start or gate a start.
       if (!planned.may_fit_anywhere(floor)) break;
       const ReadyTask& t = (*view.ready)[idx];
-      if (auto m = pick_machine(view.machines, planned, t, fit_, view)) {
+      const auto m = pick_machine(view.machines, planned, t, fit_, view);
+      // Once a reservation exists, a start must be expected to end by the
+      // earliest reservation on its machine.
+      if (m && (granted == 0 ||
+                view.now + sim::from_seconds(t.work_seconds /
+                                             planned.speed(*m)) <=
+                    reservation_at[*m])) {
         planned.take(*m, t.demand);
         out.push_back(Assignment{idx, *m});
+        continue;
       }
+      if (granted >= depth_) continue;
+      // A task that can never fit anywhere gets kTimeInfinity: it records
+      // nothing but still uses up its reservation.
+      if (!profile) {
+        profile.emplace(view);
+        reservation_at.assign(planned.id_bound(), sim::kTimeInfinity);
+      }
+      const auto [when, machine] = profile->reservation_for(t, view);
+      reservation_at[machine] = std::min(reservation_at[machine], when);
+      ++granted;
     }
     return out;
   }
@@ -116,13 +152,14 @@ class OrderedPolicy final : public AllocationPolicy {
   std::string name_;
   Compare cmp_;
   Fit fit_;
+  std::size_t depth_;  ///< reservations granted per round at most
 };
 
 template <typename Compare>
 std::unique_ptr<AllocationPolicy> ordered(std::string name, Compare cmp,
-                                          Fit fit) {
+                                          Fit fit, std::size_t depth = 0) {
   return std::make_unique<OrderedPolicy<Compare>>(std::move(name),
-                                                  std::move(cmp), fit);
+                                                  std::move(cmp), fit, depth);
 }
 
 std::string fit_suffix(Fit fit) {
@@ -135,109 +172,27 @@ std::string fit_suffix(Fit fit) {
   return "";
 }
 
-// ---- EASY backfilling --------------------------------------------------------
-
-class EasyBackfilling final : public AllocationPolicy {
- public:
-  [[nodiscard]] std::string name() const override { return "easy-backfill"; }
-
-  std::vector<Assignment> decide(const SchedulerView& view) override {
-    PlannedCapacity planned(view.machines);
-    const infra::ResourceVector floor = min_demand(*view.ready);
-    if (!planned.may_fit_anywhere(floor)) return {};
-    const std::vector<std::size_t> order = sorted_order(view, FcfsCmp{});
-    std::vector<Assignment> out;
-    out.reserve(view.ready->size());
-    std::size_t head_pos = 0;
-
-    // Greedily start the FCFS prefix.
-    while (head_pos < order.size()) {
-      const ReadyTask& t = (*view.ready)[order[head_pos]];
-      auto m = pick_machine(view.machines, planned, t, Fit::kFirst, view);
-      if (!m) break;
-      planned.take(*m, t.demand);
-      out.push_back(Assignment{order[head_pos], *m});
-      ++head_pos;
+/// The machine with room that admits `t` and finishes it first (run time
+/// work / speed, strictly smaller wins, so ties go to the lowest id), with
+/// that run time; nullopt when none. Speed alone decides: the node-scoring
+/// policy does not apply to HEFT and MinMin.
+std::optional<std::pair<infra::MachineId, double>> earliest_finish(
+    const SchedulerView& view, const PlannedCapacity& planned,
+    const ReadyTask& t) {
+  if (!planned.may_fit_anywhere(t.demand)) return std::nullopt;
+  std::optional<std::pair<infra::MachineId, double>> best;
+  double best_finish = std::numeric_limits<double>::max();
+  for (const infra::Machine* m : view.machines) {
+    if (!planned.fits(m->id(), t.demand)) continue;
+    if (!placement_allows(view, t, m->id())) continue;
+    const double finish = t.work_seconds / m->speed_factor();
+    if (finish < best_finish) {
+      best_finish = finish;
+      best = {m->id(), finish};
     }
-    if (head_pos >= order.size() || !planned.may_fit_anywhere(floor)) {
-      return out;  // nothing left that could backfill
-    }
-
-    // The head task cannot start: compute its reservation (shadow time) —
-    // the earliest expected_end at which some machine could fit it,
-    // assuming running tasks release their resources then.
-    const ReadyTask& head = (*view.ready)[order[head_pos]];
-    const auto [shadow, reserved_machine] =
-        ReleaseProfile(view).reservation_for(head, view);
-
-    // Backfill: later tasks may start now iff they fit AND
-    // (a) their estimated completion is before the shadow time, or
-    // (b) they avoid the reserved machine.
-    for (std::size_t p = head_pos + 1; p < order.size(); ++p) {
-      if (!planned.may_fit_anywhere(floor)) break;
-      const ReadyTask& t = (*view.ready)[order[p]];
-      auto m = pick_machine(view.machines, planned, t, Fit::kFirst, view);
-      if (!m) continue;
-      const double speed = planned.speed(*m);
-      const sim::SimTime est_end =
-          view.now + sim::from_seconds(t.work_seconds / speed);
-      const bool harmless = est_end <= shadow || *m != reserved_machine;
-      if (harmless) {
-        planned.take(*m, t.demand);
-        out.push_back(Assignment{order[p], *m});
-      }
-    }
-    return out;
   }
-};
-
-// ---- conservative backfilling ---------------------------------------------------
-
-class ConservativeBackfilling final : public AllocationPolicy {
- public:
-  [[nodiscard]] std::string name() const override {
-    return "conservative-backfill";
-  }
-
-  std::vector<Assignment> decide(const SchedulerView& view) override {
-    PlannedCapacity planned(view.machines);
-    const infra::ResourceVector floor = min_demand(*view.ready);
-    if (!planned.may_fit_anywhere(floor)) return {};
-    const ReleaseProfile profile(view);
-    // Earliest reservation start per machine id among queued-but-unstarted
-    // tasks (kTimeInfinity: none); a backfill must complete before it.
-    std::vector<sim::SimTime> reservation_at(planned.id_bound(),
-                                             sim::kTimeInfinity);
-    std::vector<Assignment> out;
-    out.reserve(view.ready->size());
-
-    for (std::size_t idx : sorted_order(view, FcfsCmp{})) {
-      // Nothing left fits anywhere, so no later reservation can gate a
-      // backfill this round.
-      if (!planned.may_fit_anywhere(floor)) break;
-      const ReadyTask& t = (*view.ready)[idx];
-      auto m = pick_machine(view.machines, planned, t, Fit::kFirst, view);
-      if (m) {
-        // Starting now must not run past an existing reservation on this
-        // machine (conservative guarantee: nobody already promised space
-        // here is delayed).
-        const sim::SimTime est_end =
-            view.now + sim::from_seconds(t.work_seconds / planned.speed(*m));
-        if (est_end <= reservation_at[*m]) {
-          planned.take(*m, t.demand);
-          out.push_back(Assignment{idx, *m});
-          continue;
-        }
-      }
-      // Cannot start: record this task's reservation so later (smaller)
-      // tasks cannot delay it. One that can never fit anywhere gets
-      // kTimeInfinity and records nothing.
-      const auto [when, machine] = profile.reservation_for(t, view);
-      reservation_at[machine] = std::min(reservation_at[machine], when);
-    }
-    return out;
-  }
-};
+  return best;
+}
 
 // ---- HEFT ---------------------------------------------------------------------
 
@@ -257,22 +212,9 @@ class Heft final : public AllocationPolicy {
     for (std::size_t idx : sorted_order(view, by_rank)) {
       if (!planned.may_fit_anywhere(floor)) break;
       const ReadyTask& t = (*view.ready)[idx];
-      if (!planned.may_fit_anywhere(t.demand)) continue;
-      // Earliest-finish-time machine among those with room now.
-      std::optional<infra::MachineId> best;
-      double best_finish = std::numeric_limits<double>::max();
-      for (const infra::Machine* m : view.machines) {
-        if (!planned.fits(m->id(), t.demand)) continue;
-        if (!placement_allows(view, t, m->id())) continue;
-        const double finish = t.work_seconds / m->speed_factor();
-        if (finish < best_finish) {
-          best_finish = finish;
-          best = m->id();
-        }
-      }
-      if (best) {
-        planned.take(*best, t.demand);
-        out.push_back(Assignment{idx, *best});
+      if (const auto best = earliest_finish(view, planned, t)) {
+        planned.take(best->first, t.demand);
+        out.push_back(Assignment{idx, best->first});
       }
     }
     return out;
@@ -299,36 +241,23 @@ class MinMin final : public AllocationPolicy {
       // For each unassigned task, its minimum completion time and argmin
       // machine under planned capacity.
       std::optional<std::size_t> chosen;
-      infra::MachineId chosen_machine = 0;
-      double chosen_mct = 0.0;
+      std::pair<infra::MachineId, double> chosen_finish;
       for (std::size_t i = 0; i < view.ready->size(); ++i) {
         if (taken[i]) continue;
-        const ReadyTask& t = (*view.ready)[i];
-        if (!planned.may_fit_anywhere(t.demand)) continue;
-        double mct = std::numeric_limits<double>::max();
-        std::optional<infra::MachineId> arg;
-        for (const infra::Machine* m : view.machines) {
-          if (!planned.fits(m->id(), t.demand)) continue;
-        if (!placement_allows(view, t, m->id())) continue;
-          const double c = t.work_seconds / m->speed_factor();
-          if (c < mct) {
-            mct = c;
-            arg = m->id();
-          }
-        }
-        if (!arg) continue;
+        const auto f = earliest_finish(view, planned, (*view.ready)[i]);
+        if (!f) continue;
         const bool better =
-            !chosen || (max_first_ ? mct > chosen_mct : mct < chosen_mct);
+            !chosen || (max_first_ ? f->second > chosen_finish.second
+                                   : f->second < chosen_finish.second);
         if (better) {
           chosen = i;
-          chosen_machine = *arg;
-          chosen_mct = mct;
+          chosen_finish = *f;
         }
       }
       if (!chosen) break;
       taken[*chosen] = true;
-      planned.take(chosen_machine, (*view.ready)[*chosen].demand);
-      out.push_back(Assignment{*chosen, chosen_machine});
+      planned.take(chosen_finish.first, (*view.ready)[*chosen].demand);
+      out.push_back(Assignment{*chosen, chosen_finish.first});
     }
     return out;
   }
@@ -395,10 +324,10 @@ std::unique_ptr<AllocationPolicy> make_edf(Fit fit) {
   return ordered("edf" + fit_suffix(fit), EdfCmp{}, fit);
 }
 std::unique_ptr<AllocationPolicy> make_easy_backfilling() {
-  return std::make_unique<EasyBackfilling>();
+  return ordered("easy-backfill", FcfsCmp{}, Fit::kFirst, 1);
 }
 std::unique_ptr<AllocationPolicy> make_conservative_backfilling() {
-  return std::make_unique<ConservativeBackfilling>();
+  return ordered("conservative-backfill", FcfsCmp{}, Fit::kFirst, SIZE_MAX);
 }
 std::unique_ptr<AllocationPolicy> make_heft() {
   return std::make_unique<Heft>();

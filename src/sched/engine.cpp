@@ -182,15 +182,17 @@ bool ExecutionEngine::demand_satisfiable(
       config_.scavenging.enabled
           ? demand.mem() * (1.0 - config_.scavenging.max_borrow_fraction)
           : demand.mem();
+  ReadyTask zone;  // carries only the zone filter machine_in_zone reads
+  if (zone_mask != nullptr) {
+    // A mask built before the fleet had machines admits none (empty vector
+    // storage may be null, which would read as unconstrained).
+    if (zone_mask->empty()) return false;
+    zone.zone_mask = zone_mask->data();
+    zone.zone_words = zone_mask->size();
+  }
   const std::size_t machine_count = dc_.machine_count();
   for (std::uint32_t id = 0; id < machine_count; ++id) {
-    if (zone_mask != nullptr) {
-      const std::size_t word = id >> 6;
-      if (word >= zone_mask->size() ||
-          ((*zone_mask)[word] >> (id & 63) & 1) == 0) {
-        continue;
-      }
-    }
+    if (!machine_in_zone(zone, id)) continue;
     const infra::ResourceVector& cap = dc_.machine(id).capacity();
     if (demand.cpu() <= cap.cpu() && needed_memory <= cap.mem() &&
         demand.gpu() <= cap.gpu() && demand.net() <= cap.net()) {
@@ -203,13 +205,7 @@ bool ExecutionEngine::demand_satisfiable(
 // mcs-lint: hot
 bool ExecutionEngine::placement_allows_start(const ReadyTask& rt,
                                              infra::MachineId machine) const {
-  if (rt.zone_mask != nullptr) {
-    const std::size_t word = machine >> 6;
-    if (word >= rt.zone_words ||
-        (rt.zone_mask[word] >> (machine & 63) & 1) == 0) {
-      return false;
-    }
-  }
+  if (!machine_in_zone(rt, machine)) return false;
   if (rt.spread_limit > 0) {
     // Exact anti-affinity: count this job's tasks live on the machine.
     // O(R) over running slots, but only paid by spread-limited tasks.
@@ -374,33 +370,14 @@ void ExecutionEngine::try_schedule() {
     progress = false;
 
     SchedulerView view;
-    view.now = sim_.now();
-    view.ready = &ready_;
     // Move the machine list's storage in and out of the view so its
     // capacity survives across rounds.
     view.machines = std::move(machines_scratch_);
-    view.machines.clear();
-    const std::size_t machine_count = dc_.machine_count();
-    view.machines.reserve(machine_count);
-    for (std::uint32_t id = 0; id < machine_count; ++id) {
-      infra::Machine& m = dc_.machine(id);
-      if (m.usable() && !is_draining(id)) view.machines.push_back(&m);
-    }
+    fill_view(view, running_scratch_);
     if (view.machines.empty()) {
       machines_scratch_ = std::move(view.machines);
       break;
     }
-    running_scratch_.clear();
-    running_scratch_.reserve(running_.size());
-    for (std::uint32_t key = 0; key < running_.size(); ++key) {
-      if (!running_.live(key)) continue;
-      const RunningSlot& rt = running_[key];
-      running_scratch_.push_back(
-          RunningView{rt.machine, rt.expected_end, rt.held});
-    }
-    view.running = &running_scratch_;
-    view.user_usage = &user_usage_;
-    view.placement = &config_.placement;
     // Anti-affinity is advisory at proposal time: a sorted per-round count
     // table steers policies away from saturated machines; start_task makes
     // the exact final call. Skipped entirely when no live job spreads.
@@ -784,8 +761,16 @@ std::map<std::string, double> ExecutionEngine::user_usage() const {
 SchedulerView ExecutionEngine::snapshot_view(
     std::vector<RunningView>& running_storage) const {
   SchedulerView view;
+  fill_view(view, running_storage);
+  return view;
+}
+
+// mcs-lint: hot
+void ExecutionEngine::fill_view(SchedulerView& view,
+                                std::vector<RunningView>& running) const {
   view.now = sim_.now();
   view.ready = &ready_;
+  view.machines.clear();
   const std::size_t machine_count = dc_.machine_count();
   const infra::Datacenter& dc = dc_;
   view.machines.reserve(machine_count);
@@ -793,15 +778,16 @@ SchedulerView ExecutionEngine::snapshot_view(
     const infra::Machine& m = dc.machine(id);
     if (m.usable() && !is_draining(id)) view.machines.push_back(&m);
   }
-  running_storage.clear();
-  running_storage.reserve(running_.size());
-  running_.for_each([&](std::uint32_t, const RunningSlot& rt) {
-    running_storage.push_back(RunningView{rt.machine, rt.expected_end, rt.held});
-  });
-  view.running = &running_storage;
+  running.clear();
+  running.reserve(running_.size());
+  for (std::uint32_t key = 0; key < running_.size(); ++key) {
+    if (!running_.live(key)) continue;
+    const RunningSlot& rt = running_[key];
+    running.push_back(RunningView{rt.machine, rt.expected_end, rt.held});
+  }
+  view.running = &running;
   view.user_usage = &user_usage_;
   view.placement = &config_.placement;
-  return view;
 }
 
 void ExecutionEngine::record_series_point() {

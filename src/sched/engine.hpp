@@ -298,6 +298,10 @@ class ExecutionEngine {
   void enqueue_ready(JobSlot& jr, std::uint32_t job_slot,
                      std::size_t task_index, double rank);
   void try_schedule();
+  /// Fills the policy view (usable machines, running set into `running`)
+  /// shared by try_schedule and snapshot_view; the anti-affinity table is
+  /// try_schedule's alone.
+  void fill_view(SchedulerView& view, std::vector<RunningView>& running) const;
   bool start_task(std::size_t ready_index, infra::MachineId machine);
   void finish_task(std::uint32_t key, std::uint32_t gen);
   void complete_job(std::uint32_t job_slot, bool abandoned);

@@ -118,88 +118,44 @@ double score_machine(NodeScorePolicy policy, std::uint64_t salt,
 
 std::optional<infra::MachineId> pick_machine(
     const std::vector<const infra::Machine*>& machines,
-    const PlannedCapacity& planned, const infra::ResourceVector& demand,
-    Fit fit) {
-  if (!planned.may_fit_anywhere(demand)) return std::nullopt;
-  std::optional<infra::MachineId> best;
-  double best_score = 0.0;
-  for (const infra::Machine* m : machines) {
-    if (!planned.fits(m->id(), demand)) continue;
-    double score = 0.0;
-    switch (fit) {
-      case Fit::kFirst:
-        return m->id();
-      case Fit::kBest:
-        score = -(planned.free_on(m->id()).cpu() - demand.cpu());
-        break;
-      case Fit::kWorst:
-        score = planned.free_on(m->id()).cpu() - demand.cpu();
-        break;
-      case Fit::kFastest:
-        score = m->speed_factor();
-        break;
-    }
-    if (!best || score > best_score) {
-      best = m->id();
-      best_score = score;
-    }
-  }
-  return best;
-}
-
-std::optional<infra::MachineId> pick_machine(
-    const std::vector<const infra::Machine*>& machines,
     const PlannedCapacity& planned, const ReadyTask& t, Fit fit,
     const SchedulerView& view) {
+  if (!planned.may_fit_anywhere(t.demand)) return std::nullopt;
   const NodeScorePolicy sp =
       view.placement != nullptr ? view.placement->score : NodeScorePolicy::kNone;
+  const std::uint64_t salt =
+      sp != NodeScorePolicy::kNone ? view.placement->salt : 0;
   const bool constrained = t.zone_mask != nullptr || t.spread_limit > 0;
-  if (sp == NodeScorePolicy::kNone && !constrained) {
-    // Fast path, bit-identical to the pre-scoring engine (digest-pinned).
-    return pick_machine(machines, planned, t.demand, fit);
-  }
-  if (!planned.may_fit_anywhere(t.demand)) return std::nullopt;
-  if (sp == NodeScorePolicy::kNone) {
-    // Constraints only: the legacy Fit loop over admissible machines.
-    std::optional<infra::MachineId> best;
-    double best_score = 0.0;
-    for (const infra::Machine* m : machines) {
-      if (!planned.fits(m->id(), t.demand)) continue;
-      if (!placement_allows(view, t, m->id())) continue;
-      double score = 0.0;
-      switch (fit) {
-        case Fit::kFirst:
-          return m->id();
-        case Fit::kBest:
-          score = -(planned.free_on(m->id()).cpu() - t.demand.cpu());
-          break;
-        case Fit::kWorst:
-          score = planned.free_on(m->id()).cpu() - t.demand.cpu();
-          break;
-        case Fit::kFastest:
-          score = m->speed_factor();
-          break;
-      }
-      if (!best || score > best_score) {
-        best = m->id();
-        best_score = score;
-      }
-    }
-    return best;
-  }
-  // Scoring pass: minimum score wins; machines arrive in ascending id order,
-  // and only a strictly smaller score displaces the incumbent, so ties break
-  // to the lowest machine id — deterministic under any thread count.
-  const std::uint64_t salt = view.placement->salt;
+  // Minimum score wins. Machines arrive in ascending id order and only a
+  // strictly smaller score displaces the incumbent, so ties break to the
+  // lowest machine id — deterministic under any thread count. A Fit
+  // heuristic maximizes, so its score is negated; negation is exact.
   std::optional<infra::MachineId> best;
   double best_score = 0.0;
   for (const infra::Machine* m : machines) {
-    if (!planned.fits(m->id(), t.demand)) continue;
-    if (!placement_allows(view, t, m->id())) continue;
-    const double score =
-        score_machine(sp, salt, t.job, planned, m->id(), t.demand);
+    const infra::MachineId id = m->id();
+    if (!planned.fits(id, t.demand)) continue;
+    if (constrained && !placement_allows(view, t, id)) continue;
+    double score = 0.0;
+    if (sp != NodeScorePolicy::kNone) {
+      score = score_machine(sp, salt, t.job, planned, id, t.demand);
+    } else {
+      switch (fit) {
+        case Fit::kFirst:
+          return id;
+        case Fit::kBest:
+          score = planned.free_on(id).cpu() - t.demand.cpu();
+          break;
+        case Fit::kWorst:
+          score = -(planned.free_on(id).cpu() - t.demand.cpu());
+          break;
+        case Fit::kFastest:
+          score = -m->speed_factor();
+          break;
+      }
+    }
     if (!best || score < best_score) {
-      best = m->id();
+      best = id;
       best_score = score;
     }
   }

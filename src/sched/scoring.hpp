@@ -6,9 +6,10 @@
 // SNIPPETS.md): a score is computed per candidate machine from planned free
 // capacity — pure arithmetic, allocation-free, lint-hot — and the minimum
 // score wins (ties break to the lowest machine id, keeping decisions
-// deterministic and thread-count invariant). `NodeScorePolicy::kNone`
-// reproduces the legacy Fit-heuristic behavior bit-identically; the pre-PR
-// digest goldens (tests/goldens/) pin that equivalence.
+// deterministic and thread-count invariant). pick_machine is one loop over
+// (fits, admissible, score): under `NodeScorePolicy::kNone` the score is the
+// negated Fit heuristic, which makes the same choices as the legacy
+// maximizing loop; the digest goldens (tests/goldens/) pin that equivalence.
 #pragma once
 
 #include <algorithm>
@@ -176,8 +177,8 @@ class PlannedCapacity {
          (t.zone_mask[word] >> (id & 63) & 1) != 0;
 }
 
-/// The running set's release order, built once per decide() for the
-/// backfilling policies: running tasks bucketed by machine id (CSR layout),
+/// The running set's release order, built on a backfilling round's first
+/// reservation: running tasks bucketed by machine id (CSR layout),
 /// each bucket stable-sorted by expected_end. A reservation query walks one
 /// bucket per admissible machine instead of re-filtering and re-sorting the
 /// whole running set per machine (DESIGN.md §9).
@@ -263,17 +264,10 @@ class ReleaseProfile {
                                    infra::MachineId id,
                                    const infra::ResourceVector& demand);
 
-/// Legacy fit-heuristic machine choice (no constraints, no scoring); kept
-/// verbatim — the digest goldens pin its decisions.
-[[nodiscard]] std::optional<infra::MachineId> pick_machine(
-    const std::vector<const infra::Machine*>& machines,
-    const PlannedCapacity& planned, const infra::ResourceVector& demand,
-    Fit fit);
-
-/// Placement-aware machine choice: applies zone/anti-affinity admission and,
-/// when the view carries a scoring policy, replaces the Fit heuristic with
-/// the score minimum (ties to the lowest machine id). Reduces bit-identically
-/// to the legacy overload for unconstrained tasks with scoring off.
+/// Machine choice for one task: the minimum score over machines with
+/// planned room that admit `t` (zone and anti-affinity), ties to the lowest
+/// machine id. The score is the view's NodeScorePolicy, or without one the
+/// negated `fit` heuristic; unscored kFirst takes the first such machine.
 [[nodiscard]] std::optional<infra::MachineId> pick_machine(
     const std::vector<const infra::Machine*>& machines,
     const PlannedCapacity& planned, const ReadyTask& t, Fit fit,

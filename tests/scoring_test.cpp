@@ -1,11 +1,14 @@
 // Tests for the placement/scoring pass (sched/scoring.hpp): score-policy
-// hand fixtures, deterministic tie-breaking, zone label filtering, the
-// anti-affinity table, LabelFilterCache memoization, the backfilling release
-// profile against its naive reference, and engine-level zone/spread
-// enforcement.
+// hand fixtures, deterministic tie-breaking, pick_machine against the
+// legacy Fit loop, zone label filtering, the anti-affinity table,
+// LabelFilterCache memoization, the backfilling release profile and both
+// backfilling policies against their naive references, and engine-level
+// zone/spread enforcement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -135,19 +138,85 @@ ReadyTask ready_task(infra::ResourceVector demand, workload::JobId job = 1) {
   return t;
 }
 
-TEST(PickMachineTest, ScoringFastPathMatchesLegacyOverload) {
-  auto dc = make_zoned_dc(4, 0);
-  const auto machines = static_cast<const infra::Datacenter&>(dc).machines();
-  SchedulerView view;
-  PlacementContext ctx;  // kNone
-  view.placement = &ctx;
-  const ReadyTask t = ready_task(infra::ResourceVector{2.0, 4.0, 0.0});
-  for (Fit fit : {Fit::kFirst, Fit::kBest, Fit::kWorst, Fit::kFastest}) {
-    PlannedCapacity planned(machines);
-    PlannedCapacity planned2(machines);
-    EXPECT_EQ(pick_machine(machines, planned, t, fit, view),
-              pick_machine(machines, planned2, t.demand, fit));
+/// The pre-merge unconstrained, unscored machine choice: a Fit heuristic
+/// that maximizes, kept verbatim as the reference the one pick_machine loop
+/// is diffed against.
+std::optional<infra::MachineId> legacy_pick_machine(
+    const std::vector<const infra::Machine*>& machines,
+    const PlannedCapacity& planned, const infra::ResourceVector& demand,
+    Fit fit) {
+  if (!planned.may_fit_anywhere(demand)) return std::nullopt;
+  std::optional<infra::MachineId> best;
+  double best_score = 0.0;
+  for (const infra::Machine* m : machines) {
+    if (!planned.fits(m->id(), demand)) continue;
+    double score = 0.0;
+    switch (fit) {
+      case Fit::kFirst:
+        return m->id();
+      case Fit::kBest:
+        score = -(planned.free_on(m->id()).cpu() - demand.cpu());
+        break;
+      case Fit::kWorst:
+        score = planned.free_on(m->id()).cpu() - demand.cpu();
+        break;
+      case Fit::kFastest:
+        score = m->speed_factor();
+        break;
+    }
+    if (!best || score > best_score) {
+      best = m->id();
+      best_score = score;
+    }
   }
+  return best;
+}
+
+/// A multiple of 0.25 in [0, max_quarters / 4]. Quarters are dyadic, so
+/// sums are exact in any order and ties between machines are common.
+double quarters(sim::Rng& rng, std::int64_t max_quarters) {
+  return 0.25 * static_cast<double>(rng.uniform_int(0, max_quarters));
+}
+
+TEST(PickMachineTest, ScoringFastPathMatchesLegacyOverload) {
+  // Random planned states on mixed-speed fleets: free capacity and speed
+  // tie often, so every Fit's tie-break is exercised as well as its choice.
+  std::size_t placed = 0;
+  std::size_t rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    sim::Rng rng(seed);
+    infra::Datacenter dc("pm", "sim");
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 12));
+    for (std::size_t i = 0; i < n; ++i) {
+      const double cores = 4.0 * static_cast<double>(rng.uniform_int(1, 4));
+      const double speed = 0.5 * static_cast<double>(rng.uniform_int(1, 4));
+      dc.add_machine("m" + std::to_string(i),
+                     infra::ResourceVector{cores, cores * 4.0, 0.0}, speed, 0);
+    }
+    const auto machines = static_cast<const infra::Datacenter&>(dc).machines();
+    PlannedCapacity planned(machines);
+    const auto last = static_cast<std::int64_t>(n) - 1;
+    for (std::int64_t k = rng.uniform_int(0, 3 * last + 3); k > 0; --k) {
+      const auto id = static_cast<infra::MachineId>(rng.uniform_int(0, last));
+      const infra::ResourceVector d{quarters(rng, 16), quarters(rng, 32), 0.0};
+      if (planned.fits(id, d)) planned.take(id, d);
+    }
+    SchedulerView view;
+    PlacementContext ctx;  // kNone
+    view.placement = &ctx;
+    for (int q = 0; q < 8; ++q) {
+      const ReadyTask t = ready_task(infra::ResourceVector{
+          0.25 + quarters(rng, 40), quarters(rng, 64), 0.0});
+      for (Fit fit : {Fit::kFirst, Fit::kBest, Fit::kWorst, Fit::kFastest}) {
+        const auto got = pick_machine(machines, planned, t, fit, view);
+        EXPECT_EQ(got, legacy_pick_machine(machines, planned, t.demand, fit))
+            << "seed " << seed << " query " << q;
+        ++(got ? placed : rejected);
+      }
+    }
+  }
+  EXPECT_GT(placed, 2000u);
+  EXPECT_GT(rejected, 300u);
 }
 
 TEST(PickMachineTest, TieBreaksToLowestMachineId) {
@@ -359,29 +428,23 @@ std::pair<sim::SimTime, infra::MachineId> naive_reservation_for(
   return {best_time, best_machine};
 }
 
-/// A multiple of 0.25 in [0, max_quarters / 4]. Quarters are dyadic, so
-/// release sums are exact in any order and a reservation cannot depend on
-/// how ties on expected_end are ordered.
-double quarters(sim::Rng& rng, std::int64_t max_quarters) {
-  return 0.25 * static_cast<double>(rng.uniform_int(0, max_quarters));
-}
-
-TEST(ReleaseProfileTest, MatchesNaiveReservationOnRandomViews) {
-  std::size_t finite = 0;
-  std::size_t never = 0;
-  for (std::uint64_t seed = 1; seed <= 250; ++seed) {
-    sim::Rng rng(seed);
-    infra::Datacenter dc("rv", "sim");
+/// A random scheduling view over 1-10 machines (2-16 cores, 0-2 gpus,
+/// speeds 0.5-2). Every fifth seed runs nothing; elsewhere end times come
+/// from five values, so ties are common, and ends at 1 s are already
+/// overdue. Draining machines leave the view while their tasks keep
+/// running. Demands are quarters: release sums are exact in any order, so a
+/// reservation cannot depend on how ties on expected_end are ordered.
+/// Pinned in place: the view points into its own members.
+struct RandomView {
+  explicit RandomView(std::uint64_t seed) : rng(seed) {
     const auto n = static_cast<std::size_t>(rng.uniform_int(1, 10));
     for (std::size_t i = 0; i < n; ++i) {
       const double cores = static_cast<double>(rng.uniform_int(2, 16));
       const double gpus = static_cast<double>(rng.uniform_int(0, 2));
+      const double speed = 0.5 * static_cast<double>(rng.uniform_int(1, 4));
       dc.add_machine("m" + std::to_string(i),
-                     infra::ResourceVector{cores, cores * 4.0, gpus}, 1.0, 0);
+                     infra::ResourceVector{cores, cores * 4.0, gpus}, speed, 0);
     }
-    // Every fifth view runs nothing. Elsewhere end times come from five
-    // values, so ties are common, and ends at 1 s are already overdue.
-    std::vector<RunningView> running;
     for (std::size_t i = 0; i < n && seed % 5 != 0; ++i) {
       infra::Machine& m = dc.machine(static_cast<infra::MachineId>(i));
       for (std::int64_t k = rng.uniform_int(0, 8); k > 0; --k) {
@@ -394,28 +457,63 @@ TEST(ReleaseProfileTest, MatchesNaiveReservationOnRandomViews) {
             RunningView{m.id(), rng.uniform_int(1, 5) * sim::kSecond, d});
       }
     }
-    // Draining machines leave the view while their tasks keep running.
-    SchedulerView view;
     view.now = 2 * sim::kSecond;
+    view.ready = &ready;
     view.running = &running;
     for (const infra::Machine* m :
          static_cast<const infra::Datacenter&>(dc).machines()) {
       if (!rng.chance(0.2)) view.machines.push_back(m);
     }
-    const ReleaseProfile profile(view);
-    const std::uint64_t mask[1] = {
-        static_cast<std::uint64_t>(rng.uniform_int(0, 1023))};
+    mask[0] = static_cast<std::uint64_t>(rng.uniform_int(0, 1023));
+  }
+  RandomView(const RandomView&) = delete;
+  RandomView& operator=(const RandomView&) = delete;
+
+  /// Up to 20 cores and 3 gpus by default, so some demands fit no machine
+  /// ever; 30% are pinned to the view's zone mask.
+  ReadyTask random_task(std::int64_t max_core_quarters = 80) {
+    ReadyTask t = ready_task(infra::ResourceVector{
+        0.25 + quarters(rng, max_core_quarters), quarters(rng, 160),
+        static_cast<double>(rng.uniform_int(0, 3))});
+    if (rng.chance(0.3)) {
+      t.zone_mask = mask;
+      t.zone_words = 1;
+    }
+    return t;
+  }
+
+  /// Replaces the ready queue: up to 16 tasks of up to 6 jobs whose submit
+  /// times tie across jobs, with up to 8 cores and 0.25-8 s of work.
+  void refill_ready() {
+    ready.clear();
+    for (std::int64_t k = rng.uniform_int(0, 16); k > 0; --k) {
+      ReadyTask t = random_task(31);
+      t.job = static_cast<workload::JobId>(rng.uniform_int(1, 6));
+      t.job_submit = static_cast<sim::SimTime>(t.job % 3) * sim::kSecond;
+      t.task_index = ready.size();
+      t.work_seconds = 0.25 + quarters(rng, 31);
+      ready.push_back(t);
+    }
+  }
+
+  sim::Rng rng;
+  infra::Datacenter dc{"rv", "sim"};
+  std::vector<RunningView> running;
+  std::vector<ReadyTask> ready;
+  std::uint64_t mask[1] = {0};
+  SchedulerView view;
+};
+
+TEST(ReleaseProfileTest, MatchesNaiveReservationOnRandomViews) {
+  std::size_t finite = 0;
+  std::size_t never = 0;
+  for (std::uint64_t seed = 1; seed <= 250; ++seed) {
+    RandomView rv(seed);
+    const ReleaseProfile profile(rv.view);
     for (int q = 0; q < 8; ++q) {
-      // Up to 20 cores and 3 gpus: some demands fit no machine ever.
-      ReadyTask t = ready_task(infra::ResourceVector{
-          0.25 + quarters(rng, 80), quarters(rng, 160),
-          static_cast<double>(rng.uniform_int(0, 3))});
-      if (rng.chance(0.3)) {
-        t.zone_mask = mask;
-        t.zone_words = 1;
-      }
-      const auto got = profile.reservation_for(t, view);
-      EXPECT_EQ(got, naive_reservation_for(t, view))
+      const ReadyTask t = rv.random_task();
+      const auto got = profile.reservation_for(t, rv.view);
+      EXPECT_EQ(got, naive_reservation_for(t, rv.view))
           << "seed " << seed << " query " << q;
       if (got.first == sim::kTimeInfinity) {
         ++never;
@@ -427,6 +525,136 @@ TEST(ReleaseProfileTest, MatchesNaiveReservationOnRandomViews) {
   // The generator reaches both outcomes often.
   EXPECT_GT(finite, 200u);
   EXPECT_GT(never, 200u);
+}
+
+// ---- backfilling against the pre-merge policies ---------------------------------
+
+/// Ready-queue indices in FCFS order (submit time, job, task index; ties
+/// keep queue order).
+std::vector<std::size_t> fcfs_order(const std::vector<ReadyTask>& ready) {
+  std::vector<std::size_t> order(ready.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     const ReadyTask& x = ready[a];
+                     const ReadyTask& y = ready[b];
+                     if (x.job_submit != y.job_submit) {
+                       return x.job_submit < y.job_submit;
+                     }
+                     if (x.job != y.job) return x.job < y.job;
+                     return x.task_index < y.task_index;
+                   });
+  return order;
+}
+
+sim::SimTime expected_end(const SchedulerView& view,
+                          const PlannedCapacity& planned, const ReadyTask& t,
+                          infra::MachineId m) {
+  return view.now + sim::from_seconds(t.work_seconds / planned.speed(m));
+}
+
+/// EASY backfilling as its own policy computed it before it became depth 1
+/// of the ordered skeleton, with the naive reservation query and without
+/// the min-demand exits (they only skip work). `turned_away` counts tasks
+/// that fit but were refused to protect the head's reservation.
+std::vector<Assignment> reference_easy(const SchedulerView& view,
+                                       std::size_t& turned_away) {
+  PlannedCapacity planned(view.machines);
+  const std::vector<std::size_t> order = fcfs_order(*view.ready);
+  std::vector<Assignment> out;
+  std::size_t head_pos = 0;
+  // Greedily start the FCFS prefix.
+  while (head_pos < order.size()) {
+    const ReadyTask& t = (*view.ready)[order[head_pos]];
+    auto m = pick_machine(view.machines, planned, t, Fit::kFirst, view);
+    if (!m) break;
+    planned.take(*m, t.demand);
+    out.push_back(Assignment{order[head_pos], *m});
+    ++head_pos;
+  }
+  if (head_pos >= order.size()) return out;
+  // The head cannot start: it is promised its shadow time. A later task may
+  // start now iff it ends by then or avoids the reserved machine.
+  const auto [shadow, reserved_machine] =
+      naive_reservation_for((*view.ready)[order[head_pos]], view);
+  for (std::size_t p = head_pos + 1; p < order.size(); ++p) {
+    const ReadyTask& t = (*view.ready)[order[p]];
+    auto m = pick_machine(view.machines, planned, t, Fit::kFirst, view);
+    if (!m) continue;
+    if (expected_end(view, planned, t, *m) <= shadow ||
+        *m != reserved_machine) {
+      planned.take(*m, t.demand);
+      out.push_back(Assignment{order[p], *m});
+    } else {
+      ++turned_away;
+    }
+  }
+  return out;
+}
+
+/// Conservative backfilling as its own policy computed it, likewise: every
+/// task that cannot start reserves its earliest slot, and a task starts
+/// only if it ends by the earliest reservation on its machine.
+std::vector<Assignment> reference_conservative(const SchedulerView& view,
+                                               std::size_t& turned_away) {
+  PlannedCapacity planned(view.machines);
+  std::map<infra::MachineId, sim::SimTime> reservation_at;
+  std::vector<Assignment> out;
+  for (std::size_t idx : fcfs_order(*view.ready)) {
+    const ReadyTask& t = (*view.ready)[idx];
+    if (auto m = pick_machine(view.machines, planned, t, Fit::kFirst, view)) {
+      const auto r = reservation_at.find(*m);
+      if (r == reservation_at.end() ||
+          expected_end(view, planned, t, *m) <= r->second) {
+        planned.take(*m, t.demand);
+        out.push_back(Assignment{idx, *m});
+        continue;
+      }
+      ++turned_away;
+    }
+    const auto [when, machine] = naive_reservation_for(t, view);
+    auto [it, inserted] = reservation_at.try_emplace(machine, when);
+    if (!inserted) it->second = std::min(it->second, when);
+  }
+  return out;
+}
+
+std::vector<std::pair<std::size_t, infra::MachineId>> as_pairs(
+    const std::vector<Assignment>& assignments) {
+  std::vector<std::pair<std::size_t, infra::MachineId>> out;
+  out.reserve(assignments.size());
+  for (const Assignment& a : assignments) {
+    out.emplace_back(a.ready_index, a.machine);
+  }
+  return out;
+}
+
+TEST(BackfillDiffTest, MatchesPreMergePoliciesOnRandomQueues) {
+  const auto easy = make_easy_backfilling();
+  const auto conservative = make_conservative_backfilling();
+  std::size_t easy_turned_away = 0;
+  std::size_t conservative_turned_away = 0;
+  std::size_t placed = 0;
+  for (std::uint64_t seed = 1; seed <= 250; ++seed) {
+    RandomView rv(seed);
+    for (int q = 0; q < 8; ++q) {
+      rv.refill_ready();
+      const auto want_easy = reference_easy(rv.view, easy_turned_away);
+      EXPECT_EQ(as_pairs(easy->decide(rv.view)), as_pairs(want_easy))
+          << "easy seed " << seed << " queue " << q;
+      const auto want_conservative =
+          reference_conservative(rv.view, conservative_turned_away);
+      EXPECT_EQ(as_pairs(conservative->decide(rv.view)),
+                as_pairs(want_conservative))
+          << "conservative seed " << seed << " queue " << q;
+      placed += want_easy.size() + want_conservative.size();
+    }
+  }
+  // The generator often reaches the case the reservations exist for: a task
+  // that fits now but is refused to protect a blocked one.
+  EXPECT_GT(easy_turned_away, 200u);
+  EXPECT_GT(conservative_turned_away, 400u);
+  EXPECT_GT(placed, 4000u);
 }
 
 TEST(ReleaseProfileTest, SaturatedFloorProposesNothingUnderEveryPolicy) {
@@ -514,6 +742,22 @@ TEST(EnginePlacementTest, ZoneTooSmallForDemandAbandons) {
       1, 1, 50.0, infra::ResourceVector{1.0, 4.0, 1.0});
   job.placement.zones = "z1";
   engine.submit(job);
+  sim.run_until();
+  ASSERT_EQ(engine.completed().size(), 1u);
+  EXPECT_TRUE(engine.completed()[0].abandoned);
+}
+
+TEST(EnginePlacementTest, ZoneResolvedOnAnEmptyFleetAdmitsNoLaterMachine) {
+  // Zones resolve at submit. A mask resolved before the fleet had machines
+  // is empty and admits none of the machines added before the job arrives.
+  infra::Datacenter dc("dc", "eu");
+  sim::Simulator sim;
+  ExecutionEngine engine(sim, dc, make_fcfs());
+  workload::Job job = placed_job(1, 1, 10.0, "z0");
+  job.submit_time = sim::from_seconds(5.0);
+  engine.submit(job);
+  dc.add_machine("m0", infra::ResourceVector{8.0, 32.0, 0.0}, 1.0, 0);
+  dc.set_zone(0, "z0");
   sim.run_until();
   ASSERT_EQ(engine.completed().size(), 1u);
   EXPECT_TRUE(engine.completed()[0].abandoned);
