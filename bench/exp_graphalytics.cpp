@@ -37,10 +37,10 @@ graph::Graph make_graph(const std::string& kind, unsigned scale,
 }
 
 // --digest: FNV-1a over the raw bytes of every kernel result, printed as
-// one hex line. scripts/check_determinism.sh runs this twice at
-// MCS_THREADS=1 and twice at MCS_THREADS=8 and diffs the four digests —
-// PR 1's bit-identical promise for the parallel kernels as a standing
-// ctest instead of a one-off claim.
+// one hex line. The gate.exp_graphalytics ctest (scripts/gate.sh) runs this
+// twice at MCS_THREADS=1 and twice at MCS_THREADS=8 and diffs the four
+// digests — PR 1's bit-identical promise for the parallel kernels as a
+// standing ctest instead of a one-off claim.
 std::uint64_t fnv1a_bytes(const void* data, std::size_t len,
                           std::uint64_t h) {
   const auto* bytes = static_cast<const unsigned char*>(data);

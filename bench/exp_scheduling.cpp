@@ -10,8 +10,8 @@
 // the thread pool (exp::run_sweep). Each replication is its own Simulator
 // with a substream-seeded trace; per-(regime, policy) metrics are merged
 // through metrics::Accumulator in flat grid order, so the aggregate is
-// bit-identical at any MCS_THREADS (checked by bench.determinism via
-// `--digest`).
+// bit-identical at any MCS_THREADS (checked by the gate.exp_scheduling
+// ctest, which also pins the `--digest` line to its golden).
 #include <iostream>
 #include <memory>
 
@@ -185,14 +185,14 @@ int main(int argc, char** argv) {
 
   // Observability rider: fold per-cell captures in flat grid order so the
   // printed `trace digest` line is bit-identical at any MCS_THREADS (the
-  // obs.determinism contract).
+  // gate.exp_scheduling contract).
   exp::ObsAggregate obs_agg;
   for (const CellResult& cell : cells) obs_agg.fold(cell.obs);
   if (!obs_agg.report(cli, std::cout)) return 1;
 
   if (cli.digest) {
     // Per-cell digests merged in flat grid order: bit-identical at any
-    // thread count (the bench.determinism contract).
+    // thread count (the gate.exp_scheduling contract).
     metrics::Digest digest;
     for (const CellResult& cell : cells) {
       metrics::Digest d;

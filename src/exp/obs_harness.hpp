@@ -16,8 +16,8 @@
 //               as metrics::Accumulator / Digest merging), then report()
 //               writes the exemplar's Chrome trace_event JSON to
 //               `--trace FILE`, prints `trace digest <16-hex>` over all
-//               cells (the line scripts/check_trace_determinism.sh diffs
-//               across MCS_THREADS=1 vs 8), and prints the merged
+//               cells (the line the gate.exp_* ctests diff across
+//               MCS_THREADS=1 vs 8), and prints the merged
 //               instrument registry under `--metrics`.
 #pragma once
 

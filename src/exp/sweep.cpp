@@ -1,6 +1,7 @@
 #include "exp/sweep.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -26,12 +27,15 @@ SweepCli parse_sweep_cli(int argc, const char* const* argv) {
     if (value == nullptr) {
       throw std::invalid_argument(flag + ": missing value");
     }
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0') {
-      throw std::invalid_argument(flag + ": not a number: " + value);
+    // Digits only: a sign, leading space or out-of-range value is an error,
+    // never a count wrapped around to a huge size_t.
+    const char* end = value + std::strlen(value);
+    std::size_t n = 0;
+    const auto [ptr, ec] = std::from_chars(value, end, n);
+    if (ec != std::errc() || ptr != end) {
+      throw std::invalid_argument(flag + ": not a count: " + value);
     }
-    return static_cast<std::size_t>(n);
+    return n;
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];

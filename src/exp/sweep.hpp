@@ -19,11 +19,13 @@
 //    (metrics::Accumulator::merge / metrics::Digest::merge) sequentially in
 //    that order. Work distribution is scheduling noise; the fold is not.
 //    Aggregate output is therefore bit-identical at MCS_THREADS=1 and 8
-//    (enforced by the bench.determinism ctest).
+//    (enforced by the gate.exp_* ctests, scripts/gate.sh).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -55,10 +57,14 @@ struct SweepOptions {
 /// (scenario-major: cell i is {i / reps, i % reps}), independent of thread
 /// count. One cell per chunk, so replications load-balance freely; if any
 /// cell throws, the exception from the lowest flat index is rethrown.
+/// Throws std::overflow_error when scenarios × reps does not fit a size_t.
 template <typename R, typename Fn>
 std::vector<R> run_sweep(std::size_t scenarios, const SweepOptions& opt,
                          Fn&& fn) {
   const std::size_t reps = opt.reps == 0 ? 1 : opt.reps;
+  if (scenarios > std::numeric_limits<std::size_t>::max() / reps) {
+    throw std::overflow_error("run_sweep: scenarios x reps overflows");
+  }
   const std::size_t cells = scenarios * reps;
   std::vector<R> results(cells);
   if (cells == 0) return results;

@@ -151,7 +151,7 @@ class Digest {
   void merge(const Digest& child);
 
   [[nodiscard]] std::uint64_t value() const { return h_; }
-  /// 16 lowercase hex digits (the format check_determinism.sh diffs).
+  /// 16 lowercase hex digits (the format scripts/gate.sh diffs).
   [[nodiscard]] std::string hex() const;
 
  private:

@@ -107,7 +107,7 @@ TEST(FailureTraceTest, EmptyConfigurationsProduceEmptyTraces) {
 }
 
 TEST(FailureTraceTest, SameSeedGivesIdenticalTraceAcrossModes) {
-  // Determinism contract (bench.determinism relies on it): re-generating
+  // Determinism contract (gate.exp_failures relies on it): re-generating
   // with the same seed must reproduce every event bit-for-bit — times,
   // burst membership, and downtimes — in every correlation mode.
   auto dc = make_dc();

@@ -79,6 +79,17 @@ TEST(RunSweepTest, ZeroRepsIsTreatedAsOne) {
   EXPECT_EQ(r[2], 2);
 }
 
+TEST(RunSweepTest, CellCountOverflowThrows) {
+  // 4 scenarios x 2^62 reps wraps a 64-bit cell count to 0; the sweep must
+  // refuse instead of returning an empty grid.
+  SweepOptions opt;
+  opt.reps = std::size_t{1} << 62;
+  parallel::ThreadPool pool(1);
+  opt.pool = &pool;
+  auto cell = [](const SweepPoint&) { return 0; };
+  EXPECT_THROW((void)run_sweep<int>(4, opt, cell), std::overflow_error);
+}
+
 TEST(AccumulatorMergeTest, MatchesDirectAccumulationInGridOrder) {
   sim::Rng rng(5);
   std::vector<double> xs(257);
@@ -175,6 +186,16 @@ TEST(SweepCliTest, MalformedValueThrows) {
   EXPECT_THROW((void)parse_sweep_cli(3, bad_value), std::invalid_argument);
   const char* missing[] = {"exp", "--reps"};
   EXPECT_THROW((void)parse_sweep_cli(2, missing), std::invalid_argument);
+  // A sign, leading space, trailing garbage or an out-of-range count is
+  // rejected, never wrapped into a huge size_t.
+  for (const char* value :
+       {"-1", "+8", " 8", "8x", "", "18446744073709551616"}) {
+    const char* reps[] = {"exp", "--reps", value};
+    EXPECT_THROW((void)parse_sweep_cli(3, reps), std::invalid_argument)
+        << "--reps '" << value << "'";
+  }
+  const char* threads[] = {"exp", "--threads=-2"};
+  EXPECT_THROW((void)parse_sweep_cli(2, threads), std::invalid_argument);
 }
 
 }  // namespace

@@ -21,7 +21,9 @@
 // Exit code: 0 = no violations, 1 = violations found (or replayed scenario
 // fails), 2 = usage error. The batch summary digest is bit-identical at any
 // --threads value; `--seed I` reruns exactly the scenario the batch ran.
+#include <charconv>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -41,6 +43,7 @@ using mcs::check::FuzzOptions;
 using mcs::check::FuzzReport;
 using mcs::check::ScenarioSpec;
 using mcs::check::SeedRunResult;
+using mcs::metrics::hex16;
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
@@ -49,15 +52,6 @@ int usage(const char* argv0) {
                "       [--print-spec I] [--het] [--slo SPEC]\n"
                "       [--report FILE]\n";
   return 2;
-}
-
-std::string hex16(std::uint64_t v) {
-  std::ostringstream out;
-  out << std::hex << std::nouppercase;
-  out.width(16);
-  out.fill('0');
-  out << v;
-  return out.str();
 }
 
 /// Writes the flight-recorder dump of a failing run next to its repro.
@@ -174,14 +168,14 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Digits only: a sign or trailing garbage is a usage error, never a
+    // wrapped or silently truncated count.
     auto next = [&](std::uint64_t& value) {
       if (i + 1 >= argc) return false;
-      try {
-        value = std::stoull(argv[++i]);
-      } catch (const std::exception&) {
-        return false;
-      }
-      return true;
+      const char* text = argv[++i];
+      const char* end = text + std::strlen(text);
+      const auto [ptr, ec] = std::from_chars(text, end, value);
+      return ec == std::errc() && ptr == end;
     };
     std::uint64_t v = 0;
     if (arg == "--seeds" && next(v)) {

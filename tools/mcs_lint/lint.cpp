@@ -37,8 +37,8 @@ const char* explain(Rule rule) {
           "Simulation results must be pure functions of (scenario, seed).\n"
           "std::random_device, system_clock/steady_clock/high_resolution_\n"
           "clock, rand()/srand() and time(nullptr) read ambient machine\n"
-          "state, so two runs of the same experiment disagree and\n"
-          "bench.determinism fails. Remedy: draw randomness from sim::Rng\n"
+          "state, so two runs of the same experiment disagree and the\n"
+          "gate.* ctests fail. Remedy: draw randomness from sim::Rng\n"
           "(seeded per scenario) and time from Simulator::now() virtual\n"
           "time. src/sim/random.* (the Rng implementation) and\n"
           "src/parallel/ (real-time pool plumbing) are exempt by design.";

@@ -75,8 +75,8 @@ struct Finding {
   std::uint64_t fingerprint = 0;
 };
 
-/// 64-bit FNV-1a (also the digest primitive scripts/check_determinism.sh
-/// relies on via bench/exp_graphalytics --digest).
+/// 64-bit FNV-1a (also the digest primitive of bench/exp_graphalytics
+/// --digest, which the gate.exp_graphalytics ctest diffs).
 [[nodiscard]] std::uint64_t fnv1a(const void* data, std::size_t len,
                                   std::uint64_t seed = 1469598103934665603ull);
 
