@@ -36,9 +36,9 @@ void BM_EventThroughput(benchmark::State& state) {
 BENCHMARK(BM_EventThroughput)->Arg(1 << 12)->Arg(1 << 16);
 
 void BM_EventThroughputReserved(benchmark::State& state) {
-  // Same workload as BM_EventThroughput, but with the heap and slot table
-  // pre-sized via reserve_events: isolates the cost of growth from the
-  // cost of the schedule/dispatch fast path itself.
+  // Same workload as BM_EventThroughput, but with the tail buffer and slot
+  // table pre-sized via reserve_events: isolates the cost of growth from
+  // the cost of the schedule/dispatch fast path itself.
   const auto events = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     sim::Simulator sim;
@@ -78,10 +78,10 @@ void BM_EventThroughputUniform(benchmark::State& state) {
 BENCHMARK(BM_EventThroughputUniform)->Arg(1 << 12)->Arg(1 << 16);
 
 void BM_EventThroughputBimodal(benchmark::State& state) {
-  // Near/far split: 90% of events in a ~1-second near band (wheel), 10%
-  // in a ~2-day far band (beyond the 2^36 µs wheel window, so they
-  // overflow to the 4-ary heap). Exercises the three-band selection loop
-  // and the wheel/heap handoff.
+  // Near/far split: 90% of events in a ~1-second near band (low wheel
+  // levels), 10% in a ~2-day far band 2^37..2^38 µs out (wheel level 6).
+  // Exercises the two-band selection loop and cascades from the upper
+  // wheel levels down to level 0.
   const auto events = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     sim::Simulator sim;

@@ -559,7 +559,10 @@ ScenarioSpec from_text(const std::string& text) {
       else if (key == "failure_limit") spec.failure_limit = std::stoull(value);
       else if (key == "flap_count") spec.flap_count = std::stoull(value);
       else if (key == "horizon") spec.horizon = std::stoll(value);
-      else if (key == "slo") spec.slo = value;
+      else if (key == "slo") {
+        (void)sched::parse_engine_slo_specs(value);
+        spec.slo = value;
+      }
       else if (key == "score_policy") spec.score_policy = value;
       else if (key == "score_salt") spec.score_salt = std::stoull(value);
       else if (key == "net_capacity") spec.net_capacity = std::stod(value);

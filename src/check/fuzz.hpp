@@ -93,7 +93,8 @@ struct ScenarioSpec {
 /// Lossless text round-trip (key=value lines; doubles at full precision).
 [[nodiscard]] std::string to_text(const ScenarioSpec& spec);
 /// Parses `to_text` output (unknown keys ignored, '#' comments skipped).
-/// Throws std::invalid_argument on malformed input.
+/// Throws std::invalid_argument on malformed input, including an `slo=`
+/// line sched::parse_engine_slo_specs rejects.
 [[nodiscard]] ScenarioSpec from_text(const std::string& text);
 
 /// Outcome of one scenario run under the oracle.

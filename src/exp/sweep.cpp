@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/slo.hpp"
+#include "sched/engine.hpp"
 
 namespace mcs::exp {
 
@@ -84,8 +84,9 @@ SweepCli parse_sweep_cli(int argc, const char* const* argv) {
     }
   }
   if (cli.reps == 0) cli.reps = 1;
-  // Fail fast on a malformed SLO spec — before any cell runs.
-  if (cli.slo()) (void)obs::parse_slo_specs(cli.slo_spec);
+  // Fail fast, before any cell runs, on a malformed SLO spec or a class no
+  // job belongs to.
+  if (cli.slo()) (void)sched::parse_engine_slo_specs(cli.slo_spec);
   return cli;
 }
 

@@ -95,7 +95,8 @@ std::vector<R> run_sweep(std::size_t scenarios, const SweepOptions& opt,
 /// merged instrument registry after the tables), `--report FILE` (write
 /// the stable-key mcs-report-v1 JSON over all cells, see obs/report.hpp),
 /// `--slo SPEC` (attach the SLO engine; obs/slo.hpp parse format,
-/// validated at parse time).
+/// validated at parse time by sched::parse_engine_slo_specs, so an unknown
+/// class is an error too).
 struct SweepCli {
   std::size_t reps = 1;
   bool digest = false;

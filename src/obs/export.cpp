@@ -1,5 +1,6 @@
 #include "obs/export.hpp"
 
+#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -112,9 +113,7 @@ TraceDump read_dump(std::istream& in) {
   return dump;
 }
 
-namespace {
-
-void write_json_string(std::ostream& out, const std::string& s) {
+void write_json_string(std::ostream& out, std::string_view s) {
   out << '"';
   for (char c : s) {
     switch (c) {
@@ -122,13 +121,19 @@ void write_json_string(std::ostream& out, const std::string& s) {
       case '\\': out << "\\\\"; break;
       case '\n': out << "\\n"; break;
       case '\t': out << "\\t"; break;
-      default: out << c;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out << buf;
+        } else {
+          out << c;
+        }
     }
   }
   out << '"';
 }
-
-}  // namespace
 
 void write_chrome_trace(std::ostream& out, const TraceDump& dump) {
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -40,6 +41,11 @@ struct TraceDump {
 void write_dump(std::ostream& out, const TraceDump& dump);
 [[nodiscard]] TraceDump read_dump(std::istream& in);
 [[nodiscard]] std::string dump_to_string(const Tracer& tracer);
+
+/// Writes `s` as a quoted JSON string: quote, backslash, newline and tab
+/// get their short escapes, other control characters \u00XX. The one
+/// string writer behind both the Chrome trace and the mcs-report-v1 JSON.
+void write_json_string(std::ostream& out, std::string_view s);
 
 /// Chrome trace_event JSON (the {"traceEvents": [...]} object form).
 /// Complete spans become "X" events (ts/dur in µs), instants "i", counter

@@ -88,28 +88,6 @@ void json_double(std::ostream& out, double v) {
   out << buf;
 }
 
-void json_string(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
 void json_quantile(std::ostream& out, const char* key,
                    const QuantileEstimate& est) {
   out << '"' << key << "\":{\"value\":";
@@ -136,7 +114,7 @@ void write_report_json(std::ostream& out, const ReportInputs& in) {
       const Registry::InstrumentView v = in.registry->view(i);
       if (i != 0) out << ',';
       out << "{\"name\":";
-      json_string(out, v.name);
+      write_json_string(out, v.name);
       out << ",\"kind\":\"" << to_string(v.kind) << '"';
       switch (v.kind) {
         case InstrumentKind::kCounter:
@@ -176,7 +154,7 @@ void write_report_json(std::ostream& out, const ReportInputs& in) {
       const SloRow& r = rows[i];
       if (i != 0) out << ',';
       out << "{\"class\":";
-      json_string(out, r.klass);
+      write_json_string(out, r.klass);
       out << ",\"threshold_s\":";
       json_double(out, r.threshold_seconds);
       out << ",\"target\":";
@@ -200,7 +178,7 @@ void write_report_json(std::ostream& out, const ReportInputs& in) {
       const CostRow& r = rows[i];
       if (i != 0) out << ',';
       out << "{\"name\":";
-      json_string(out, r.name);
+      write_json_string(out, r.name);
       out << ",\"events\":" << r.events;
       out << ",\"span_us\":" << r.span_us;
       out << '}';

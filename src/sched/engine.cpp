@@ -28,6 +28,25 @@ const char* workload_class_name(std::size_t klass) {
   return klass == 0 ? "bot" : "workflow";
 }
 
+bool slo_class_covers(std::string_view spec_class, std::size_t klass) {
+  return spec_class == "all" || spec_class == workload_class_name(klass);
+}
+
+std::vector<obs::SloSpec> parse_engine_slo_specs(std::string_view text) {
+  std::vector<obs::SloSpec> specs = obs::parse_slo_specs(text);
+  for (const obs::SloSpec& spec : specs) {
+    bool covered = false;
+    for (std::size_t c = 0; c < kWorkloadClasses; ++c) {
+      covered = covered || slo_class_covers(spec.klass, c);
+    }
+    if (!covered) {
+      throw std::invalid_argument("SLO spec: unknown class '" + spec.klass +
+                                  "' (expected all, bot or workflow)");
+    }
+  }
+  return specs;
+}
+
 ExecutionEngine::ExecutionEngine(sim::Simulator& sim, infra::Datacenter& dc,
                                  std::unique_ptr<AllocationPolicy> policy,
                                  EngineConfig config)
@@ -88,9 +107,8 @@ void ExecutionEngine::set_slo(obs::SloTracker* slo) {
   for (auto& list : slo_by_class_) list.clear();
   if (slo_ == nullptr) return;
   for (std::size_t i = 0; i < slo_->specs().size(); ++i) {
-    const std::string& k = slo_->specs()[i].klass;
     for (std::size_t c = 0; c < kWorkloadClasses; ++c) {
-      if (k == "all" || k == workload_class_name(c)) {
+      if (slo_class_covers(slo_->specs()[i].klass, c)) {
         slo_by_class_[c].push_back(i);
       }
     }

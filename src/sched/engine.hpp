@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/slot_pool.hpp"
@@ -110,6 +111,16 @@ struct EngineConfig {
 inline constexpr std::size_t kWorkloadClasses = 2;
 /// Class index -> name ("bot", "workflow"), the span/SLO instrument infix.
 [[nodiscard]] const char* workload_class_name(std::size_t klass);
+/// Whether an SLO spec for `spec_class` covers workload class `klass`:
+/// "all" covers every class, "bot" and "workflow" their own. set_slo
+/// matches specs to classes with it.
+[[nodiscard]] bool slo_class_covers(std::string_view spec_class,
+                                    std::size_t klass);
+/// obs::parse_slo_specs, rejecting any spec slo_class_covers gives no
+/// class: a typo such as "bots" would otherwise report a vacuous
+/// "MET, attainment 1 (0/0)". Throws std::invalid_argument.
+[[nodiscard]] std::vector<obs::SloSpec> parse_engine_slo_specs(
+    std::string_view text);
 
 /// Final accounting for one completed (or abandoned) job.
 struct JobStats {

@@ -41,7 +41,6 @@ EventHandle Simulator::schedule_after(SimTime delay, Callback fn) {
 }
 
 void Simulator::reserve_events(std::size_t extra) {
-  heap_.reserve(heap_.size() + extra);
   tail_.reserve(tail_.size() - tail_head_ + extra);
   // The wheel's bucket headers are a fixed member array; only the intrusive
   // node pool grows with load. reserve() is a no-op when the free list
@@ -63,52 +62,6 @@ bool Simulator::cancel(EventHandle h) {
   s.next_free = free_head_;
   free_head_ = h.slot_;
   return true;
-}
-
-// mcs-lint: hot
-void Simulator::sift_up(std::size_t i) {
-  Entry e = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!earlier(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = e;
-}
-
-// mcs-lint: hot
-void Simulator::pop_entry() {
-  // Bottom-up deletion: walk the hole from the root to a leaf along the
-  // min-child chain (no comparison against the displaced element), then
-  // bubble the former last element up from the leaf. Since the last element
-  // of a heap is almost always near-maximal, the upward pass usually stops
-  // immediately — saving one comparison per level over top-down sifting.
-  const Entry e = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return;
-  std::size_t hole = 0;
-  for (;;) {
-    const std::size_t first = 4 * hole + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t last = std::min(first + 4, n);
-    for (std::size_t c = first + 1; c < last; ++c) {
-      // Conditional-move selection: with branchless earlier() this loop
-      // carries no data-dependent branches.
-      best = earlier(heap_[c], heap_[best]) ? c : best;
-    }
-    heap_[hole] = heap_[best];
-    hole = best;
-  }
-  while (hole > 0) {
-    const std::size_t parent = (hole - 1) / 4;
-    if (!earlier(e, heap_[parent])) break;
-    heap_[hole] = heap_[parent];
-    hole = parent;
-  }
-  heap_[hole] = e;
 }
 
 // --- hierarchical timing wheel (DESIGN.md §12) ------------------------------
@@ -133,16 +86,19 @@ void Simulator::pop_entry() {
 //     single timestamp — pops its head in exact (at, seq) execution order,
 //     and the head after cascading the candidate's bucket to level 0 *is*
 //     the candidate that won selection.
+//
+// Neither invariant depends on the level count. kWheelLevels only has to
+// give every time a level, and 11 six-bit digits cover all 63 bits of a
+// non-negative SimTime, so the wheel orders the whole clock by itself.
 
 // Not H2-hot: the node-pool growth below is the deliberate amortized slow
-// path (same idiom as arm()'s tail/heap growth); steady state recycles
-// nodes through the free list and never allocates.
-bool Simulator::wheel_insert(const Entry& e) {
+// path (same idiom as arm()'s tail growth); steady state recycles nodes
+// through the free list and never allocates.
+void Simulator::wheel_insert(const Entry& e) {
   // Resync the cursor first: run_until() may have advanced now_ past the
   // cursor without executing an event. Advancing to now_ is safe — every
   // pending wheel entry's time is >= now_.
   if (wheel_cursor_ != now_) wheel_advance(now_);
-  if (wheel_level(e.at, wheel_cursor_) >= kWheelLevels) return false;
   std::uint32_t n;
   if (wheel_free_ != kNoSlot) {
     n = wheel_free_;
@@ -157,7 +113,6 @@ bool Simulator::wheel_insert(const Entry& e) {
   wheel_nodes_[n].e = e;
   wheel_link(n);
   ++wheel_count_;
-  return true;
 }
 
 // mcs-lint: hot
@@ -197,9 +152,7 @@ void Simulator::wheel_advance(SimTime t) {
   const int level = wheel_level(t, prev);
   // level == 0: only the lowest digit changed, so no entry's level or
   // bucket can change (level-0 buckets hold a single timestamp).
-  // level >= kWheelLevels: the advance crossed the wheel window, which is
-  // only reachable when every pending entry already overflowed to the heap.
-  if (level == 0 || level >= kWheelLevels) return;
+  if (level == 0) return;
   const std::size_t idx =
       (static_cast<std::uint64_t>(t) >> (kWheelBits * level)) &
       (kWheelBuckets - 1);

@@ -17,16 +17,17 @@
 //    storage for typical capturing lambdas, heap only as a fallback), and
 //    queue entries are 24-byte PODs whose callbacks live in a slot table —
 //    no queue operation ever moves a closure.
-//  - The event queue is a three-band structure ordered by the same global
+//  - The event queue is a two-band structure ordered by the same global
 //    (at, seq) key (DESIGN.md §12):
-//      1. a sorted-run *tail buffer*: discrete-event workloads
-//         overwhelmingly schedule in nondecreasing time order, so monotone
-//         schedules append in O(1) and pop in O(1);
-//      2. a *hierarchical timing wheel* (6 levels × 64 power-of-two
-//         buckets over sim-time deltas) for the dominant near-future
-//         out-of-order band — insert, cascade, and pop are O(1);
-//      3. a 4-ary implicit *heap* kept only for far-future overflow
-//         (events beyond the wheel's ~19-hour window).
+//      1. a sorted-run *tail buffer*: an insert that continues the current
+//         monotone run appends in O(1) and pops in O(1). On the benchmark
+//         workloads (perfbench, seed 1) it takes 4.8% of inserts on
+//         policy_grid, 33% on fleet_stream and 9.2% on fuzz_batch; purely
+//         monotone schedules (bench/micro_sim) ride it alone;
+//      2. a *hierarchical timing wheel* (11 levels × 64 power-of-two
+//         buckets over sim-time digits) for every other insert — its 66
+//         bits span all of non-negative SimTime, so no event is ever
+//         beyond it. Insert, cascade, and pop are O(1).
 //    Execution order is bit-identical whichever band an event lands in.
 //  - Cancellation is O(1) lazy deletion: a handle carries (slot, generation)
 //    and cancelling bumps the slot generation; stale entries are discarded
@@ -285,9 +286,9 @@ class Simulator {
   }
   EventHandle schedule_after(SimTime delay, Callback fn);
 
-  /// Bulk reservation: pre-sizes the heap, the tail buffer, the wheel's
-  /// node pool, and the callback slot table for `extra` additional pending
-  /// events, so a burst of schedule_at calls performs no reallocation.
+  /// Bulk reservation: pre-sizes the tail buffer, the wheel's node pool,
+  /// and the callback slot table for `extra` additional pending events, so
+  /// a burst of schedule_at calls performs no reallocation.
   void reserve_events(std::size_t extra);
 
   /// Cancels a pending event; returns false if it already ran or was
@@ -304,7 +305,7 @@ class Simulator {
 
   /// Number of events waiting (including tombstoned ones).
   [[nodiscard]] std::size_t pending() const {
-    return heap_.size() + (tail_.size() - tail_head_) + wheel_count_;
+    return (tail_.size() - tail_head_) + wheel_count_;
   }
 
   /// Total events executed since construction.
@@ -317,8 +318,8 @@ class Simulator {
 
  private:
   // Queue entries are small PODs; the (heavy) callback stays put in its
-  // slot so no queue operation — sift, wheel cascade, tail compaction —
-  // ever moves a closure.
+  // slot so no queue operation — wheel cascade, tail compaction — ever
+  // moves a closure.
   struct Entry {
     SimTime at;
     std::uint64_t seq;  // insertion order; breaks ties deterministically
@@ -344,12 +345,14 @@ class Simulator {
   // kWheelLevels levels of kWheelBuckets buckets. Level l buckets span
   // 2^(6l) µs each; an event lives at the lowest level whose bucket span
   // still separates it from the cursor — precisely: at level l such that
-  // `at` and the cursor agree on all time digits above bit 6(l+1). Events
-  // whose top digit differs (more than ~19 hours of 2^36-aligned window)
-  // overflow to the 4-ary heap.
+  // `at` and the cursor agree on all time digits above bit 6(l+1). Eleven
+  // levels hold 66 bits, so every non-negative SimTime (63 bits, up to and
+  // including kTimeInfinity) has a level.
   static constexpr int kWheelBits = 6;
   static constexpr std::size_t kWheelBuckets = std::size_t{1} << kWheelBits;
-  static constexpr int kWheelLevels = 6;
+  static constexpr int kWheelLevels = 11;
+  static_assert(kWheelBits * kWheelLevels >=
+                std::numeric_limits<SimTime>::digits);
   // Consumed tail-buffer prefixes are compacted once they pass half the
   // buffer (and this floor), so long monotone runs stop holding dead
   // entries for the whole simulation; each entry moves at most once per
@@ -378,8 +381,7 @@ class Simulator {
   /// True when a precedes b in execution order. Compares the (at, seq)
   /// pair as one 128-bit key: `at` is never negative (schedule_at enforces
   /// at >= now() >= 0), so the unsigned reinterpretation preserves order,
-  /// and the compiler lowers this to a branchless cmp/sbb pair — heap sift
-  /// comparisons on random keys would otherwise mispredict constantly.
+  /// and the compiler lowers this to a branchless cmp/sbb pair.
   static bool earlier(const Entry& a, const Entry& b) {
     const auto ka =
         (static_cast<unsigned __int128>(static_cast<std::uint64_t>(a.at))
@@ -405,8 +407,8 @@ class Simulator {
   }
 
   /// Wheel level for `at` relative to `cursor`: the index of the highest
-  /// 6-bit time digit in which they differ (0 when equal). Levels >=
-  /// kWheelLevels mean the event is beyond the wheel window (heap band).
+  /// 6-bit time digit in which they differ (0 when equal); always below
+  /// kWheelLevels, since neither time is negative.
   static int wheel_level(SimTime at, SimTime cursor) {
     const std::uint64_t x = static_cast<std::uint64_t>(at) ^
                             static_cast<std::uint64_t>(cursor);
@@ -420,8 +422,7 @@ class Simulator {
 
   /// Enqueues the entry for an armed slot and returns its handle. Entries
   /// that continue the current monotone run go to the sorted tail buffer
-  /// (O(1)); out-of-order entries within the wheel window go to the wheel
-  /// (O(1)); only far-future overflow pays the O(log n) heap. Not H2-hot
+  /// (O(1)); every other entry goes to the wheel (O(1)). Not H2-hot
   /// itself (growth is amortized, see the allow(H3) sites), but reachable
   /// from hot callers, so everything else here stays allocation-free.
   EventHandle arm(SimTime at, std::uint32_t slot) {
@@ -436,10 +437,8 @@ class Simulator {
       // count is workload-dependent); growth is amortized doubling and
       // steady-state runs at high-water capacity.
       tail_.push_back(e);
-    } else if (!wheel_insert(e)) {
-      // mcs-lint: allow(H3) — same amortized-growth argument as tail_.
-      heap_.push_back(e);
-      sift_up(heap_.size() - 1);
+    } else {
+      wheel_insert(e);
     }
     return EventHandle{slot, gen};
   }
@@ -452,9 +451,7 @@ class Simulator {
   }
 
   void grow_slots();
-  void sift_up(std::size_t i);
-  void pop_entry();
-  bool wheel_insert(const Entry& e);
+  void wheel_insert(const Entry& e);
   void wheel_link(std::uint32_t node);
   void wheel_advance(SimTime t);
   bool wheel_peek(SimTime& at, std::uint64_t& seq) const;
@@ -481,26 +478,20 @@ class Simulator {
   // mcs-lint: hot
   bool run_one(SimTime until) {
     for (;;) {
-      // Discard stale (cancelled) entries at the tail and heap fronts,
-      // then take the earliest of the three live band fronts. The wheel
-      // candidate may itself be stale — that is only discovered once its
-      // bucket cascades to level 0, whereupon we discard and reselect.
+      // Discard stale (cancelled) entries at the tail front, then take the
+      // earlier of the two live band fronts. The wheel candidate may itself
+      // be stale — that is only discovered once its bucket cascades to
+      // level 0, whereupon we discard and reselect.
       while (tail_head_ < tail_.size() && !entry_live(tail_[tail_head_])) {
         ++tail_head_;
       }
       maybe_compact_tail();
-      while (!heap_.empty() && !entry_live(heap_.front())) pop_entry();
-      enum class Src : std::uint8_t { kNone, kTail, kHeap, kWheel };
+      enum class Src : std::uint8_t { kNone, kTail, kWheel };
       Src src = Src::kNone;
       Entry e{0, 0, 0, 0};
       if (tail_head_ < tail_.size()) {
         e = tail_[tail_head_];
         src = Src::kTail;
-      }
-      if (!heap_.empty() &&
-          (src == Src::kNone || earlier(heap_.front(), e))) {
-        e = heap_.front();
-        src = Src::kHeap;
       }
       SimTime wheel_at = 0;
       std::uint64_t wheel_seq = 0;
@@ -522,11 +513,7 @@ class Simulator {
         e = wheel_pop_front();
         if (!entry_live(e)) continue;
       } else {
-        if (src == Src::kTail) {
-          ++tail_head_;  // compaction is checked at the next selection pass
-        } else {
-          pop_entry();
-        }
+        ++tail_head_;  // compaction is checked at the next selection pass
         // The cursor only needs to track execution time while the wheel
         // holds entries; when empty, the next wheel_insert resyncs it from
         // now_ before leveling — skipping an out-of-line call per event.
@@ -563,7 +550,6 @@ class Simulator {
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::vector<Entry> heap_;  // 4-ary implicit heap; far-future overflow band
   std::vector<Entry> tail_;  // sorted monotone run, consumed from tail_head_
   std::size_t tail_head_ = 0;
   // Timing wheel state: pooled intrusive nodes, kWheelLevels × kWheelBuckets
@@ -573,8 +559,8 @@ class Simulator {
   // resyncs it before any insert.
   std::vector<WheelNode> wheel_nodes_;
   std::uint32_t wheel_free_ = kNoSlot;
-  // Fixed 6×64 bucket-header array (~9 KiB): always present, so the wheel
-  // needs no lazy sizing inside hot inserts.
+  // Fixed 11×64 bucket-header array (16.5 KiB): always present, so the
+  // wheel needs no lazy sizing inside hot inserts.
   WheelBucket wheel_[static_cast<std::size_t>(kWheelLevels) * kWheelBuckets] =
       {};
   std::uint64_t wheel_occ_[static_cast<std::size_t>(kWheelLevels)] = {};

@@ -119,6 +119,10 @@ TEST(FuzzSpecTest, TextRoundTripPreservesBehavior) {
 TEST(FuzzSpecTest, FromTextRejectsMalformedLines) {
   EXPECT_THROW(from_text("not a key value line"), std::invalid_argument);
   EXPECT_THROW(from_text("racks=banana"), std::invalid_argument);
+  // An slo= line must parse and name classes jobs can belong to.
+  EXPECT_THROW(from_text("slo=bogus"), std::invalid_argument);
+  EXPECT_THROW(from_text("slo=bots:60:0.9"), std::invalid_argument);
+  EXPECT_NO_THROW(from_text("slo=bot:60:0.9;workflow:600:0.9"));
   // Comments and unknown keys are fine (forward compatibility).
   EXPECT_NO_THROW(from_text("# comment\nfuture_knob=3\nracks=2"));
 }

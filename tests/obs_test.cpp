@@ -170,6 +170,9 @@ TEST(TraceExport, ChromeTraceIsWellFormedJsonShape) {
   t.complete(100, 50, n, 3);
   t.instant(120, n);
   t.counter(130, n, 9);
+  // Names go through the report's JSON string writer: quotes, backslashes
+  // and control characters are escaped.
+  t.instant(140, t.intern("a\"b\\c\nd\te\x01"));
   std::ostringstream out;
   obs::write_chrome_trace(out, obs::snapshot(t));
   const std::string json = out.str();
@@ -178,6 +181,8 @@ TEST(TraceExport, ChromeTraceIsWellFormedJsonShape) {
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(json.find("\"dur\":50"), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"a\\\"b\\\\c\\nd\\te\\u0001\""),
+            std::string::npos);
   // Balanced braces/brackets (cheap well-formedness proxy).
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));

@@ -1,11 +1,12 @@
-// Differential test for the three-band event queue (sorted-run tail buffer
-// + hierarchical timing wheel + overflow heap, DESIGN.md §12): randomized
-// schedule/cancel/advance sequences executed on the real Simulator must
-// fire events in exactly the order of a reference model — an std::set over
-// (at, seq) — which is by construction the documented total order. Covers
-// same-timestamp bursts, lazy-cancelled tombstones in every band,
-// far-future heap overflow, wheel-window crossings, tail compaction, and
-// scheduling from inside running callbacks (cursor resync).
+// Differential test for the two-band event queue (sorted-run tail buffer
+// + hierarchical timing wheel over the whole clock, DESIGN.md §12):
+// randomized schedule/cancel/advance sequences executed on the real
+// Simulator must fire events in exactly the order of a reference model — an
+// std::set over (at, seq) — which is by construction the documented total
+// order. Covers same-timestamp bursts, lazy-cancelled tombstones in both
+// bands, far-future events on every wheel level up to kTimeInfinity,
+// clock jumps across high wheel digits, tail compaction, and scheduling
+// from inside running callbacks (cursor resync).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -120,7 +121,7 @@ TEST(QueueDifferential, RandomOpsMatchReferenceOrder) {
         const sim::SimTime t = now + rng.uniform_int(0, std::int64_t{1} << 20);
         for (std::int64_t i = 0; i < n; ++i) q.schedule(t);
       } else {
-        // Far future: beyond the 2^36 µs wheel window — overflow heap.
+        // Far future: 2^37..2^38 µs out, on wheel level 6.
         for (std::int64_t i = 0; i < n; ++i) {
           q.schedule(now + (std::int64_t{1} << 37) +
                      rng.uniform_int(0, std::int64_t{1} << 37));
@@ -175,7 +176,8 @@ TEST(QueueDifferential, WheelWindowCrossingsAndFarOverflow) {
   QueueDiff q(/*reserve=*/true);
   sim::SimTime now = 0;
   for (int round = 0; round < 6; ++round) {
-    // Near band (wheel), mid band (upper wheel levels), far band (heap).
+    // Near band (low wheel levels), mid band (levels up to 5), far band
+    // (level 6).
     for (int i = 0; i < 50; ++i) q.schedule(now + rng.uniform_int(0, 1 << 12));
     for (int i = 0; i < 50; ++i) {
       q.schedule(now + rng.uniform_int(0, std::int64_t{1} << 35));
@@ -190,6 +192,28 @@ TEST(QueueDifferential, WheelWindowCrossingsAndFarOverflow) {
                             : (std::int64_t{1} << 38);
     q.advance(now);
   }
+  // The top of the clock, wheel levels 7-10: events spread over bits 42-62
+  // with kTimeInfinity itself among them, and a third of them cancelled so
+  // tombstones cascade down from every high level.
+  std::vector<std::uint64_t> top;
+  for (int bit = 42; bit <= 62; ++bit) {
+    const std::int64_t lo = std::int64_t{1} << bit;
+    for (int i = 0; i < 10; ++i) {
+      top.push_back(q.schedule(rng.uniform_int(lo, lo | (lo - 1))));
+    }
+  }
+  for (int i = 0; i < 3; ++i) top.push_back(q.schedule(sim::kTimeInfinity));
+  for (std::size_t i = 0; i < top.size(); i += 3) q.cancel(top[i]);
+  // Run to just below bit 60, scatter events on both sides of it, then jump
+  // the clock across it: the level-10 bucket cascades at the crossing.
+  now = (std::int64_t{1} << 60) - (std::int64_t{1} << 50);
+  q.advance(now);
+  for (int i = 0; i < 50; ++i) {
+    q.schedule(now + rng.uniform_int(0, std::int64_t{1} << 52));
+  }
+  now = (std::int64_t{1} << 60) + (std::int64_t{1} << 58);
+  q.advance(now);
+  for (int i = 0; i < 50; ++i) q.schedule(now + rng.uniform_int(0, 1 << 12));
   q.advance(sim::kTimeInfinity);
 }
 

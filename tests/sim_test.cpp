@@ -121,7 +121,7 @@ TEST(SimulatorTest, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(sim.now(), 99 * 10);
 }
 
-// ---- kernel fast paths: slot recycling, callback lifetime, heap stress ------
+// ---- kernel fast paths: slot recycling, callback lifetime, queue stress -----
 
 TEST(CallbackTest, SmallLambdaIsStoredInline) {
   int x = 0;
@@ -198,7 +198,7 @@ TEST(SimulatorTest, HandleFromExecutedEventCannotCancelSlotReuse) {
 
 TEST(SimulatorTest, CancelDestroysCallbackImmediately) {
   // Captured resources must be released at cancel() time, not when the
-  // tombstoned heap entry eventually surfaces.
+  // tombstoned queue entry eventually surfaces.
   Simulator sim;
   auto token = std::make_shared<int>(1);
   std::weak_ptr<int> watch = token;
@@ -206,7 +206,7 @@ TEST(SimulatorTest, CancelDestroysCallbackImmediately) {
   EXPECT_FALSE(watch.expired());
   EXPECT_TRUE(sim.cancel(h));
   EXPECT_TRUE(watch.expired());  // released now, though the event is queued
-  EXPECT_EQ(sim.pending(), 1u);  // the tombstone is still in the heap
+  EXPECT_EQ(sim.pending(), 1u);  // the tombstone is still queued
   sim.run_until();
   EXPECT_EQ(sim.executed(), 0u);
 }
@@ -221,7 +221,7 @@ TEST(SimulatorTest, ExecutionReleasesCallbackCaptures) {
 }
 
 TEST(SimulatorTest, MillionMixedScheduleCancelOpsStayOrdered) {
-  // Heap behaviour after 10^6 mixed operations: a deterministic pseudo-
+  // Queue behaviour after 10^6 mixed operations: a deterministic pseudo-
   // random mix of schedules and cancels, validated by execution count and
   // by monotone event times.
   Simulator sim;

@@ -196,6 +196,9 @@ TEST(SweepCliTest, MalformedValueThrows) {
   }
   const char* threads[] = {"exp", "--threads=-2"};
   EXPECT_THROW((void)parse_sweep_cli(2, threads), std::invalid_argument);
+  // An SLO class no job belongs to would report a vacuous "MET (0/0)".
+  const char* slo_class[] = {"exp", "--slo", "bots:60:0.9"};
+  EXPECT_THROW((void)parse_sweep_cli(3, slo_class), std::invalid_argument);
 }
 
 }  // namespace

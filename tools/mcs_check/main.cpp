@@ -15,12 +15,14 @@
 //                     (zones, spread limits, net dimension, score policies)
 //     --print-spec I  print the generated spec for batch index I and exit
 //     --slo SPEC      attach the SLO engine to every scenario (obs/slo.hpp
-//                     format); SLO state folds into every seed digest
+//                     format, classes all/bot/workflow); SLO state folds
+//                     into every seed digest
 //     --report FILE   write the batch's merged mcs-report-v1 JSON to FILE
 //
 // Exit code: 0 = no violations, 1 = violations found (or replayed scenario
-// fails), 2 = usage error. The batch summary digest is bit-identical at any
-// --threads value; `--seed I` reruns exactly the scenario the batch ran.
+// fails), 2 = usage error (a malformed flag, --slo spec or repro file). The
+// batch summary digest is bit-identical at any --threads value; `--seed I`
+// reruns exactly the scenario the batch ran.
 #include <charconv>
 #include <cstdint>
 #include <cstring>
@@ -36,6 +38,7 @@
 #include "obs/report.hpp"
 #include "obs/slo.hpp"
 #include "parallel/thread_pool.hpp"
+#include "sched/engine.hpp"
 
 namespace {
 
@@ -80,7 +83,7 @@ void print_result(const SeedRunResult& r) {
   if (!r.ok) std::cout << "  " << r.violation << "\n";
 }
 
-int run_replay(const std::string& path) {
+int run_replay(const char* argv0, const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     std::cerr << "mcs_check: cannot open repro file: " << path << "\n";
@@ -93,7 +96,7 @@ int run_replay(const std::string& path) {
     spec = mcs::check::from_text(text.str());
   } catch (const std::exception& ex) {
     std::cerr << "mcs_check: " << path << ": " << ex.what() << "\n";
-    return 2;
+    return usage(argv0);
   }
   const SeedRunResult r = mcs::check::run_spec(spec);
   print_result(r);
@@ -210,7 +213,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!replay_path.empty()) return run_replay(replay_path);
+  // Parse --slo once, before any seed runs: a malformed spec or a class no
+  // job belongs to is a usage error, not an abort or a vacuous report.
+  std::vector<mcs::obs::SloSpec> slo_specs;
+  try {
+    slo_specs = mcs::sched::parse_engine_slo_specs(slo_spec);
+  } catch (const std::invalid_argument& ex) {
+    std::cerr << "mcs_check: --slo: " << ex.what() << "\n";
+    return usage(argv[0]);
+  }
+
+  if (!replay_path.empty()) return run_replay(argv[0], replay_path);
   if (have_print_spec) {
     std::cout << mcs::check::to_text(mcs::check::make_spec(
         mcs::check::seed_for_index(base_seed, print_spec_index), het));
@@ -239,11 +252,9 @@ int main(int argc, char** argv) {
   const FuzzReport report = mcs::check::run_fuzz(opt);
 
   if (!report_path.empty() && report.registry != nullptr) {
-    const std::vector<mcs::obs::SloSpec> specs =
-        mcs::obs::parse_slo_specs(slo_spec);
     mcs::obs::ReportInputs inputs;
     inputs.registry = report.registry.get();
-    inputs.slo = &specs;
+    inputs.slo = &slo_specs;
     inputs.cells = report.seeds_run;
     std::ofstream file(report_path);
     if (!file) {
