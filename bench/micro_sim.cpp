@@ -245,12 +245,7 @@ void BM_EngineThroughput_1M(benchmark::State& state) {
     dc.add_uniform_racks((machines + kPerRack - 1) / kPerRack, kPerRack,
                          infra::ResourceVector{8.0, 32.0, 0.0}, 1.0);
     sim::Simulator sim;
-    sched::EngineConfig cfg;
-    // Demand/supply series sampling is O(machines) per completion — an
-    // observability feature, not engine work; at 1M machines it would
-    // dominate everything. BM_EngineThroughputTraced covers obs-on cost.
-    cfg.record_series = false;
-    sched::ExecutionEngine engine(sim, dc, sched::make_fcfs(), cfg);
+    sched::ExecutionEngine engine(sim, dc, sched::make_fcfs());
     sim.reserve_events(wave * 4);
     sim::Rng rng(7);
     std::size_t submitted = 0;

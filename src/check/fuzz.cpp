@@ -233,7 +233,6 @@ SeedRunResult run_spec(const ScenarioSpec& spec, bool capture_registry) {
   infra::Datacenter dc = materialize_dc(spec);
 
   sched::EngineConfig config;
-  config.record_series = false;
   config.retry_failed_tasks = spec.retry;
   config.max_retries = spec.max_retries;
   config.scavenging.enabled = spec.scavenging;

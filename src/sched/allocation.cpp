@@ -10,25 +10,42 @@
 
 namespace mcs::sched {
 
+bool order_fcfs(const ReadyTask& a, const ReadyTask& b, const SchedulerView&) {
+  if (a.job_submit != b.job_submit) return a.job_submit < b.job_submit;
+  if (a.job != b.job) return a.job < b.job;
+  return a.task_index < b.task_index;
+}
+
+bool order_sjf(const ReadyTask& a, const ReadyTask& b, const SchedulerView&) {
+  return a.work_seconds < b.work_seconds;
+}
+
+bool order_ljf(const ReadyTask& a, const ReadyTask& b, const SchedulerView&) {
+  return a.work_seconds > b.work_seconds;
+}
+
 namespace {
 
 // Every queue-ordering policy (FCFS, SJF, LJF, fair-share, EDF, EASY and
 // conservative backfilling) is one OrderedPolicy skeleton that differs only
-// in its comparator, Fit heuristic and reservation depth; HEFT and MinMin
+// in its queue order, Fit heuristic and reservation depth; HEFT and MinMin
 // share one earliest-finish scan. PlannedCapacity, ReleaseProfile and
 // pick_machine live in sched/scoring.hpp: the placement pass (K=4 planned
 // capacity, node scoring, zone/anti-affinity admission) is shared with the
 // engine, the fuzzer, and the benches.
 
-/// Ready-queue indices stable-sorted by `cmp` (ties keep queue order).
-template <typename Compare>
-std::vector<std::size_t> sorted_order(const SchedulerView& view,
-                                      const Compare& cmp) {
+using QueueOrder = bool (*)(const ReadyTask&, const ReadyTask&,
+                            const SchedulerView&);
+
+/// Ready-queue indices stable-sorted by `Order` (ties keep queue order).
+/// A template argument, so every comparison is a direct, inlinable call.
+template <QueueOrder Order>
+std::vector<std::size_t> sorted_order(const SchedulerView& view) {
   std::vector<std::size_t> order(view.ready->size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     return cmp((*view.ready)[a], (*view.ready)[b], view);
+                     return Order((*view.ready)[a], (*view.ready)[b], view);
                    });
   return order;
 }
@@ -47,50 +64,33 @@ infra::ResourceVector min_demand(const std::vector<ReadyTask>& ready) {
   return floor;
 }
 
-// Comparators for the ordered policies.
-struct FcfsCmp {
-  bool operator()(const ReadyTask& a, const ReadyTask& b,
-                  const SchedulerView&) const {
-    if (a.job_submit != b.job_submit) return a.job_submit < b.job_submit;
-    if (a.job != b.job) return a.job < b.job;
-    return a.task_index < b.task_index;
+/// Fair-share: least-served user (consumed core-seconds) first, then FCFS.
+bool order_fair_share(const ReadyTask& a, const ReadyTask& b,
+                      const SchedulerView& view) {
+  double ua = 0.0, ub = 0.0;
+  if (view.user_usage != nullptr) {
+    const std::vector<double>& usage = *view.user_usage;
+    if (a.user_id < usage.size()) ua = usage[a.user_id];
+    if (b.user_id < usage.size()) ub = usage[b.user_id];
   }
-};
-struct SjfCmp {
-  bool operator()(const ReadyTask& a, const ReadyTask& b,
-                  const SchedulerView&) const {
-    return a.work_seconds < b.work_seconds;
-  }
-};
-struct LjfCmp {
-  bool operator()(const ReadyTask& a, const ReadyTask& b,
-                  const SchedulerView&) const {
-    return a.work_seconds > b.work_seconds;
-  }
-};
-struct FairShareCmp {
-  bool operator()(const ReadyTask& a, const ReadyTask& b,
-                  const SchedulerView& view) const {
-    double ua = 0.0, ub = 0.0;
-    if (view.user_usage != nullptr) {
-      const std::vector<double>& usage = *view.user_usage;
-      if (a.user_id < usage.size()) ua = usage[a.user_id];
-      if (b.user_id < usage.size()) ub = usage[b.user_id];
-    }
-    if (ua != ub) return ua < ub;  // least-served user first
-    return FcfsCmp{}(a, b, view);
-  }
-};
-struct EdfCmp {
-  bool operator()(const ReadyTask& a, const ReadyTask& b,
-                  const SchedulerView& view) const {
-    if (a.deadline != b.deadline) return a.deadline < b.deadline;
-    return FcfsCmp{}(a, b, view);
-  }
-};
+  if (ua != ub) return ua < ub;
+  return order_fcfs(a, b, view);
+}
+
+/// EDF: earliest deadline first, then FCFS.
+bool order_edf(const ReadyTask& a, const ReadyTask& b,
+               const SchedulerView& view) {
+  if (a.deadline != b.deadline) return a.deadline < b.deadline;
+  return order_fcfs(a, b, view);
+}
+
+/// HEFT: highest upward rank first.
+bool order_rank(const ReadyTask& a, const ReadyTask& b, const SchedulerView&) {
+  return a.rank > b.rank;
+}
 
 /// The one list-scheduling skeleton (DESIGN.md §9). Order the ready queue
-/// by `cmp` and walk it once: a task starts when pick_machine places it and
+/// by `Order` and walk it once: a task starts when pick_machine places it and
 /// it is expected to end by the earliest reservation on that machine. A task
 /// that cannot start takes a reservation at the earliest time some machine
 /// could hold it (ReleaseProfile), while fewer than `depth` were granted this
@@ -98,12 +98,11 @@ struct EdfCmp {
 /// depth 1 is EASY backfilling (only the blocked head is protected) and
 /// SIZE_MAX is conservative backfilling (every blocked task is) — Mu'alem &
 /// Feitelson's reservation depth.
-template <typename Compare>
+template <QueueOrder Order>
 class OrderedPolicy final : public AllocationPolicy {
  public:
-  OrderedPolicy(std::string name, Compare cmp, Fit fit, std::size_t depth)
-      : name_(std::move(name)), cmp_(std::move(cmp)), fit_(fit),
-        depth_(depth) {}
+  OrderedPolicy(std::string name, Fit fit, std::size_t depth)
+      : name_(std::move(name)), fit_(fit), depth_(depth) {}
 
   [[nodiscard]] std::string name() const override { return name_; }
 
@@ -119,7 +118,7 @@ class OrderedPolicy final : public AllocationPolicy {
     std::size_t granted = 0;
     std::vector<Assignment> out;
     out.reserve(view.ready->size());
-    for (std::size_t idx : sorted_order(view, cmp_)) {
+    for (std::size_t idx : sorted_order<Order>(view)) {
       // Nothing left fits anywhere, so nothing can start or gate a start.
       if (!planned.may_fit_anywhere(floor)) break;
       const ReadyTask& t = (*view.ready)[idx];
@@ -150,16 +149,14 @@ class OrderedPolicy final : public AllocationPolicy {
 
  private:
   std::string name_;
-  Compare cmp_;
   Fit fit_;
   std::size_t depth_;  ///< reservations granted per round at most
 };
 
-template <typename Compare>
-std::unique_ptr<AllocationPolicy> ordered(std::string name, Compare cmp,
-                                          Fit fit, std::size_t depth = 0) {
-  return std::make_unique<OrderedPolicy<Compare>>(std::move(name),
-                                                  std::move(cmp), fit, depth);
+template <QueueOrder Order>
+std::unique_ptr<AllocationPolicy> ordered(std::string name, Fit fit,
+                                          std::size_t depth = 0) {
+  return std::make_unique<OrderedPolicy<Order>>(std::move(name), fit, depth);
 }
 
 std::string fit_suffix(Fit fit) {
@@ -204,12 +201,10 @@ class Heft final : public AllocationPolicy {
     PlannedCapacity planned(view.machines);
     const infra::ResourceVector floor = min_demand(*view.ready);
     if (!planned.may_fit_anywhere(floor)) return {};
-    // Highest upward rank first; FCFS tiebreak.
-    const auto by_rank = [](const ReadyTask& a, const ReadyTask& b,
-                            const SchedulerView&) { return a.rank > b.rank; };
     std::vector<Assignment> out;
     out.reserve(view.ready->size());
-    for (std::size_t idx : sorted_order(view, by_rank)) {
+    // Highest upward rank first; ties keep queue order.
+    for (std::size_t idx : sorted_order<order_rank>(view)) {
       if (!planned.may_fit_anywhere(floor)) break;
       const ReadyTask& t = (*view.ready)[idx];
       if (const auto best = earliest_finish(view, planned, t)) {
@@ -309,25 +304,25 @@ class RandomPolicy final : public AllocationPolicy {
 }  // namespace
 
 std::unique_ptr<AllocationPolicy> make_fcfs(Fit fit) {
-  return ordered("fcfs" + fit_suffix(fit), FcfsCmp{}, fit);
+  return ordered<order_fcfs>("fcfs" + fit_suffix(fit), fit);
 }
 std::unique_ptr<AllocationPolicy> make_sjf(Fit fit) {
-  return ordered("sjf" + fit_suffix(fit), SjfCmp{}, fit);
+  return ordered<order_sjf>("sjf" + fit_suffix(fit), fit);
 }
 std::unique_ptr<AllocationPolicy> make_ljf(Fit fit) {
-  return ordered("ljf" + fit_suffix(fit), LjfCmp{}, fit);
+  return ordered<order_ljf>("ljf" + fit_suffix(fit), fit);
 }
 std::unique_ptr<AllocationPolicy> make_fair_share(Fit fit) {
-  return ordered("fair-share" + fit_suffix(fit), FairShareCmp{}, fit);
+  return ordered<order_fair_share>("fair-share" + fit_suffix(fit), fit);
 }
 std::unique_ptr<AllocationPolicy> make_edf(Fit fit) {
-  return ordered("edf" + fit_suffix(fit), EdfCmp{}, fit);
+  return ordered<order_edf>("edf" + fit_suffix(fit), fit);
 }
 std::unique_ptr<AllocationPolicy> make_easy_backfilling() {
-  return ordered("easy-backfill", FcfsCmp{}, Fit::kFirst, 1);
+  return ordered<order_fcfs>("easy-backfill", Fit::kFirst, 1);
 }
 std::unique_ptr<AllocationPolicy> make_conservative_backfilling() {
-  return ordered("conservative-backfill", FcfsCmp{}, Fit::kFirst, SIZE_MAX);
+  return ordered<order_fcfs>("conservative-backfill", Fit::kFirst, SIZE_MAX);
 }
 std::unique_ptr<AllocationPolicy> make_heft() {
   return std::make_unique<Heft>();

@@ -129,6 +129,19 @@ enum class Fit {
   kFastest,  ///< highest speed factor with room
 };
 
+/// Queue orders: the strict weak orders the ordered policies stable-sort the
+/// ready queue by (ties keep queue order). Each is defined once and shared
+/// by its policy's factory and the portfolio's surrogate (sched/portfolio.hpp).
+/// FCFS: job submit time, then job id, then task index.
+[[nodiscard]] bool order_fcfs(const ReadyTask& a, const ReadyTask& b,
+                              const SchedulerView& view);
+/// SJF: less work first.
+[[nodiscard]] bool order_sjf(const ReadyTask& a, const ReadyTask& b,
+                             const SchedulerView& view);
+/// LJF: more work first.
+[[nodiscard]] bool order_ljf(const ReadyTask& a, const ReadyTask& b,
+                             const SchedulerView& view);
+
 /// FCFS: tasks in job-arrival order (then task index).
 [[nodiscard]] std::unique_ptr<AllocationPolicy> make_fcfs(Fit fit = Fit::kFirst);
 

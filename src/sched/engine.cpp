@@ -303,7 +303,6 @@ void ExecutionEngine::arrive(std::uint32_t job_slot) {
       enqueue_ready(jr, job_slot, i, rank_scratch_[i]);
     }
   }
-  record_series_point();
   kick();
   if (tracer_ != nullptr) {
     tracer_->instant(sim_.now(), tn_.job_arrived, 0,
@@ -435,7 +434,6 @@ void ExecutionEngine::try_schedule() {
       }
     }
   }
-  record_series_point();
 }
 
 // mcs-lint: hot
@@ -581,7 +579,6 @@ void ExecutionEngine::finish_task(std::uint32_t key, std::uint32_t gen) {
   if (jr.remaining == 0) {
     complete_job(rt.job_slot, /*abandoned=*/false);
   }
-  record_series_point();
   kick();
   notify(EngineTransition::kTaskFinished, rt.machine);
 }
@@ -611,7 +608,6 @@ void ExecutionEngine::on_machine_failed(infra::MachineId id) {
       complete_job(rt.job_slot, /*abandoned=*/true);
     }
   }
-  record_series_point();
   kick();
   if (tracer_ != nullptr) {
     tracer_->instant(sim_.now(), tn_.tasks_killed, id, killed_here);
@@ -806,12 +802,6 @@ void ExecutionEngine::fill_view(SchedulerView& view,
   view.running = &running;
   view.user_usage = &user_usage_;
   view.placement = &config_.placement;
-}
-
-void ExecutionEngine::record_series_point() {
-  if (!config_.record_series) return;
-  demand_.append(sim_.now(), demand_cores());
-  supply_.append(sim_.now(), supply_cores());
 }
 
 RunResult summarize_run(const ExecutionEngine& engine,

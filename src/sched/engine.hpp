@@ -4,9 +4,10 @@
 // resource management on behalf of the application). It owns the ready
 // queue, invokes the pluggable AllocationPolicy, runs tasks on machines
 // (runtime = work / machine speed), tracks dependencies, survives machine
-// failures by re-queueing killed tasks, supports draining for elastic
-// provisioning, and records the demand/supply series the SPEC elasticity
-// metrics and autoscalers consume.
+// failures by re-queueing killed tasks, and supports draining for elastic
+// provisioning. It records no demand/supply series: autoscalers sample
+// demand_cores() themselves and read supply from
+// ProvisionedPool::supply_series() (sched/provisioning.hpp).
 //
 // Storage discipline (DESIGN.md §9): jobs and running tasks live in
 // core::SlotPool arenas addressed by dense uint32 slot indices, draining is
@@ -26,7 +27,6 @@
 
 #include "core/slot_pool.hpp"
 #include "infra/topology.hpp"
-#include "metrics/elasticity.hpp"
 #include "obs/registry.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
@@ -89,7 +89,7 @@ struct ScavengingConfig {
 };
 
 struct EngineConfig {
-  bool record_series = true;      ///< keep demand/supply StepSeries
+  bool record_series = true;      ///< ignored: the engine records no series
   bool retry_failed_tasks = true; ///< resubmit tasks killed by failures
   std::size_t max_retries = 16;   ///< per task, before the job is abandoned
   ScavengingConfig scavenging;
@@ -220,14 +220,9 @@ class ExecutionEngine {
   [[nodiscard]] const obs::Registry& registry() const { return registry_; }
   [[nodiscard]] obs::Registry& registry() { return registry_; }
 
-  /// Demand (cores wanted by ready+running tasks) and supply (cores of
-  /// usable, non-draining machines) step series for elasticity metrics.
-  [[nodiscard]] const metrics::StepSeries& demand_series() const { return demand_; }
-  [[nodiscard]] const metrics::StepSeries& supply_series() const { return supply_; }
-
-  /// Instantaneous demand in cores.
+  /// Instantaneous demand in cores (wanted by ready + running tasks).
   [[nodiscard]] double demand_cores() const;
-  /// Instantaneous supply in cores.
+  /// Instantaneous supply in cores (of usable, non-draining machines).
   [[nodiscard]] double supply_cores() const;
   /// Pending work (ready + unstarted dependents + remaining running), in
   /// reference core-seconds — the Plan autoscaler's input.
@@ -317,7 +312,6 @@ class ExecutionEngine {
   void finish_task(std::uint32_t key, std::uint32_t gen);
   void complete_job(std::uint32_t job_slot, bool abandoned);
   [[nodiscard]] std::uint32_t intern_user(const std::string& name);
-  void record_series_point();
   /// Reports a fully-applied transition to the installed observer (if any).
   // mcs-lint: hot
   void notify(EngineTransition t, infra::MachineId machine = kNoMachine) {
@@ -345,8 +339,6 @@ class ExecutionEngine {
 
   std::vector<JobStats> completed_;
   double busy_core_seconds_ = 0.0;
-  metrics::StepSeries demand_;
-  metrics::StepSeries supply_;
   bool schedule_pending_ = false;
   EngineObserver* observer_ = nullptr;
 

@@ -5,8 +5,9 @@
 
 namespace mcs::sched {
 
-double estimate_queue_makespan(const SchedulerView& view,
-                               const TaskOrder& order) {
+double estimate_queue_makespan(
+    const SchedulerView& view,
+    bool (*order)(const ReadyTask&, const ReadyTask&, const SchedulerView&)) {
   if (view.ready->empty()) return 0.0;
   // Machine model: per machine, the time (seconds from now) when each of
   // its cores frees up, approximated at whole-machine granularity by a
@@ -39,7 +40,7 @@ double estimate_queue_makespan(const SchedulerView& view,
   for (const ReadyTask& t : *view.ready) tasks.push_back(&t);
   std::stable_sort(tasks.begin(), tasks.end(),
                    [&](const ReadyTask* a, const ReadyTask* b) {
-                     return order(*a, *b);
+                     return order(*a, *b, view);
                    });
 
   double makespan = 0.0;
@@ -64,20 +65,7 @@ double estimate_queue_makespan(const SchedulerView& view,
 }
 
 std::vector<PortfolioCandidate> default_portfolio() {
-  std::vector<PortfolioCandidate> out;
-  out.push_back({"fcfs", [](const ReadyTask& a, const ReadyTask& b) {
-                   if (a.job_submit != b.job_submit)
-                     return a.job_submit < b.job_submit;
-                   if (a.job != b.job) return a.job < b.job;
-                   return a.task_index < b.task_index;
-                 }});
-  out.push_back({"sjf", [](const ReadyTask& a, const ReadyTask& b) {
-                   return a.work_seconds < b.work_seconds;
-                 }});
-  out.push_back({"ljf", [](const ReadyTask& a, const ReadyTask& b) {
-                   return a.work_seconds > b.work_seconds;
-                 }});
-  return out;
+  return {{"fcfs", order_fcfs}, {"sjf", order_sjf}, {"ljf", order_ljf}};
 }
 
 PortfolioScheduler::PortfolioScheduler(sim::Simulator& sim,

@@ -4,31 +4,36 @@
 // portfolio scheduler keeps a set of candidate policies, periodically
 // scores each against the current queue state with a fast surrogate
 // simulation (greedy list-scheduling makespan estimate), and switches the
-// live engine to the winner. exp_scheduling reproduces the published
-// shape: the portfolio tracks whichever fixed policy is best per regime.
+// live engine to the winner. Each candidate ranks the queue by the queue
+// order its policy's factory sorts by (sched/allocation.hpp), so an order
+// has one definition. exp_scheduling reproduces the published shape: the
+// portfolio tracks whichever fixed policy is best per regime.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "sched/allocation.hpp"
 #include "sched/engine.hpp"
-#include "sched/pipeline.hpp"
 
 namespace mcs::sched {
 
 /// Estimates the makespan (seconds from now) of running the current ready
-/// queue to completion under a task ordering, using greedy list scheduling
+/// queue to completion in queue order `order`, using greedy list scheduling
 /// onto the machines' free capacity. Pure function: no events, no state.
-[[nodiscard]] double estimate_queue_makespan(const SchedulerView& view,
-                                             const TaskOrder& order);
+[[nodiscard]] double estimate_queue_makespan(
+    const SchedulerView& view,
+    bool (*order)(const ReadyTask&, const ReadyTask&, const SchedulerView&));
 
-/// Builds candidate orderings by name ("fcfs", "sjf", "ljf").
+/// A candidate policy and the queue order its factory sorts by.
 struct PortfolioCandidate {
   std::string policy_name;  ///< passed to make_policy() when chosen
-  TaskOrder order;          ///< move-only, like the pipeline's orderings
+  bool (*order)(const ReadyTask&, const ReadyTask&,
+                const SchedulerView&) = nullptr;
 };
 
+/// "fcfs", "sjf" and "ljf", each with its policy's own queue order.
 [[nodiscard]] std::vector<PortfolioCandidate> default_portfolio();
 
 /// Periodically re-selects the engine's allocation policy.

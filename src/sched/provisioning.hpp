@@ -10,6 +10,7 @@
 #include <set>
 
 #include "infra/topology.hpp"
+#include "metrics/elasticity.hpp"
 #include "sched/engine.hpp"
 #include "sim/simulator.hpp"
 

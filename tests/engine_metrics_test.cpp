@@ -1,12 +1,11 @@
 // Deeper tests for the engine's observability surface — the signals the
-// autoscalers and the elasticity metrics depend on (demand/supply series,
-// pending work, level-of-parallelism lookahead) — plus matchmaking (C5)
-// and the remaining pipeline stage.
+// autoscalers and the elasticity metrics depend on (instantaneous demand
+// and supply cores, pending work, level-of-parallelism lookahead) — plus
+// matchmaking (C5).
 #include <gtest/gtest.h>
 
 #include "gaming/social.hpp"
 #include "sched/engine.hpp"
-#include "sched/pipeline.hpp"
 #include "workload/workflow.hpp"
 
 namespace mcs {
@@ -19,7 +18,7 @@ infra::Datacenter make_dc(std::size_t machines = 2, double cores = 4.0) {
   return dc;
 }
 
-// ---- demand / supply series ----------------------------------------------------
+// ---- demand / supply cores -----------------------------------------------------
 
 TEST(EngineSignalsTest, DemandSeriesTracksQueueAndRunning) {
   auto dc = make_dc(1, 4.0);
@@ -35,9 +34,6 @@ TEST(EngineSignalsTest, DemandSeriesTracksQueueAndRunning) {
   EXPECT_DOUBLE_EQ(engine.demand_cores(), 4.0);
   sim.run_until();
   EXPECT_DOUBLE_EQ(engine.demand_cores(), 0.0);
-  // The recorded series agrees with the live probes at those instants.
-  EXPECT_DOUBLE_EQ(engine.demand_series().at(50 * sim::kSecond), 8.0);
-  EXPECT_DOUBLE_EQ(engine.demand_series().at(150 * sim::kSecond), 4.0);
 }
 
 TEST(EngineSignalsTest, SupplySeriesReflectsDrainAndFailure) {
@@ -92,31 +88,6 @@ TEST(EngineSignalsTest, EligibleWithinCountsReadyTasks) {
   sim.run_until(sim::kSecond);
   // 2 running, 4 ready; within 200 s the running ones have no successors.
   EXPECT_EQ(engine.eligible_within(200 * sim::kSecond), 4u);
-}
-
-// ---- pipeline stage: prefer-draining-soon -------------------------------------------
-
-TEST(PipelineStageTest, PreferDrainingSoonFiltersBusyFarMachines) {
-  auto dc = make_dc(2, 4.0);
-  sim::Simulator sim;
-  // Policy that requires a machine freeing up within 60 s.
-  std::vector<std::unique_ptr<sched::PipelineStage>> stages;
-  stages.push_back(sched::stage_filter_capable());
-  stages.push_back(sched::stage_prefer_draining_soon(60 * sim::kSecond));
-  stages.push_back(sched::stage_filter_available());
-  sched::ExecutionEngine engine(
-      sim, dc,
-      sched::make_pipeline_policy("drain-soon", sched::order_fcfs(),
-                                  std::move(stages)));
-  // Fill machine 0 with a long task; short task should go to machine 1
-  // (idle machines always pass the stage).
-  engine.submit(workload::make_bag_of_tasks(
-      1, 1, 1000.0, infra::ResourceVector{4.0, 4.0, 0.0}));
-  engine.submit(workload::make_bag_of_tasks(
-      2, 1, 10.0, infra::ResourceVector{4.0, 4.0, 0.0}));
-  sim.run_until(20 * sim::kSecond);
-  // Both run concurrently: the short one was not queued behind the long.
-  EXPECT_EQ(engine.jobs_completed(), 1u);
 }
 
 // ---- matchmaking (C5) ------------------------------------------------------------------

@@ -1,13 +1,13 @@
-// Tests for the execution engine, allocation policies, provisioning,
-// the Schopf pipeline, portfolio scheduling, scavenging, and the Fig. 3
-// datacenter stack (src/sched).
+// Tests for the execution engine, allocation policies (including the
+// skeleton policies that mirror the Schopf pipeline stages), provisioning,
+// portfolio scheduling, scavenging, and the Fig. 3 datacenter stack
+// (src/sched).
 #include <functional>
 #include <gtest/gtest.h>
 
 #include "failures/failure_model.hpp"
 #include "sched/datacenter_stack.hpp"
 #include "sched/engine.hpp"
-#include "sched/pipeline.hpp"
 #include "sched/portfolio.hpp"
 #include "sched/provisioning.hpp"
 #include "sched/scavenging.hpp"
@@ -452,15 +452,24 @@ TEST(ProvisioningTest, TargetClampedToFloorAndMachineCount) {
   EXPECT_EQ(pool.target(), 4u);
 }
 
-// ---- pipeline ---------------------------------------------------------------------------
+// ---- Schopf stages as skeleton parameters ------------------------------------------------
+// Each stage of a Schopf-style scheduling pipeline is a parameter of the one
+// list-scheduling skeleton: task order is the comparator, the capability and
+// availability filters are PlannedCapacity::fits, and speed scoring is
+// Fit::kFastest. These run the skeleton policies the stock pipelines
+// mirrored.
 
 TEST(PipelineTest, StockPipelinesCompleteWork) {
-  for (auto maker : {pipeline_fcfs_firstfit, pipeline_sjf_fastest,
-                     pipeline_consolidating}) {
+  // FCFS first fit, SJF on the fastest machine, FCFS best fit (consolidating).
+  std::vector<std::unique_ptr<AllocationPolicy>> mirrors;
+  mirrors.push_back(make_fcfs());
+  mirrors.push_back(make_sjf(Fit::kFastest));
+  mirrors.push_back(make_fcfs(Fit::kBest));
+  for (auto& policy : mirrors) {
     auto dc = make_dc(3, 4.0);
     std::vector<workload::Job> jobs;
     jobs.push_back(workload::make_bag_of_tasks(1, 10, 15.0));
-    const RunResult r = run_workload(dc, std::move(jobs), maker());
+    const RunResult r = run_workload(dc, std::move(jobs), std::move(policy));
     EXPECT_EQ(r.jobs.size(), 1u);
   }
 }
@@ -470,12 +479,7 @@ TEST(PipelineTest, FilterCapableDropsAcceleratorlessMachines) {
   dc.add_machine("cpu", infra::ResourceVector{8, 32, 0}, 1.0, 0);
   dc.add_machine("gpu", infra::ResourceVector{8, 32, 2}, 1.0, 0);
   sim::Simulator sim;
-  std::vector<std::unique_ptr<PipelineStage>> stages;
-  stages.push_back(stage_filter_capable());
-  stages.push_back(stage_filter_available());
-  ExecutionEngine engine(
-      sim, dc,
-      make_pipeline_policy("gpu-pipe", order_fcfs(), std::move(stages)));
+  ExecutionEngine engine(sim, dc, make_fcfs());
   engine.submit(workload::make_bag_of_tasks(
       1, 2, 10.0, infra::ResourceVector{2.0, 4.0, 1.0}));
   sim.run_until();
@@ -487,7 +491,7 @@ TEST(PipelineTest, SpeedScoringEquivalentToHeftChoice) {
   dc.add_machine("slow", infra::ResourceVector{8, 32, 0}, 1.0, 0);
   dc.add_machine("fast", infra::ResourceVector{8, 32, 0}, 2.5, 0);
   sim::Simulator sim;
-  ExecutionEngine engine(sim, dc, pipeline_sjf_fastest());
+  ExecutionEngine engine(sim, dc, make_sjf(Fit::kFastest));
   engine.submit(workload::make_bag_of_tasks(1, 4, 50.0));
   sim.run_until();
   // All tasks fit the fast machine: ~20s.

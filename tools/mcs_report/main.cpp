@@ -15,7 +15,9 @@
 // The parser below covers exactly the JSON subset write_report_json
 // emits (objects, arrays, strings with \-escapes, numbers, true/false/
 // null) and keeps object keys in document order, so the rendered tables
-// and diff paths follow the writer's stable ordering.
+// and diff paths follow the writer's stable ordering. It recurses once per
+// nesting level, so nesting deeper than kMaxDepth is malformed input, not
+// a stack overflow (mcs-report-v1 documents nest 4 levels).
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
@@ -52,6 +54,9 @@ struct JsonValue {
     return nullptr;
   }
 };
+
+/// Deepest array/object nesting the parser accepts.
+constexpr std::size_t kMaxDepth = 64;
 
 class JsonParser {
  public:
@@ -96,8 +101,15 @@ class JsonParser {
   JsonValue value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth));
+      }
+      ++depth_;
+      JsonValue v = c == '{' ? object() : array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       JsonValue v;
       v.kind = JsonValue::Kind::kString;
@@ -235,6 +247,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays/objects open at pos_
 };
 
 // ---------------------------------------------------------------------------
