@@ -82,7 +82,12 @@ void InvariantChecker::on_transition(const sched::ExecutionEngine& engine,
   const char* where = sched::to_string(t);
   switch (t) {
     case sched::EngineTransition::kDrained:
-      if (machine < shadow_drain_.size()) shadow_drain_[machine] = 1;
+      if (machine >= shadow_drain_.size()) {
+        // mcs-lint: allow(H3) — grows once per machine added after
+        // attach(); the oracle is a test harness, not a production path.
+        shadow_drain_.resize(machine + 1, 0);
+      }
+      shadow_drain_[machine] = 1;
       break;
     case sched::EngineTransition::kUndrained:
       if (machine < shadow_drain_.size()) shadow_drain_[machine] = 0;
@@ -271,10 +276,45 @@ void InvariantChecker::verify(const sched::ExecutionEngine& e,
   });
 
   // I4: per-machine capacity sanity (and exclusive-allocation accounting),
-  // checked in every resource dimension of the vector.
+  // checked in every resource dimension of the vector. Machines added after
+  // attach() start undrained in the shadow, as they do in the engine.
   const double eps = options_.epsilon;
+  if (shadow_drain_.size() < dc_.machine_count()) {
+    // mcs-lint: allow(H3) — grows once per machine added after attach().
+    shadow_drain_.resize(dc_.machine_count(), 0);
+  }
+  // I4 live view: diffed against a fresh build only when the engine would
+  // not rebuild at its next round; `listed` walks its machine list. A row
+  // the planned capacity holds always fits its own free capacity.
+  const bool live_view = e.view_current();
+  const sched::PlannedCapacity& planned = e.planned_;
+  const auto holds = [&planned](infra::MachineId id) {
+    return id < planned.id_bound() && planned.fits(id, planned.free_on(id));
+  };
+  std::size_t listed = 0;
   for (infra::MachineId id = 0; id < dc_.machine_count(); ++id) {
     const infra::Machine& m = dc_.machine(id);
+    if (live_view) {
+      if (m.usable() && !e.is_draining(id)) {
+        if (listed >= e.machines_.size() || e.machines_[listed] != &m) {
+          fail("I4 live-view", where,
+               "usable machine " + std::to_string(id) +
+                   " is missing from the engine's machine list");
+        }
+        ++listed;
+        if (!holds(id) || !(planned.free_on(id) == m.available()) ||
+            !(planned.capacity_on(id) == m.capacity()) ||
+            planned.speed(id) != m.speed_factor()) {
+          fail("I4 live-view", where,
+               "machine " + std::to_string(id) +
+                   ": planned row differs from its live state");
+        }
+      } else if (holds(id)) {
+        fail("I4 live-view", where,
+             "machine " + std::to_string(id) +
+                 " is unusable or draining but has a planned row");
+      }
+    }
     const infra::ResourceVector& used = m.used();
     const infra::ResourceVector& cap = m.capacity();
     for (std::size_t d = 0; d < core::kResourceDims; ++d) {
@@ -335,6 +375,12 @@ void InvariantChecker::verify(const sched::ExecutionEngine& e,
                (draining ? "set" : "clear") + " but the oracle's shadow is " +
                (shadow_drain_[id] != 0 ? "set" : "clear"));
     }
+  }
+  if (live_view && listed != e.machines_.size()) {
+    fail("I4 live-view", where,
+         "the engine lists " + std::to_string(e.machines_.size()) +
+             " machines but " + std::to_string(listed) +
+             " are usable and not draining");
   }
 }
 

@@ -35,6 +35,15 @@
 //                    matches the number of running tasks placed on it, and
 //                    an idle machine's used vector is *exactly* zero in
 //                    every dimension (no FP residue).
+//                    LIVE VIEW: unless the engine will rebuild its view at
+//                    the next round (a drain-set change or a machine change
+//                    it did not make is pending), its machine list is
+//                    exactly the usable, non-draining machines in id order,
+//                    each listed machine's planned row equals its live
+//                    available(), capacity() and speed_factor() exactly
+//                    (==, no epsilon: a row that drifted by one ulp can flip
+//                    a fit at an exact boundary), and no unlisted machine
+//                    has a planned row.
 //  I5 PLACEMENT      every running task sits on a usable machine, a
 //                    kTaskStarted transition never targets a draining or
 //                    failed machine, every running task of a zone-

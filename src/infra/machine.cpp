@@ -39,6 +39,7 @@ void Machine::allocate(const ResourceVector& r) {
   }
   used_ += r;
   ++live_allocations_;
+  count_mutation();
 }
 
 void Machine::release(const ResourceVector& r) {
@@ -64,6 +65,7 @@ void Machine::release(const ResourceVector& r) {
   // The last holder left: whatever remains is pure accumulation error.
   if (live_allocations_ == 0) next = ResourceVector{};
   used_ = next;
+  count_mutation();
 }
 
 double Machine::utilization() const {
@@ -83,18 +85,23 @@ double Machine::power_watts() const {
   return 0.0;
 }
 
-void Machine::set_state(MachineState s) { state_ = s; }
+void Machine::set_state(MachineState s) {
+  state_ = s;
+  count_mutation();
+}
 
 void Machine::fail() {
   state_ = MachineState::kFailed;
   used_ = ResourceVector{};
   live_allocations_ = 0;
+  count_mutation();
 }
 
 void Machine::repair() {
   state_ = MachineState::kOperational;
   used_ = ResourceVector{};
   live_allocations_ = 0;
+  count_mutation();
 }
 
 }  // namespace mcs::infra

@@ -35,6 +35,12 @@ enum class MachineState { kOperational, kFailed, kOff };
 
 /// One physical machine. Allocation is capacity bookkeeping; execution
 /// timing is the scheduler's job (runtime = work / speed_factor).
+///
+/// A machine added to a Datacenter counts every change of its state or
+/// allocations (`allocate`, `release`, `fail`, `repair`, `set_state`) on
+/// the datacenter's mutation counter (Datacenter::mutations()), so a
+/// component that mirrors the fleet can tell whether anyone else changed
+/// it. A stand-alone machine counts nowhere.
 class Machine {
  public:
   Machine(MachineId id, std::string name, ResourceVector capacity,
@@ -91,6 +97,12 @@ class Machine {
   void repair();
 
  private:
+  friend class Datacenter;  // points mutations_ at its counter
+
+  void count_mutation() {
+    if (mutations_ != nullptr) ++*mutations_;
+  }
+
   MachineId id_;
   std::string name_;
   ResourceVector capacity_;
@@ -99,6 +111,8 @@ class Machine {
   double speed_factor_;
   PowerModel power_;
   MachineState state_ = MachineState::kOperational;
+  /// The owning datacenter's mutation counter; null when stand-alone.
+  std::uint64_t* mutations_ = nullptr;
 };
 
 }  // namespace mcs::infra

@@ -15,6 +15,8 @@ Machine& Datacenter::add_machine(std::string name, ResourceVector capacity,
   const auto id = static_cast<MachineId>(machines_.size());
   machines_.push_back(std::make_unique<Machine>(id, std::move(name), capacity,
                                                 speed_factor, power));
+  machines_.back()->mutations_ = mutations_.get();
+  ++*mutations_;
   rack_of_.push_back(rack);
   zone_id_of_.push_back(0);
   return *machines_.back();

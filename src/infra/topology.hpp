@@ -54,6 +54,12 @@ class Datacenter {
   [[nodiscard]] std::size_t machine_count() const { return machines_.size(); }
   [[nodiscard]] std::size_t rack_count() const;
 
+  /// Changes to the fleet so far: one per add_machine and one per
+  /// allocate, release, fail, repair or set_state of any of its machines.
+  /// A component that mirrors machine state compares it with the count of
+  /// changes it made itself, and re-reads the fleet when they differ.
+  [[nodiscard]] std::uint64_t mutations() const { return *mutations_; }
+
   [[nodiscard]] Machine& machine(MachineId id);
   [[nodiscard]] const Machine& machine(MachineId id) const;
   [[nodiscard]] std::vector<Machine*> machines();
@@ -90,6 +96,9 @@ class Datacenter {
   std::string region_;
   NetworkModel network_;
   std::vector<std::unique_ptr<Machine>> machines_;
+  /// On the heap, so the machines' pointers to it survive a move of the
+  /// Datacenter (datacenters are returned and stored by value).
+  std::unique_ptr<std::uint64_t> mutations_ = std::make_unique<std::uint64_t>(0);
   std::vector<std::size_t> rack_of_;  // indexed by MachineId
   /// Zone names interned to dense ids; zone_id_of_ indexed by MachineId
   /// (0 = the default zone "").

@@ -37,6 +37,26 @@ namespace {
 using QueueOrder = bool (*)(const ReadyTask&, const ReadyTask&,
                             const SchedulerView&);
 
+/// The view's planned capacity, borrowed for one decide(): every row the
+/// policy takes from is restored to the machines' live state on exit, even
+/// when decide() throws, so the engine's mirror stays as it was lent.
+class BorrowedPlan {
+ public:
+  explicit BorrowedPlan(const SchedulerView& view) : planned_(view.planned) {
+    if (planned_ == nullptr) {
+      throw std::invalid_argument("decide: the view has no planned capacity");
+    }
+  }
+  ~BorrowedPlan() { planned_->restore(); }
+  BorrowedPlan(const BorrowedPlan&) = delete;
+  BorrowedPlan& operator=(const BorrowedPlan&) = delete;
+
+  PlannedCapacity& operator*() const { return *planned_; }
+
+ private:
+  PlannedCapacity* planned_;
+};
+
 /// Ready-queue indices stable-sorted by `Order` (ties keep queue order).
 /// A template argument, so every comparison is a direct, inlinable call.
 template <QueueOrder Order>
@@ -107,7 +127,8 @@ class OrderedPolicy final : public AllocationPolicy {
   [[nodiscard]] std::string name() const override { return name_; }
 
   std::vector<Assignment> decide(const SchedulerView& view) override {
-    PlannedCapacity planned(view.machines);
+    const BorrowedPlan plan(view);
+    PlannedCapacity& planned = *plan;
     const infra::ResourceVector floor = min_demand(*view.ready);
     if (!planned.may_fit_anywhere(floor)) return {};
     // Built on the first reservation, so a depth-0 round never pays for
@@ -198,7 +219,8 @@ class Heft final : public AllocationPolicy {
   [[nodiscard]] std::string name() const override { return "heft"; }
 
   std::vector<Assignment> decide(const SchedulerView& view) override {
-    PlannedCapacity planned(view.machines);
+    const BorrowedPlan plan(view);
+    PlannedCapacity& planned = *plan;
     const infra::ResourceVector floor = min_demand(*view.ready);
     if (!planned.may_fit_anywhere(floor)) return {};
     std::vector<Assignment> out;
@@ -228,7 +250,8 @@ class MinMin final : public AllocationPolicy {
   }
 
   std::vector<Assignment> decide(const SchedulerView& view) override {
-    PlannedCapacity planned(view.machines);
+    const BorrowedPlan plan(view);
+    PlannedCapacity& planned = *plan;
     std::vector<bool> taken(view.ready->size(), false);
     std::vector<Assignment> out;
     out.reserve(view.ready->size());
@@ -270,7 +293,8 @@ class RandomPolicy final : public AllocationPolicy {
   [[nodiscard]] std::string name() const override { return "random"; }
 
   std::vector<Assignment> decide(const SchedulerView& view) override {
-    PlannedCapacity planned(view.machines);
+    const BorrowedPlan plan(view);
+    PlannedCapacity& planned = *plan;
     std::vector<std::size_t> order(view.ready->size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     rng_.shuffle(order);

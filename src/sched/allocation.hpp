@@ -20,6 +20,8 @@
 
 namespace mcs::sched {
 
+class PlannedCapacity;  // sched/scoring.hpp
+
 /// Node-scoring policy for the placement pass (lowest score wins; ties
 /// break to the lowest machine id). The YT/YP EPodNodeScoreType lineage —
 /// see sched/scoring.hpp for the scoring machinery and DESIGN.md §13 for
@@ -86,11 +88,21 @@ struct RunningView {
   infra::ResourceVector demand;
 };
 
-/// Read-only snapshot handed to allocation policies each scheduling round.
+/// What an allocation policy sees each scheduling round. The engine lends
+/// its live usable-machine list and planned capacity instead of rebuilding
+/// them per round (DESIGN.md §12): `machines` is moved in and out of the
+/// view, and `planned` mirrors exactly those machines' live free capacity.
+/// A policy takes from `*planned` while it plans and restore()s it before
+/// decide() returns, so the engine finds the mirror as it lent it.
 struct SchedulerView {
   sim::SimTime now = 0;
   const std::vector<ReadyTask>* ready = nullptr;
   std::vector<const infra::Machine*> machines;  ///< usable, non-draining
+  /// Planned free capacity of `machines`, one row per machine id, equal to
+  /// each machine's live available(). Required by decide(), which throws
+  /// std::invalid_argument without it; a hand-built view points it at a
+  /// PlannedCapacity built from its machines. Null in snapshot_view().
+  PlannedCapacity* planned = nullptr;
   const std::vector<RunningView>* running = nullptr;
   /// Consumed core-seconds per user, indexed by ReadyTask::user_id
   /// (fair-share input).

@@ -345,6 +345,7 @@ void ExecutionEngine::drain(infra::MachineId id) {
   const std::size_t word = id >> 6;
   if (word >= draining_bits_.size()) draining_bits_.resize(word + 1, 0);
   draining_bits_[word] |= std::uint64_t{1} << (id & 63);
+  rebuild_pending_ = true;
   if (tracer_ != nullptr) tracer_->instant(sim_.now(), tn_.drain, id);
   notify(EngineTransition::kDrained, id);
 }
@@ -353,6 +354,7 @@ void ExecutionEngine::undrain(infra::MachineId id) {
   if (word < draining_bits_.size()) {
     draining_bits_[word] &= ~(std::uint64_t{1} << (id & 63));
   }
+  rebuild_pending_ = true;
   kick();
   if (tracer_ != nullptr) tracer_->instant(sim_.now(), tn_.undrain, id);
   notify(EngineTransition::kUndrained, id);
@@ -385,16 +387,17 @@ void ExecutionEngine::try_schedule() {
   bool progress = true;
   while (progress && !ready_.empty()) {
     progress = false;
+    if (!view_current()) rebuild_view();
+    if (machines_.empty()) break;
 
+    // Lend the live view: the machine list moves into the view and back,
+    // and the policy takes from planned_ and restores it. A policy that
+    // throws keeps the list, so the view is marked for a rebuild meanwhile.
     SchedulerView view;
-    // Move the machine list's storage in and out of the view so its
-    // capacity survives across rounds.
-    view.machines = std::move(machines_scratch_);
+    view.machines = std::move(machines_);
+    view.planned = &planned_;
+    rebuild_pending_ = true;
     fill_view(view, running_scratch_);
-    if (view.machines.empty()) {
-      machines_scratch_ = std::move(view.machines);
-      break;
-    }
     // Anti-affinity is advisory at proposal time: a sorted per-round count
     // table steers policies away from saturated machines; start_task makes
     // the exact final call. Skipped entirely when no live job spreads.
@@ -404,7 +407,8 @@ void ExecutionEngine::try_schedule() {
     }
 
     const auto assignments = policy_->decide(view);
-    machines_scratch_ = std::move(view.machines);
+    machines_ = std::move(view.machines);
+    rebuild_pending_ = false;
 
     // Apply in descending ready-index order so indices stay valid while
     // erasing; re-validate each against live machine state.
@@ -425,7 +429,7 @@ void ExecutionEngine::try_schedule() {
     // ready task directly — start_task itself knows how to borrow memory.
     if (!progress && config_.scavenging.enabled) {
       for (std::size_t i = ready_.size(); i-- > 0 && !progress;) {
-        for (const infra::Machine* m : machines_scratch_) {
+        for (const infra::Machine* m : machines_) {
           if (start_task(i, m->id())) {
             progress = true;
             break;
@@ -474,6 +478,7 @@ bool ExecutionEngine::start_task(std::size_t ready_index,
   }
 
   m.allocate(held);
+  own_change(machine_id);
   ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(ready_index));
 
   JobSlot& jr = jobs_[rt.job_slot];
@@ -542,7 +547,10 @@ void ExecutionEngine::finish_task(std::uint32_t key, std::uint32_t gen) {
   running_.release(key);
 
   infra::Machine& m = dc_.machine(rt.machine);
-  if (m.usable()) m.release(rt.held);
+  if (m.usable()) {
+    m.release(rt.held);
+    own_change(rt.machine);
+  }
 
   const double core_seconds =
       rt.held.cpu() * sim::to_seconds(sim_.now() - rt.start);
@@ -683,7 +691,10 @@ void ExecutionEngine::complete_job(std::uint32_t job_slot, bool abandoned) {
       const RunningSlot rt = running_[key];
       sim_.cancel(rt.completion);
       infra::Machine& m = dc_.machine(rt.machine);
-      if (m.usable()) m.release(rt.held);
+      if (m.usable()) {
+        m.release(rt.held);
+        own_change(rt.machine);
+      }
       running_.release(key);
     }
     jr.remaining = 0;
@@ -775,8 +786,38 @@ std::map<std::string, double> ExecutionEngine::user_usage() const {
 SchedulerView ExecutionEngine::snapshot_view(
     std::vector<RunningView>& running_storage) const {
   SchedulerView view;
+  collect_usable(view.machines);
   fill_view(view, running_storage);
   return view;
+}
+
+void ExecutionEngine::collect_usable(
+    std::vector<const infra::Machine*>& out) const {
+  const std::size_t machine_count = dc_.machine_count();
+  const infra::Datacenter& dc = dc_;
+  out.clear();
+  out.reserve(machine_count);
+  for (std::uint32_t id = 0; id < machine_count; ++id) {
+    const infra::Machine& m = dc.machine(id);
+    if (m.usable() && !is_draining(id)) out.push_back(&m);
+  }
+}
+
+// mcs-lint: allow(H3) — the O(machines) build of the live view, run only
+// when the drain set moved or a machine changed behind the engine's back
+// (one build per simulation on a quiet fleet), so its allocations are not
+// per round.
+void ExecutionEngine::rebuild_view() {
+  collect_usable(machines_);
+  planned_ = PlannedCapacity(machines_);
+  expected_mutations_ = dc_.mutations();
+  rebuild_pending_ = false;
+}
+
+// mcs-lint: hot
+void ExecutionEngine::own_change(infra::MachineId id) {
+  ++expected_mutations_;
+  planned_.refresh(id);
 }
 
 // mcs-lint: hot
@@ -784,14 +825,6 @@ void ExecutionEngine::fill_view(SchedulerView& view,
                                 std::vector<RunningView>& running) const {
   view.now = sim_.now();
   view.ready = &ready_;
-  view.machines.clear();
-  const std::size_t machine_count = dc_.machine_count();
-  const infra::Datacenter& dc = dc_;
-  view.machines.reserve(machine_count);
-  for (std::uint32_t id = 0; id < machine_count; ++id) {
-    const infra::Machine& m = dc.machine(id);
-    if (m.usable() && !is_draining(id)) view.machines.push_back(&m);
-  }
   running.clear();
   running.reserve(running_.size());
   for (std::uint32_t key = 0; key < running_.size(); ++key) {

@@ -12,10 +12,16 @@
 // Storage discipline (DESIGN.md §9): jobs and running tasks live in
 // core::SlotPool arenas addressed by dense uint32 slot indices, draining is
 // a machine-id bitset, and user names are interned to dense ids at submit.
-// Together with scratch buffers reused across scheduling rounds, the
-// steady-state submit -> allocate -> run -> complete loop performs zero
-// heap allocation once warmed up (enforced by mcs_lint rule H2 via the
-// `// mcs-lint: hot` annotations in engine.cpp).
+// The usable-machine list and the PlannedCapacity policies plan against
+// are a live view kept across rounds (DESIGN.md §12): each allocate or
+// release the engine makes refreshes one planned row, and the view is
+// rebuilt from the fleet only after drain()/undrain() or a machine change
+// the engine did not make (Datacenter::mutations() tells). Together with
+// scratch buffers reused across scheduling rounds, the steady-state
+// submit -> allocate -> run -> complete loop performs zero heap allocation
+// once warmed up and costs what it places, not what the fleet holds
+// (enforced by mcs_lint rule H2 via the `// mcs-lint: hot` annotations in
+// engine.cpp).
 #pragma once
 
 #include <cstdint>
@@ -243,8 +249,10 @@ class ExecutionEngine {
     return user_names_[user_id];
   }
 
-  /// Builds the same view a policy would receive (for surrogate evaluation
-  /// by the portfolio scheduler). `running_storage` must outlive the view.
+  /// Builds the view a policy would receive, with its own machine list and
+  /// no planned capacity (for surrogate evaluation by the portfolio
+  /// scheduler; decide() rejects it). `running_storage` must outlive the
+  /// view.
   [[nodiscard]] SchedulerView snapshot_view(
       std::vector<RunningView>& running_storage) const;
 
@@ -304,10 +312,24 @@ class ExecutionEngine {
   void enqueue_ready(JobSlot& jr, std::uint32_t job_slot,
                      std::size_t task_index, double rank);
   void try_schedule();
-  /// Fills the policy view (usable machines, running set into `running`)
-  /// shared by try_schedule and snapshot_view; the anti-affinity table is
-  /// try_schedule's alone.
+  /// Fills the policy view's per-round fields (time, queue, running set
+  /// into `running`, usage, placement) shared by try_schedule and
+  /// snapshot_view; the machines, planned capacity and anti-affinity table
+  /// are each caller's own.
   void fill_view(SchedulerView& view, std::vector<RunningView>& running) const;
+  /// Fills `out` with the usable, non-draining machines in id order.
+  void collect_usable(std::vector<const infra::Machine*>& out) const;
+  /// True when machines_ and planned_ equal a fresh build: no drain set
+  /// change and no machine change the engine did not make since the last
+  /// rebuild_view().
+  [[nodiscard]] bool view_current() const {
+    return !rebuild_pending_ && dc_.mutations() == expected_mutations_;
+  }
+  /// Rebuilds machines_ and planned_ from the whole fleet: O(machines).
+  void rebuild_view();
+  /// Books an allocate or release this engine just made on machine `id`:
+  /// one expected mutation, and its planned row re-read.
+  void own_change(infra::MachineId id);
   bool start_task(std::size_t ready_index, infra::MachineId machine);
   void finish_task(std::uint32_t key, std::uint32_t gen);
   void complete_job(std::uint32_t job_slot, bool abandoned);
@@ -388,9 +410,19 @@ class ExecutionEngine {
   /// built while this is non-zero, so unconstrained workloads pay nothing.
   std::size_t spread_jobs_live_ = 0;
 
+  /// The live view policies borrow: the usable, non-draining machines in
+  /// id order and their planned rows. Between rounds both equal a fresh
+  /// build unless view_current() is false.
+  std::vector<const infra::Machine*> machines_;
+  PlannedCapacity planned_;
+  /// dc_.mutations() as the engine expects it: the count at the last
+  /// rebuild plus one per allocate or release the engine made since.
+  std::uint64_t expected_mutations_ = 0;
+  /// Set by drain()/undrain() (and while a policy holds machines_).
+  bool rebuild_pending_ = true;
+
   // Scratch buffers reused across scheduling rounds (capacity persists, so
-  // rebuilding the per-round view allocates nothing once warmed up).
-  std::vector<const infra::Machine*> machines_scratch_;
+  // refilling the per-round view allocates nothing once warmed up).
   std::vector<RunningView> running_scratch_;
   std::vector<Assignment> sorted_scratch_;
   std::vector<AaCount> aa_scratch_;

@@ -36,57 +36,93 @@ namespace mcs::sched {
 /// All scoring policies including kNone (for sweeps/benches).
 [[nodiscard]] std::vector<NodeScorePolicy> all_score_policies();
 
-/// Tracks capacity planned within one decide() round so batches stay
-/// feasible. Dense vectors indexed by machine id (machine ids are dense
-/// per datacenter), plus a componentwise free-capacity upper bound that
-/// lets pick_machine reject can't-fit-anywhere demands in O(1) — the
-/// difference between O(placements * machines) and O(queue * machines)
-/// per round on a saturated floor. Generalized over all K=4 resource
-/// dimensions; the incremental dominant-component bound survives the move
-/// to vectors (DESIGN.md §13).
+/// Planned free capacity per machine: the engine keeps one across rounds
+/// as a live mirror of its usable, non-draining machines, and a policy's
+/// decide() takes from it, then restore()s it. Dense vectors indexed by
+/// machine id (machine ids are dense per datacenter), plus a componentwise
+/// free-capacity upper bound that lets pick_machine reject
+/// can't-fit-anywhere demands in O(1) — the difference between
+/// O(placements * machines) and O(queue * machines) per round on a
+/// saturated floor. Generalized over all K=4 resource dimensions; the
+/// incremental dominant-component bound survives the move to vectors
+/// (DESIGN.md §12, §13).
 class PlannedCapacity {
  public:
+  PlannedCapacity() = default;
   explicit PlannedCapacity(const std::vector<const infra::Machine*>& machines) {
     infra::MachineId max_id = 0;
     for (const infra::Machine* m : machines) max_id = std::max(max_id, m->id());
-    free_.assign(max_id + 1, infra::ResourceVector{});
-    cap_.assign(max_id + 1, infra::ResourceVector{});
-    speed_.assign(max_id + 1, 1.0);
-    present_.assign(max_id + 1, 0);
+    const std::size_t rows = max_id + std::size_t{1};
+    free_.assign(rows, infra::ResourceVector{});
+    machine_.assign(rows, nullptr);
+    logged_.assign(rows, 0);
+    log_.assign(rows, 0);  // each id is logged at most once
     for (const infra::Machine* m : machines) {
       free_[m->id()] = m->available();
-      cap_[m->id()] = m->capacity();
-      speed_[m->id()] = m->speed_factor();
-      present_[m->id()] = 1;
+      machine_[m->id()] = m;
     }
     stale_ = kAllStale;  // first may_fit_anywhere() computes the real bound
   }
 
   [[nodiscard]] bool fits(infra::MachineId id,
                           const infra::ResourceVector& r) const {
-    return id < present_.size() && present_[id] != 0 &&
+    return id < machine_.size() && machine_[id] != nullptr &&
            r.fits_within(free_[id]);
   }
 
-  /// Incremental headroom update: O(K) per call. `max_free_` stays an exact
-  /// componentwise maximum as long as at least one machine still sits at it
-  /// (`argmax_n_` counts them — crucial on uniform fleets, where first-fit
-  /// opens a fresh argmax machine per placement and a naive "argmax shrank →
-  /// re-scan" rule would trigger an O(machines) pass each time). Only when
-  /// the *last* machine at the bound shrinks does the component go stale and
-  /// get lazily re-scanned on the next may_fit_anywhere(). Allocation-free:
-  /// reachable from the engine's hot scheduling loop (H3).
+  /// Plans `r` on machine `id`: O(K), and logged for restore().
+  /// `max_free_` stays an exact componentwise maximum as long as at least
+  /// one machine still sits at it (`argmax_n_` counts them — crucial on
+  /// uniform fleets, where first-fit opens a fresh argmax machine per
+  /// placement and a naive "argmax shrank → re-scan" rule would trigger an
+  /// O(machines) pass each time). Only when the *last* machine at the
+  /// bound shrinks does the component go stale and get lazily re-scanned
+  /// on the next may_fit_anywhere(). Allocation-free: the log was sized at
+  /// construction. Reachable from the engine's hot scheduling loop (H3).
   // mcs-lint: hot
   void take(infra::MachineId id, const infra::ResourceVector& r) {
+    if (logged_[id] == 0) {
+      logged_[id] = 1;
+      log_[logged_n_++] = id;
+    }
     infra::ResourceVector& f = free_[id];
     for (std::size_t d = 0; d < core::kResourceDims; ++d) {
-      take_component(f[d], r[d], max_free_[d], argmax_n_[d], 1u << d);
+      set_component(f[d], f[d] - r[d], d);
     }
   }
 
-  [[nodiscard]] double speed(infra::MachineId id) const { return speed_[id]; }
-  /// One past the round's largest machine id: the size of a dense table.
-  [[nodiscard]] std::size_t id_bound() const { return present_.size(); }
+  /// Re-reads machine `id`'s live available() into its row, moving the
+  /// bound in either direction. Does nothing for a machine this structure
+  /// does not hold. The row is re-read, never re-computed from the change
+  /// that caused it: `(cap - used) - d` and `cap - (used + d)` can differ
+  /// in the last bit, and fits_within compares at exact boundaries.
+  // mcs-lint: hot
+  void refresh(infra::MachineId id) {
+    if (id >= machine_.size() || machine_[id] == nullptr) return;
+    const infra::ResourceVector live = machine_[id]->available();
+    infra::ResourceVector& f = free_[id];
+    for (std::size_t d = 0; d < core::kResourceDims; ++d) {
+      set_component(f[d], live[d], d);
+    }
+  }
+
+  /// Refreshes every machine take() touched since the last restore(): the
+  /// rows return to the machines' live state, undoing one decide()'s plan.
+  // mcs-lint: hot
+  void restore() {
+    for (std::size_t i = 0; i < logged_n_; ++i) {
+      logged_[log_[i]] = 0;
+      refresh(log_[i]);
+    }
+    logged_n_ = 0;
+  }
+
+  /// Speed and capacity never change, so they are read from the machine.
+  [[nodiscard]] double speed(infra::MachineId id) const {
+    return machine_[id]->speed_factor();
+  }
+  /// One past the largest machine id held: the size of a dense table.
+  [[nodiscard]] std::size_t id_bound() const { return machine_.size(); }
 
   [[nodiscard]] const infra::ResourceVector& free_on(
       infra::MachineId id) const {
@@ -94,7 +130,7 @@ class PlannedCapacity {
   }
   [[nodiscard]] const infra::ResourceVector& capacity_on(
       infra::MachineId id) const {
-    return cap_[id];
+    return machine_[id]->capacity();
   }
 
   /// Necessary condition for `r` to fit on *some* machine: each component
@@ -112,20 +148,21 @@ class PlannedCapacity {
   // The bound is *exact* at every read: while `count > 0` some machine's
   // free capacity equals it (and none exceeds it), and when the count hits
   // zero the component is re-scanned before the next read. Decisions are
-  // therefore bit-identical to an eager per-take recompute.
+  // therefore bit-identical to an eager per-change recompute.
   // mcs-lint: hot
-  void take_component(double& free, double delta, double& bound,
-                      std::size_t& count, unsigned stale_bit) {
-    if (delta == 0.0) return;
+  void set_component(double& free, double value, std::size_t d) {
+    if (value == free) return;
     const double old = free;
-    free -= delta;
+    free = value;
+    double& bound = max_free_[d];
+    std::size_t& count = argmax_n_[d];
     if (free > bound) {
       bound = free;  // raised past the bound: this machine is the sole argmax
       count = 1;
     } else if (free == bound) {
-      ++count;  // released back to exactly the bound: joins the argmax set
+      ++count;  // raised back to exactly the bound: joins the argmax set
     } else if (old == bound) {
-      if (--count == 0) stale_ |= stale_bit;  // last argmax shrank; re-scan
+      if (--count == 0) stale_ |= 1u << d;  // last argmax shrank; re-scan
     }
   }
 
@@ -142,8 +179,8 @@ class PlannedCapacity {
   void refresh_component(std::size_t d) const {
     double v = 0.0;
     std::size_t n = 0;
-    for (infra::MachineId id = 0; id < present_.size(); ++id) {
-      if (present_[id] == 0) continue;
+    for (infra::MachineId id = 0; id < machine_.size(); ++id) {
+      if (machine_[id] == nullptr) continue;
       const double f = free_[id][d];
       if (f > v) {
         v = f;
@@ -157,9 +194,12 @@ class PlannedCapacity {
   }
 
   std::vector<infra::ResourceVector> free_;
-  std::vector<infra::ResourceVector> cap_;
-  std::vector<double> speed_;
-  std::vector<std::uint8_t> present_;
+  /// id -> the machine whose row this is; null when absent.
+  std::vector<const infra::Machine*> machine_;
+  /// take()'s log: the ids taken from since the last restore(), each once.
+  std::vector<infra::MachineId> log_;
+  std::vector<std::uint8_t> logged_;
+  std::size_t logged_n_ = 0;
   mutable infra::ResourceVector max_free_;
   mutable std::size_t argmax_n_[core::kResourceDims] = {0, 0, 0, 0};
   mutable unsigned stale_ = kAllStale;

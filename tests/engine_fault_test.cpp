@@ -184,6 +184,121 @@ TEST(EngineFaultTest, CrashOfDrainingIdleMachineStaysDrained) {
   EXPECT_EQ(engine.tasks_killed(), 0u);
 }
 
+// ---- Machine changes the engine did not make ---------------------------------
+// The engine keeps its usable-machine list and planned capacity across
+// rounds and rebuilds them only when the datacenter's mutation counter
+// moved behind its back. Each change below lands after the engine has run
+// a round, so the first round's build cannot hide it: the next round must
+// see it.
+
+/// A one-task job of `cores` cores and 4 GiB running `work` seconds.
+workload::Job one_task(workload::JobId id, double cores, double work) {
+  return workload::make_bag_of_tasks(id, 1, work,
+                                     infra::ResourceVector{cores, 4.0, 0.0});
+}
+
+TEST(EngineLiveViewTest, PowerOffWithoutAnEngineCallMovesTheNextStart) {
+  // As the fuzzer's power flaps do: machine 0, which ran the first round's
+  // task, is powered off with no engine call.
+  auto dc = make_dc(2, 2.0, 8.0);
+  sim::Simulator sim;
+  ExecutionEngine engine(sim, dc, make_fcfs(), {});
+  check::InvariantChecker oracle(sim, dc, exclusive());
+  oracle.attach(engine);
+
+  engine.submit(one_task(1, 1.0, 5.0));  // machine 0, over [0 s, 5 s)
+  sim.schedule_at(10 * sim::kSecond, [&] {
+    dc.machine(0).set_state(infra::MachineState::kOff);
+    engine.submit(one_task(2, 1.0, 50.0));
+  });
+  sim.schedule_at(11 * sim::kSecond, [&] {
+    EXPECT_EQ(dc.machine(1).used().cpu(), 1.0);
+  });
+  sim.run_until();
+
+  oracle.verify(engine, "end-of-run");
+  ASSERT_TRUE(engine.all_done());
+}
+
+TEST(EngineLiveViewTest, OutsideAllocationMovesTheNextStart) {
+  // As the FaaS platform does on a fleet it shares: an allocation on
+  // machine 0 behind the engine's back leaves too little room there.
+  auto dc = make_dc(2, 2.0, 8.0);
+  sim::Simulator sim;
+  ExecutionEngine engine(sim, dc, make_fcfs(), {});
+  check::InvariantChecker oracle(sim, dc);  // not exclusive: FaaS holds some
+  oracle.attach(engine);
+
+  engine.submit(one_task(1, 1.0, 5.0));  // machine 0, over [0 s, 5 s)
+  sim.schedule_at(10 * sim::kSecond, [&] {
+    dc.machine(0).allocate(infra::ResourceVector{1.5, 1.0, 0.0});
+    engine.submit(one_task(2, 1.0, 50.0));
+  });
+  sim.schedule_at(11 * sim::kSecond, [&] {
+    EXPECT_EQ(dc.machine(0).used().cpu(), 1.5);
+    EXPECT_EQ(dc.machine(1).used().cpu(), 1.0);
+  });
+  sim.run_until();
+
+  oracle.verify(engine, "end-of-run");
+  ASSERT_TRUE(engine.all_done());
+}
+
+TEST(EngineLiveViewTest, RepairReopensAFailedFullMachine) {
+  // A full machine fails under its task and is repaired 10 s later: the
+  // requeued full-machine task starts on it again at the repair.
+  auto dc = make_dc(1, 2.0, 8.0);
+  sim::Simulator sim;
+  ExecutionEngine engine(sim, dc, make_fcfs(), {});
+  check::InvariantChecker oracle(sim, dc, exclusive());
+  oracle.attach(engine);
+
+  engine.submit(one_task(1, 2.0, 100.0));
+  sim.schedule_at(10 * sim::kSecond, [&] {
+    dc.machine(0).fail();
+    engine.on_machine_failed(0);
+  });
+  sim.schedule_at(20 * sim::kSecond, [&] {
+    dc.machine(0).repair();
+    engine.kick();
+  });
+  sim.schedule_at(21 * sim::kSecond, [&] {
+    EXPECT_EQ(engine.running_count(), 1u);
+    EXPECT_EQ(dc.machine(0).used().cpu(), 2.0);
+  });
+  sim.run_until();
+
+  oracle.verify(engine, "end-of-run");
+  ASSERT_TRUE(engine.all_done());
+  ASSERT_EQ(engine.completed().size(), 1u);
+  EXPECT_EQ(engine.completed()[0].task_failures, 1u);
+  EXPECT_EQ(engine.completed()[0].finish, 120 * sim::kSecond);
+}
+
+TEST(EngineLiveViewTest, MachineAddedToAFullFloorTakesTheQueuedTask) {
+  auto dc = make_dc(1, 2.0, 8.0);
+  sim::Simulator sim;
+  ExecutionEngine engine(sim, dc, make_fcfs(), {});
+  check::InvariantChecker oracle(sim, dc, exclusive());
+  oracle.attach(engine);
+
+  engine.submit(one_task(1, 2.0, 100.0));  // fills machine 0
+  engine.submit(one_task(2, 2.0, 100.0));  // queued: the floor is full
+  sim.schedule_at(10 * sim::kSecond, [&] {
+    dc.add_machine("late", infra::ResourceVector{2.0, 8.0, 0.0}, 1.0, 0);
+    engine.kick();
+  });
+  sim.schedule_at(11 * sim::kSecond, [&] {
+    EXPECT_EQ(dc.machine(1).used().cpu(), 2.0);
+  });
+  sim.run_until();
+
+  oracle.verify(engine, "end-of-run");
+  ASSERT_TRUE(engine.all_done());
+  ASSERT_EQ(engine.completed().size(), 2u);
+  EXPECT_EQ(engine.completed()[1].finish, 110 * sim::kSecond);
+}
+
 // ---- Lifecycle spans on the fault paths (PR 10) -----------------------------
 
 TEST(EngineFaultTest, SpansAttributeRequeuedWaitsToTheRetry) {

@@ -1,6 +1,10 @@
 // Tests for machines, topology, and the instance catalog (src/infra).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "infra/instance_catalog.hpp"
 #include "infra/machine.hpp"
 #include "infra/topology.hpp"
@@ -104,6 +108,49 @@ TEST(DatacenterTest, AvailabilityTracksFailures) {
   dc.machine(1).fail();
   EXPECT_DOUBLE_EQ(dc.availability(), 0.8);
   EXPECT_DOUBLE_EQ(dc.total_capacity().cpu(), 8 * 4.0);  // failed excluded
+}
+
+TEST(DatacenterTest, MutationsCountEveryMachineChange) {
+  Datacenter dc("dc1", "eu");
+  EXPECT_EQ(dc.mutations(), 0u);
+  dc.add_uniform_racks(1, 2, rv(4, 8), 1.0);
+  EXPECT_EQ(dc.mutations(), 2u);  // one per add_machine
+  Machine& m = dc.machine(0);
+  m.allocate(rv(1, 1));
+  m.release(rv(1, 1));
+  m.set_state(MachineState::kOff);
+  m.set_state(MachineState::kOperational);
+  m.fail();
+  m.repair();
+  EXPECT_EQ(dc.mutations(), 8u);
+  // A failed allocation changes nothing and counts nothing.
+  EXPECT_THROW(m.allocate(rv(5, 1)), std::logic_error);
+  EXPECT_EQ(dc.mutations(), 8u);
+  // Reads count nothing, and a stand-alone machine counts nowhere.
+  (void)m.available();
+  Machine alone(0, "alone", rv(4, 8), 1.0);
+  alone.allocate(rv(1, 1));
+  EXPECT_EQ(dc.mutations(), 8u);
+}
+
+TEST(DatacenterTest, MutationsSurviveAMoveIntoAVector) {
+  // Datacenters are returned and stored by value; each machine's pointer
+  // to the counter must follow the move (and the vector's regrowth).
+  std::vector<Datacenter> dcs;
+  for (int i = 0; i < 3; ++i) {
+    Datacenter dc("dc" + std::to_string(i), "eu");
+    dc.add_uniform_racks(1, 2, rv(4, 8), 1.0);
+    dcs.push_back(std::move(dc));
+  }
+  for (Datacenter& dc : dcs) {
+    const std::uint64_t before = dc.mutations();
+    dc.machine(0).allocate(rv(1, 1));
+    EXPECT_EQ(dc.mutations(), before + 1);
+    dc.machine(1).fail();
+    dc.add_machine("late", rv(4, 8), 1.0, 0);
+    dc.machine(2).set_state(MachineState::kOff);
+    EXPECT_EQ(dc.mutations(), before + 4);
+  }
 }
 
 TEST(DatacenterTest, IntraRackLatencyLowerThanCrossRack) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "core/resources.hpp"
@@ -217,14 +218,17 @@ TEST(ResourceQuantitiesTest, NonnegativeDetectsEachDimension) {
 struct NaivePlanned {
   std::vector<ResourceQuantities> free;
 
-  [[nodiscard]] bool may_fit_anywhere(const ResourceQuantities& r) const {
+  [[nodiscard]] ResourceQuantities max_free() const {
     ResourceQuantities max_free;
     for (const ResourceQuantities& f : free) {
       for (std::size_t d = 0; d < kResourceDims; ++d) {
         max_free[d] = std::max(max_free[d], f[d]);
       }
     }
-    return r.fits_within(max_free);
+    return max_free;
+  }
+  [[nodiscard]] bool may_fit_anywhere(const ResourceQuantities& r) const {
+    return r.fits_within(max_free());
   }
 };
 
@@ -246,13 +250,52 @@ TEST(PlannedCapacityTest, BoundMatchesNaiveRecomputeUnderTakesAndReleases) {
     sched::PlannedCapacity planned(machines);
     NaivePlanned naive;
     for (const infra::Machine* m : machines) naive.free.push_back(m->available());
+    const auto random_id = [&] {
+      return static_cast<infra::MachineId>(rng.uniform_int(
+          0, static_cast<std::int64_t>(machine_count) - 1));
+    };
+    const auto random_demand = [&] {
+      ResourceQuantities r;
+      for (std::size_t d = 0; d < kResourceDims; ++d) {
+        r[d] = rng.chance(0.5) ? rng.uniform(0.0, 4.0) : 0.0;
+      }
+      return r;
+    };
 
-    // Mixed sequence: placements (positive deltas), releases (negative
-    // deltas re-raising a machine's free capacity, exercising the
-    // argmax-raise path), and probes after every step.
+    // Mixed sequence of four kinds of step, with probes after every step:
+    // - a planned take (positive delta);
+    // - a planned release (a negative take re-raising a machine's free
+    //   capacity, exercising the argmax-raise path);
+    // - an allocate or release on the real machine, then refresh(id), which
+    //   re-reads the row and may move the bound either way;
+    // - a batch of takes, then restore(), which returns every row to live.
     std::vector<std::pair<infra::MachineId, ResourceQuantities>> placed;
-    for (int step = 0; step < 200; ++step) {
-      if (!placed.empty() && rng.chance(0.35)) {
+    std::vector<std::vector<ResourceQuantities>> held(machine_count);
+    for (int step = 0; step < 300; ++step) {
+      const double kind = rng.uniform(0.0, 1.0);
+      if (kind < 0.2) {
+        const infra::MachineId id = random_id();
+        infra::Machine& m = dc.machine(id);
+        if (!held[id].empty() && rng.chance(0.5)) {
+          m.release(held[id].back());
+          held[id].pop_back();
+        } else if (const ResourceQuantities r = random_demand(); m.can_fit(r)) {
+          m.allocate(r);
+          held[id].push_back(r);
+        }
+        planned.refresh(id);
+        naive.free[id] = m.available();
+        std::erase_if(placed, [&](const auto& p) { return p.first == id; });
+      } else if (kind < 0.3) {
+        for (std::int64_t k = rng.uniform_int(1, 6); k > 0; --k) {
+          planned.take(random_id(), random_demand());
+        }
+        planned.restore();
+        for (const infra::Machine* m : machines) {
+          naive.free[m->id()] = m->available();
+        }
+        placed.clear();
+      } else if (!placed.empty() && rng.chance(0.35)) {
         const std::size_t k = static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(placed.size()) - 1));
         const auto [id, r] = placed[k];
@@ -260,23 +303,31 @@ TEST(PlannedCapacityTest, BoundMatchesNaiveRecomputeUnderTakesAndReleases) {
         planned.take(id, ResourceQuantities{} - r);  // release
         naive.free[id] += r;
       } else {
-        const auto id = static_cast<infra::MachineId>(rng.uniform_int(
-            0, static_cast<std::int64_t>(machine_count) - 1));
-        ResourceQuantities r;
-        for (std::size_t d = 0; d < kResourceDims; ++d) {
-          r[d] = rng.chance(0.5) ? rng.uniform(0.0, 4.0) : 0.0;
-        }
+        const infra::MachineId id = random_id();
+        const ResourceQuantities r = random_demand();
         planned.take(id, r);
         naive.free[id] -= r;
         placed.emplace_back(id, r);
       }
       for (infra::MachineId id = 0; id < machine_count; ++id) {
-        ASSERT_EQ(planned.free_on(id), naive.free[id]);
+        ASSERT_EQ(planned.free_on(id), naive.free[id])
+            << "seed " << seed << " step " << step;
       }
       for (int probe = 0; probe < 4; ++probe) {
         const ResourceQuantities r = random_quants(rng, 20.0);
         ASSERT_EQ(planned.may_fit_anywhere(r), naive.may_fit_anywhere(r))
             << "seed " << seed << " step " << step;
+      }
+      // Probes at the exact bound and one ulp above it in each dimension:
+      // a bound that is off in either direction fails one of them.
+      const ResourceQuantities top = naive.max_free();
+      ASSERT_TRUE(planned.may_fit_anywhere(top))
+          << "seed " << seed << " step " << step;
+      for (std::size_t d = 0; d < kResourceDims; ++d) {
+        ResourceQuantities above = top;
+        above[d] = std::nextafter(top[d], 1e300);
+        ASSERT_FALSE(planned.may_fit_anywhere(above))
+            << "seed " << seed << " step " << step << " dim " << d;
       }
     }
   }

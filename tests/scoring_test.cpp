@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -434,7 +435,8 @@ std::pair<sim::SimTime, infra::MachineId> naive_reservation_for(
 /// overdue. Draining machines leave the view while their tasks keep
 /// running. Demands are quarters: release sums are exact in any order, so a
 /// reservation cannot depend on how ties on expected_end are ordered.
-/// Pinned in place: the view points into its own members.
+/// Pinned in place: the view points into its own members, its planned
+/// capacity included.
 struct RandomView {
   explicit RandomView(std::uint64_t seed) : rng(seed) {
     const auto n = static_cast<std::size_t>(rng.uniform_int(1, 10));
@@ -464,6 +466,8 @@ struct RandomView {
          static_cast<const infra::Datacenter&>(dc).machines()) {
       if (!rng.chance(0.2)) view.machines.push_back(m);
     }
+    planned = PlannedCapacity(view.machines);
+    view.planned = &planned;
     mask[0] = static_cast<std::uint64_t>(rng.uniform_int(0, 1023));
   }
   RandomView(const RandomView&) = delete;
@@ -501,6 +505,7 @@ struct RandomView {
   std::vector<RunningView> running;
   std::vector<ReadyTask> ready;
   std::uint64_t mask[1] = {0};
+  PlannedCapacity planned;
   SchedulerView view;
 };
 
@@ -678,15 +683,61 @@ TEST(ReleaseProfileTest, SaturatedFloorProposesNothingUnderEveryPolicy) {
   SchedulerView view;
   view.ready = &ready;
   view.machines = static_cast<const infra::Datacenter&>(dc).machines();
+  PlannedCapacity planned(view.machines);
+  view.planned = &planned;
   view.running = &running;
   for (const std::string& name : all_policy_names()) {
     EXPECT_TRUE(make_policy(name)->decide(view).empty()) << name;
   }
   // Control: with one machine idle again, every policy places something.
   dc.machine(0).release(running[0].demand);
+  planned.refresh(0);
   running.erase(running.begin());
   for (const std::string& name : all_policy_names()) {
     EXPECT_FALSE(make_policy(name)->decide(view).empty()) << name;
+  }
+}
+
+// ---- policies borrow the planned capacity ---------------------------------------
+
+TEST(BorrowedPlanTest, DecideLeavesThePlannedCapacityAsItFoundIt) {
+  // Two fresh instances of each policy, one after the other, on one view:
+  // if the first left rows taken, the second would plan against less room
+  // and place differently. Fresh instances keep random's seed equal.
+  std::size_t placed = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    RandomView rv(seed);
+    rv.refill_ready();
+    std::vector<infra::ResourceVector> rows;
+    for (const infra::Machine* m : rv.view.machines) {
+      rows.push_back(rv.planned.free_on(m->id()));
+    }
+    for (const std::string& name : all_policy_names()) {
+      const auto first = make_policy(name)->decide(rv.view);
+      const auto second = make_policy(name)->decide(rv.view);
+      EXPECT_EQ(as_pairs(first), as_pairs(second))
+          << name << " seed " << seed;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_EQ(rv.planned.free_on(rv.view.machines[i]->id()), rows[i])
+            << name << " seed " << seed;
+      }
+      placed += first.size();
+    }
+  }
+  EXPECT_GT(placed, 1000u);
+}
+
+TEST(BorrowedPlanTest, DecideRejectsAViewWithoutPlannedCapacity) {
+  auto dc = make_zoned_dc(2, 0);
+  std::vector<ReadyTask> ready{ready_task(infra::ResourceVector{1.0, 1.0, 0.0})};
+  const std::vector<RunningView> running;
+  SchedulerView view;
+  view.ready = &ready;
+  view.running = &running;
+  view.machines = static_cast<const infra::Datacenter&>(dc).machines();
+  for (const std::string& name : all_policy_names()) {
+    EXPECT_THROW((void)make_policy(name)->decide(view), std::invalid_argument)
+        << name;
   }
 }
 
