@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Runs the E10 microbenchmarks (micro_sim, micro_graph) and records their
 # results under a label in BENCH_micro.json at the repository root.
-# Existing labels are preserved, so the file accumulates a baseline and
-# any number of "after" snapshots for comparison:
+# Existing labels are preserved, so the file accumulates one before/after
+# pair per change that touches a hot path (N is the change's number):
 #
-#   scripts/bench_baseline.sh baseline     # before a change
-#   scripts/bench_baseline.sh current      # after it
+#   BUILD_DIR=<parent build> scripts/bench_baseline.sh prN_before
+#   scripts/bench_baseline.sh prN_after
 #
 # Env: BUILD_DIR (default: build), MCS_BENCH_MIN_TIME (default: 0.2),
 #      MCS_BENCH_FILTER (optional --benchmark_filter regex; use it to skip
@@ -13,7 +13,7 @@
 #      the full BM_EngineThroughput_1M on pre-wheel builds).
 set -euo pipefail
 
-label="${1:-current}"
+label="${1:?usage: scripts/bench_baseline.sh prN_before|prN_after}"
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${BUILD_DIR:-${repo_root}/build}"
 min_time="${MCS_BENCH_MIN_TIME:-0.2}"

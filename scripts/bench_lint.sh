@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Times a full mcs_lint run over the tree (src bench tests tools) at
-# --jobs 1 and --jobs 8 and records the results under a label in
-# BENCH_micro.json, alongside the E10 microbenchmarks. Existing labels are
+# Times a full mcs_lint run over the tree (src bench tests tools examples
+# perfbench) at --jobs 1 and --jobs 8 and records the results under a label
+# in BENCH_micro.json, alongside the E10 microbenchmarks. Existing labels are
 # preserved — the file accumulates snapshots for comparison:
 #
 #   scripts/bench_lint.sh pr7_lint
@@ -30,7 +30,7 @@ import time
 
 out_path, label, exe, reps = (
     sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4]))
-paths = ["src", "bench", "tests", "tools"]
+paths = ["src", "bench", "tests", "tools", "examples", "perfbench"]
 
 merged = {}
 for jobs in (1, 8):

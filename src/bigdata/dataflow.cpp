@@ -66,14 +66,6 @@ std::vector<Record> Dataflow::collect() const {
   return data;
 }
 
-std::size_t Dataflow::stage_count() const {
-  std::size_t stages = 1;
-  for (const Op& op : ops_) {
-    if (op.kind == Op::Kind::kGroupSum) ++stages;
-  }
-  return stages;
-}
-
 std::vector<std::string> Dataflow::explain() const {
   std::vector<std::string> lines;
   std::string current = "stage 1: scan";

@@ -36,9 +36,6 @@ class Dataflow {
   /// determinism after wide stages).
   [[nodiscard]] std::vector<Record> collect() const;
 
-  /// Number of MapReduce stages the plan compiles to (>= 1).
-  [[nodiscard]] std::size_t stage_count() const;
-
   /// Human-readable plan, one line per stage (C13: explainability).
   [[nodiscard]] std::vector<std::string> explain() const;
 

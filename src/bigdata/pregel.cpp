@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "graph/algorithms.hpp"
-
 namespace mcs::bigdata {
 
 PregelEngine::PregelEngine(const graph::Graph& g, PregelConfig config,
@@ -153,97 +151,6 @@ PregelRun pregel_pagerank(const graph::Graph& g, std::size_t iterations,
         return true;  // fixed-iteration program; engine stops at the cap
       },
       iterations + 1);
-  return run;
-}
-
-PregelRun pregel_bfs(const graph::Graph& g, graph::VertexId source,
-                     PregelConfig config) {
-  PregelEngine engine(g, config);
-  PregelRun run;
-  run.values.assign(g.vertex_count(),
-                    static_cast<double>(graph::kUnreachable));
-  if (source < g.vertex_count()) run.values[source] = 0.0;
-
-  run.stats = engine.run(
-      run.values,
-      [&g, source](graph::VertexId v, double& value,
-                   const std::vector<double>& msgs,
-                   const PregelEngine::SendFn& send, std::size_t step) {
-        bool improved = false;
-        if (step == 0) {
-          improved = v == source;
-        } else {
-          for (double m : msgs) {
-            if (m < value) {
-              value = m;
-              improved = true;
-            }
-          }
-        }
-        if (improved) {
-          for (graph::VertexId w : g.neighbors(v)) send(w, value + 1.0);
-        }
-        return false;  // halt; messages reactivate
-      },
-      g.vertex_count() + 2);
-  return run;
-}
-
-PregelRun pregel_wcc(const graph::Graph& g, PregelConfig config) {
-  PregelEngine engine(g, config);
-  PregelRun run;
-  run.values.resize(g.vertex_count());
-  for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
-    run.values[v] = static_cast<double>(v);
-  }
-  run.stats = engine.run(
-      run.values,
-      [&g](graph::VertexId v, double& value, const std::vector<double>& msgs,
-           const PregelEngine::SendFn& send, std::size_t step) {
-        bool improved = step == 0;  // everyone broadcasts initially
-        for (double m : msgs) {
-          if (m < value) {
-            value = m;
-            improved = true;
-          }
-        }
-        if (improved) {
-          for (graph::VertexId w : g.neighbors(v)) send(w, value);
-        }
-        return false;
-      },
-      g.vertex_count() + 2);
-  return run;
-}
-
-PregelRun pregel_sssp(const graph::Graph& g, graph::VertexId source,
-                      PregelConfig config) {
-  PregelEngine engine(g, config);
-  PregelRun run;
-  run.values.assign(g.vertex_count(), graph::kInfDistance);
-  if (source < g.vertex_count()) run.values[source] = 0.0;
-  run.stats = engine.run(
-      run.values,
-      [&g, source](graph::VertexId v, double& value,
-                   const std::vector<double>& msgs,
-                   const PregelEngine::SendFn& send, std::size_t step) {
-        bool improved = step == 0 && v == source;
-        for (double m : msgs) {
-          if (m < value) {
-            value = m;
-            improved = true;
-          }
-        }
-        if (improved) {
-          const auto nbrs = g.neighbors(v);
-          const auto ws = g.weights(v);
-          for (std::size_t i = 0; i < nbrs.size(); ++i) {
-            send(nbrs[i], value + ws[i]);
-          }
-        }
-        return false;
-      },
-      4 * g.vertex_count() + 2);
   return run;
 }
 

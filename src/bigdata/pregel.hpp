@@ -7,14 +7,14 @@
 // models including CSP and Valiant's BSP" among the imports from
 // Distributed Systems, §3.5): messages sent in superstep S are delivered
 // in S+1; a vertex halts by returning false and is reactivated by incoming
-// messages. Values and messages are doubles — sufficient for the four
-// Graphalytics kernels run this way (PR, BFS, WCC, SSSP).
+// messages. Values and messages are doubles — sufficient for the
+// Graphalytics kernels (PageRank is the one built in).
 // The superstep compute loop fans out over parallel::ThreadPool in fixed
 // contiguous vertex chunks; per-chunk send buffers are replayed in chunk
 // order, so message delivery order, values, and the modelled timing stats
 // are all bit-identical to the sequential engine at any thread count.
 // Compute functions may read shared state but must only write their own
-// vertex's value (all four built-in kernels do).
+// vertex's value (the built-in PageRank does).
 #pragma once
 
 #include <functional>
@@ -70,7 +70,7 @@ class PregelEngine {
   parallel::ThreadPool* pool_;
 };
 
-// ---- the four kernels as vertex programs (cross-checked against
+// ---- PageRank as a vertex program (cross-checked against
 // ---- graph/algorithms.hpp by the test suite) ----------------------------------
 
 struct PregelRun {
@@ -81,13 +81,5 @@ struct PregelRun {
 [[nodiscard]] PregelRun pregel_pagerank(const graph::Graph& g,
                                         std::size_t iterations,
                                         PregelConfig config = {});
-[[nodiscard]] PregelRun pregel_bfs(const graph::Graph& g,
-                                   graph::VertexId source,
-                                   PregelConfig config = {});
-[[nodiscard]] PregelRun pregel_wcc(const graph::Graph& g,
-                                   PregelConfig config = {});
-[[nodiscard]] PregelRun pregel_sssp(const graph::Graph& g,
-                                    graph::VertexId source,
-                                    PregelConfig config = {});
 
 }  // namespace mcs::bigdata

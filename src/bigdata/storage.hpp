@@ -45,7 +45,6 @@ class StorageEngine {
   DatasetId store(const std::string& name, double size_mb);
 
   [[nodiscard]] const std::vector<Block>& blocks(DatasetId id) const;
-  [[nodiscard]] std::size_t dataset_count() const { return datasets_.size(); }
 
   /// Locality class of reading `block` from `machine`.
   [[nodiscard]] Locality locality(const Block& block,

@@ -379,12 +379,6 @@ SeedRunResult run_spec(const ScenarioSpec& spec, bool capture_registry) {
   return result;
 }
 
-SeedRunResult run_seed(std::uint64_t seed, bool het) {
-  return run_spec(make_spec(seed, het));
-}
-
-SeedRunResult run_seed(std::uint64_t seed) { return run_seed(seed, false); }
-
 std::uint64_t seed_for_index(std::uint64_t base_seed, std::size_t index) {
   // Matches exp::run_sweep's cell seeding for (scenario=index, rep=0).
   return exp::substream_seed(exp::substream_seed(base_seed, index), 0);

@@ -125,10 +125,6 @@ struct SeedRunResult {
                                      bool capture_registry);
 [[nodiscard]] SeedRunResult run_spec(const ScenarioSpec& spec);
 
-/// make_spec + run_spec for a raw seed value.
-[[nodiscard]] SeedRunResult run_seed(std::uint64_t seed, bool het);
-[[nodiscard]] SeedRunResult run_seed(std::uint64_t seed);
-
 /// The substream seed for seed index `i` of a batch (exp::substream_seed
 /// of the base; `mcs_check --seed I` replays exactly batch index I).
 [[nodiscard]] std::uint64_t seed_for_index(std::uint64_t base_seed,

@@ -1,17 +1,18 @@
-// Signature-generic callable vocabulary for non-kernel subsystems.
+// Signature-generic callable vocabulary, the event kernel's included.
 //
-// PR 1 gave the event kernel sim::Callback, a small-buffer-optimized
-// move-only callable<void()>. The rest of the tree kept std::function,
-// which reintroduces exactly the costs the kernel shed: a guaranteed heap
+// std::function costs what a simulator cannot pay per event: a heap
 // allocation for capturing closures on libstdc++, copyability nobody uses,
-// and an opaque type the hot-path lint (rule H1, tools/mcs_lint) cannot
-// allow back into src/sim, src/graph, or src/parallel.
+// and an opaque type the hot-path lint (rule H1, tools/mcs_lint) keeps out
+// of src/sim, src/graph, src/parallel and src/obs.
 //
 // Two types cover every callback shape in this repository:
 //
 //   UniqueFunction<R(Args...)> — owning, move-only, SBO. The drop-in for a
 //     *stored* std::function (scheduler stages, FaaS completion callbacks,
-//     task orderings). Closures up to kInlineSize bytes live inline.
+//     task orderings); UniqueFunction<void()> is the event kernel's
+//     sim::Callback, whose slots build closures in place with emplace().
+//     Closures up to kInlineSize bytes live inline, and a null relocate or
+//     destroy entry skips an indirect call on the kernel's hot path.
 //
 //   FunctionRef<R(Args...)> — borrowed, trivially copyable, two words. The
 //     drop-in for a `const std::function&` *parameter* that is only
@@ -47,6 +48,19 @@ class UniqueFunction<R(Args...)> {
     construct<D>(std::forward<F>(fn));
   }
 
+  /// Destroys the current callable (if any) and constructs `fn` directly in
+  /// this object's storage, without an intermediate UniqueFunction and
+  /// relocation (the event kernel builds closures in its slots this way).
+  template <typename F,
+            typename D = std::decay_t<F>,
+            typename = std::enable_if_t<
+                !std::is_same_v<D, UniqueFunction> &&
+                std::is_invocable_r_v<R, D&, Args...>>>
+  void emplace(F&& fn) {
+    reset();
+    construct<D>(std::forward<F>(fn));
+  }
+
   UniqueFunction(UniqueFunction&& other) noexcept : ops_(other.ops_) {
     if (ops_ != nullptr) relocate_from(other);
   }
@@ -65,6 +79,7 @@ class UniqueFunction<R(Args...)> {
 
   ~UniqueFunction() { reset(); }
 
+  /// Destroys the held callable (releasing its captures immediately).
   void reset() noexcept {
     if (ops_ != nullptr) {
       if (ops_->destroy != nullptr) ops_->destroy(storage_);
@@ -77,6 +92,8 @@ class UniqueFunction<R(Args...)> {
   }
 
   /// Whether the callable is stored inline (no heap allocation was made).
+  // mcs-lint: allow(R1) — CallbackTest (tests/sim_test.cpp) checks which
+  // closures stay inline; nothing else exposes the storage choice.
   [[nodiscard]] bool is_inline() const noexcept {
     return ops_ != nullptr && ops_->inline_storage;
   }
@@ -88,9 +105,10 @@ class UniqueFunction<R(Args...)> {
   }
 
  private:
-  // As in sim::Callback: a null relocate means "memcpy the buffer" (valid
-  // for trivially copyable closures and the heap case, whose buffer holds
-  // one pointer); a null destroy means "nothing to do".
+  // A null relocate means "memcpy the buffer" (valid for trivially copyable
+  // closures and the heap case, whose buffer holds one pointer); a null
+  // destroy means "nothing to do". The invokers cast the result to R, which
+  // discards it when R is void.
   struct Ops {
     R (*invoke)(void* storage, Args&&... args);
     void (*relocate)(void* dst, void* src) noexcept;  // move + destroy src
@@ -125,8 +143,8 @@ class UniqueFunction<R(Args...)> {
   template <typename D>
   static constexpr Ops inline_ops = {
       [](void* s, Args&&... args) -> R {
-        return (*std::launder(reinterpret_cast<D*>(s)))(
-            std::forward<Args>(args)...);
+        return static_cast<R>((*std::launder(reinterpret_cast<D*>(s)))(
+            std::forward<Args>(args)...));
       },
       std::is_trivially_copyable_v<D>
           ? nullptr
@@ -145,8 +163,8 @@ class UniqueFunction<R(Args...)> {
   template <typename D>
   static constexpr Ops heap_ops = {
       [](void* s, Args&&... args) -> R {
-        return (**std::launder(reinterpret_cast<D**>(s)))(
-            std::forward<Args>(args)...);
+        return static_cast<R>((**std::launder(reinterpret_cast<D**>(s)))(
+            std::forward<Args>(args)...));
       },
       nullptr,  // the buffer holds one pointer; memcpy relocates it
       [](void* s) noexcept { delete *std::launder(reinterpret_cast<D**>(s)); },

@@ -113,13 +113,13 @@ class Ecosystem {
 
   // --- queries ------------------------------------------------------------
 
-  [[nodiscard]] const std::vector<SystemInfo>& systems() const { return systems_; }
-  [[nodiscard]] const std::vector<std::unique_ptr<Ecosystem>>& subecosystems() const {
-    return children_;
-  }
+  // mcs-lint: allow(R1) — SuperFlexibilityTest (tests/extensions_test.cpp)
+  // checks which bridges a merge or split keeps; nothing else exposes them.
   [[nodiscard]] const std::vector<std::pair<std::string, std::string>>& bridges() const {
     return bridges_;
   }
+  // mcs-lint: allow(R1) — EcosystemTest.EvolutionMechanismsAreRecorded
+  // (tests/core_test.cpp) reads the genealogy; nothing else exposes it.
   [[nodiscard]] const std::vector<EvolutionRecord>& history() const { return history_; }
 
   /// Total leaf systems, recursively.
@@ -127,10 +127,6 @@ class Ecosystem {
 
   /// Maximum nesting depth (a flat group of systems has depth 1).
   [[nodiscard]] std::size_t depth() const;
-
-  /// Distinct owners across all constituents, recursively (federation
-  /// breadth; an ecosystem per the paper typically has more than one).
-  [[nodiscard]] std::size_t distinct_owners() const;
 
   /// The paper's §2.1 qualification test. A group qualifies as an ecosystem
   /// when it is heterogeneous (>1 layer or >1 owner), its constituents are

@@ -22,18 +22,9 @@ Slo deadline_slo(double seconds, double weight) {
   return Slo{NfrDimension::kLatency, seconds, /*is_ceiling=*/true, weight};
 }
 
-Slo availability_slo(double fraction, double weight) {
-  return Slo{NfrDimension::kAvailability, fraction, /*is_ceiling=*/false, weight};
-}
-
-Slo cost_slo(double budget, double weight) {
-  return Slo{NfrDimension::kCost, budget, /*is_ceiling=*/true, weight};
-}
-
-Slo throughput_slo(double per_second, double weight) {
-  return Slo{NfrDimension::kThroughput, per_second, /*is_ceiling=*/false, weight};
-}
-
+// mcs-lint: allow(R1) — only SlaTest.ReviseChangesTargetAtRuntime
+// (tests/core_test.cpp) calls it; it goes with that test in a later change,
+// since one change may take at most three tests out of the suite.
 bool Sla::revise(NfrDimension dim, double new_target) {
   for (Slo& s : objectives_) {
     if (s.dimension == dim) {

@@ -45,11 +45,8 @@ struct Slo {
   }
 };
 
-/// Conventional constructors for the common objectives.
+/// The conventional deadline objective (a latency ceiling).
 Slo deadline_slo(double seconds, double weight = 1.0);
-Slo availability_slo(double fraction, double weight = 1.0);
-Slo cost_slo(double budget, double weight = 1.0);
-Slo throughput_slo(double per_second, double weight = 1.0);
 
 /// A service-level agreement: objectives plus the penalty owed per violated
 /// objective. Temporal fine-graining: revise() swaps targets at runtime.

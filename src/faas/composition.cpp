@@ -1,7 +1,6 @@
 #include <functional>
 #include "faas/composition.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace mcs::faas {
@@ -34,26 +33,6 @@ std::size_t Composition::invocation_count() const {
   std::size_t total = 0;
   for (const Composition& child : children_) total += child.invocation_count();
   return total;
-}
-
-std::size_t Composition::sequential_depth() const {
-  switch (kind_) {
-    case Kind::kInvoke:
-      return 1;
-    case Kind::kSequence: {
-      std::size_t total = 0;
-      for (const Composition& c : children_) total += c.sequential_depth();
-      return total;
-    }
-    case Kind::kParallel: {
-      std::size_t best = 0;
-      for (const Composition& c : children_) {
-        best = std::max(best, c.sequential_depth());
-      }
-      return best;
-    }
-  }
-  return 0;
 }
 
 CompositionEngine::CompositionEngine(sim::Simulator& sim,

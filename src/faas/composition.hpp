@@ -32,8 +32,6 @@ class Composition {
   }
   /// Number of function invocations one run performs.
   [[nodiscard]] std::size_t invocation_count() const;
-  /// Depth of the longest sequential chain (min hops on the critical path).
-  [[nodiscard]] std::size_t sequential_depth() const;
 
  private:
   Kind kind_ = Kind::kInvoke;

@@ -26,9 +26,6 @@ class FunctionRegistry {
   void deploy(FunctionSpec spec);
 
   [[nodiscard]] std::optional<FunctionSpec> find(const std::string& name) const;
-  [[nodiscard]] const std::vector<FunctionSpec>& functions() const {
-    return functions_;
-  }
 
  private:
   std::vector<FunctionSpec> functions_;

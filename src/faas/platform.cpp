@@ -149,14 +149,8 @@ const FunctionStats& FaasPlatform::stats(const std::string& name) const {
   return it->second;
 }
 
-std::size_t FaasPlatform::warm_instances(const std::string& name) const {
-  std::size_t n = 0;
-  for (const auto& [id, inst] : instances_) {
-    if (inst.function == name && !inst.busy) ++n;
-  }
-  return n;
-}
-
+// mcs-lint: allow(R1) — the PlatformTest scale-out and keep-alive cases
+// (tests/faas_test.cpp) count live instances; nothing else exposes it.
 std::size_t FaasPlatform::total_instances() const { return instances_.size(); }
 
 double FaasPlatform::memory_in_use_mb() const {

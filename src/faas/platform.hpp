@@ -68,7 +68,6 @@ class FaasPlatform {
   // --- observability (C13) ----------------------------------------------------
 
   [[nodiscard]] const FunctionStats& stats(const std::string& name) const;
-  [[nodiscard]] std::size_t warm_instances(const std::string& name) const;
   [[nodiscard]] std::size_t total_instances() const;
   [[nodiscard]] double memory_in_use_mb() const;
   [[nodiscard]] std::uint64_t instances_reaped() const { return reaped_; }

@@ -45,13 +45,6 @@ std::size_t VirtualWorld::population() const {
   return total;
 }
 
-std::size_t VirtualWorld::zone_count() const { return zone_pop_.size(); }
-
-std::size_t VirtualWorld::zone_population(std::size_t zone) const {
-  if (zone >= zone_pop_.size()) throw std::out_of_range("zone_population");
-  return zone_pop_[zone];
-}
-
 double VirtualWorld::zone_load(std::size_t zone) const {
   if (zone >= zone_pop_.size()) throw std::out_of_range("zone_load");
   const auto n = static_cast<double>(zone_pop_[zone]);

@@ -57,8 +57,6 @@ class VirtualWorld {
   void leave(std::size_t count = 1);
 
   [[nodiscard]] std::size_t population() const;
-  [[nodiscard]] std::size_t zone_count() const;
-  [[nodiscard]] std::size_t zone_population(std::size_t zone) const;
   /// Servers needed right now (greedy consolidation of zone loads).
   [[nodiscard]] std::size_t servers_needed() const;
   [[nodiscard]] double zone_load(std::size_t zone) const;

@@ -1,6 +1,6 @@
 // The six LDBC Graphalytics kernels [42] — sequential reference
-// implementations. bigdata/pregel.hpp runs four of them as BSP programs on
-// the simulated cluster; tests cross-check the two against each other.
+// implementations. bigdata/pregel.hpp runs PageRank as a BSP program on the
+// simulated cluster; tests cross-check the two against each other.
 //
 //   BFS  — breadth-first search depth per vertex
 //   PR   — PageRank
@@ -9,7 +9,7 @@
 //   LCC  — local clustering coefficient
 //   SSSP — single-source shortest paths (weighted, Dijkstra)
 //
-// The *_parallel / *_batch variants run on a parallel::ThreadPool and are
+// The *_parallel variants run on a parallel::ThreadPool and are
 // BIT-IDENTICAL to the sequential reference at any thread count: chunk
 // boundaries are a pure function of the graph, reductions replay the
 // sequential floating-point association order (see DESIGN.md §4).
@@ -74,17 +74,6 @@ constexpr double kInfDistance = std::numeric_limits<double>::infinity();
 /// by the same arithmetic as lcc().
 [[nodiscard]] std::vector<double> lcc_parallel(const Graph& g,
                                                parallel::ThreadPool& pool);
-
-/// Batched per-source BFS: one sequential bfs() per source, sources
-/// distributed over the pool. results[i] == bfs(g, sources[i]).
-[[nodiscard]] std::vector<std::vector<std::uint32_t>> bfs_batch(
-    const Graph& g, const std::vector<VertexId>& sources,
-    parallel::ThreadPool& pool);
-
-/// Batched per-source Dijkstra. results[i] == sssp(g, sources[i]).
-[[nodiscard]] std::vector<std::vector<double>> sssp_batch(
-    const Graph& g, const std::vector<VertexId>& sources,
-    parallel::ThreadPool& pool);
 
 /// Names of the six kernels in canonical order.
 [[nodiscard]] std::vector<std::string> graphalytics_kernels();

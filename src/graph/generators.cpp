@@ -83,25 +83,4 @@ Graph rmat(unsigned scale, std::size_t edge_factor, sim::Rng& rng,
   return Graph(n, edges, config.undirected);
 }
 
-Graph grid2d(VertexId rows, VertexId cols) {
-  if (rows == 0 || cols == 0) throw std::invalid_argument("grid2d: empty");
-  const VertexId n = rows * cols;
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(2) * n);
-  auto at = [cols](VertexId r, VertexId c) { return r * cols + c; };
-  for (VertexId r = 0; r < rows; ++r) {
-    for (VertexId c = 0; c < cols; ++c) {
-      if (c + 1 < cols) edges.push_back(Edge{at(r, c), at(r, c + 1), 1.0});
-      if (r + 1 < rows) edges.push_back(Edge{at(r, c), at(r + 1, c), 1.0});
-    }
-  }
-  return Graph(n, edges, /*undirected=*/true);
-}
-
-std::vector<Edge> random_weights(std::vector<Edge> edges, double lo, double hi,
-                                 sim::Rng& rng) {
-  for (Edge& e : edges) e.weight = rng.uniform(lo, hi);
-  return edges;
-}
-
 }  // namespace mcs::graph

@@ -27,13 +27,4 @@ struct RmatConfig {
 [[nodiscard]] Graph rmat(unsigned scale, std::size_t edge_factor,
                          sim::Rng& rng, RmatConfig config = {});
 
-/// rows x cols 4-neighbour grid (undirected).
-[[nodiscard]] Graph grid2d(VertexId rows, VertexId cols);
-
-/// Uniform random edge weights in [lo, hi) applied to a fresh edge list
-/// before building (convenience used by SSSP benches).
-[[nodiscard]] std::vector<Edge> random_weights(std::vector<Edge> edges,
-                                               double lo, double hi,
-                                               sim::Rng& rng);
-
 }  // namespace mcs::graph

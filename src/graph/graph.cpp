@@ -1,6 +1,5 @@
 #include "graph/graph.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace mcs::graph {
@@ -51,18 +50,6 @@ std::span<const double> Graph::weights(VertexId v) const {
 std::size_t Graph::out_degree(VertexId v) const {
   if (v >= n_) throw std::out_of_range("Graph::out_degree");
   return offsets_[v + 1] - offsets_[v];
-}
-
-double Graph::mean_degree() const {
-  return n_ == 0 ? 0.0
-                 : static_cast<double>(adjacency_.size()) /
-                       static_cast<double>(n_);
-}
-
-std::size_t Graph::max_degree() const {
-  std::size_t best = 0;
-  for (VertexId v = 0; v < n_; ++v) best = std::max(best, out_degree(v));
-  return best;
 }
 
 }  // namespace mcs::graph

@@ -38,12 +38,7 @@ class Graph {
   [[nodiscard]] std::span<const double> weights(VertexId v) const;
   [[nodiscard]] std::size_t out_degree(VertexId v) const;
 
-  /// Degree statistics (on stored arcs).
-  [[nodiscard]] double mean_degree() const;
-  [[nodiscard]] std::size_t max_degree() const;
-
-  /// CSR internals (exposed for the Pregel partitioner).
-  [[nodiscard]] const std::vector<std::size_t>& offsets() const { return offsets_; }
+  /// The CSR adjacency array (the transpose builder scans it whole).
   [[nodiscard]] const std::vector<VertexId>& adjacency() const { return adjacency_; }
 
  private:

@@ -51,6 +51,8 @@ class InstanceCatalog {
   /// price/performance spreads mirroring public cloud offerings.
   [[nodiscard]] static InstanceCatalog representative();
 
+  // mcs-lint: allow(R1) — CatalogTest.RepresentativeCoversAllFamilies
+  // (tests/infra_test.cpp) checks the catalog's contents through it.
   [[nodiscard]] const std::vector<InstanceType>& types() const { return types_; }
   [[nodiscard]] std::optional<InstanceType> find(const std::string& name) const;
 

@@ -32,7 +32,6 @@ class Datacenter {
 
   const std::string& name() const { return name_; }
   const std::string& region() const { return region_; }
-  const NetworkModel& network() const { return network_; }
 
   /// Adds a machine to the given rack (racks are created on demand).
   Machine& add_machine(std::string name, ResourceVector capacity,
@@ -74,17 +73,9 @@ class Datacenter {
   // machine starts in the anonymous default zone "".
   void set_zone(MachineId id, const std::string& zone);
   [[nodiscard]] const std::string& zone_of(MachineId id) const;
-  /// Distinct zone names seen so far (including "" once machines exist).
-  [[nodiscard]] std::size_t zone_count() const { return zone_names_.size(); }
-  [[nodiscard]] std::vector<MachineId> zone_members(
-      const std::string& zone) const;
 
   /// Aggregate capacity over operational machines.
   [[nodiscard]] ResourceVector total_capacity() const;
-  /// Aggregate currently-used resources.
-  [[nodiscard]] ResourceVector total_used() const;
-  /// Fraction of operational machines, in [0, 1].
-  [[nodiscard]] double availability() const;
   /// Instantaneous power draw across the floor (watts).
   [[nodiscard]] double power_watts() const;
 
@@ -124,8 +115,6 @@ class Federation {
   [[nodiscard]] sim::SimTime latency(const std::string& dc_a,
                                      const std::string& dc_b) const;
 
-  [[nodiscard]] std::vector<Datacenter*> datacenters();
-  [[nodiscard]] Datacenter& datacenter(const std::string& name);
   [[nodiscard]] std::size_t size() const { return datacenters_.size(); }
 
   /// Total machines across all sites.

@@ -191,42 +191,6 @@ std::string hex16(std::uint64_t v) {
 
 std::string Digest::hex() const { return hex16(h_); }
 
-double pearson(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size() || a.size() < 2) return 0.0;
-  const auto n = static_cast<double>(a.size());
-  double ma = 0.0, mb = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ma += a[i];
-    mb += b[i];
-  }
-  ma /= n;
-  mb /= n;
-  double cov = 0.0, va = 0.0, vb = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    cov += (a[i] - ma) * (b[i] - mb);
-    va += (a[i] - ma) * (a[i] - ma);
-    vb += (b[i] - mb) * (b[i] - mb);
-  }
-  if (va <= 0.0 || vb <= 0.0) return 0.0;
-  return cov / std::sqrt(va * vb);
-}
-
-double autocorrelation(const std::vector<double>& xs, std::size_t lag) {
-  if (xs.size() <= lag + 1) return 0.0;
-  double mean = 0.0;
-  for (double x : xs) mean += x;
-  mean /= static_cast<double>(xs.size());
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    den += (xs[i] - mean) * (xs[i] - mean);
-    if (i + lag < xs.size()) {
-      num += (xs[i] - mean) * (xs[i + lag] - mean);
-    }
-  }
-  if (den <= 0.0) return 0.0;
-  return num / den;
-}
-
 LinearFit least_squares(const std::vector<double>& x,
                         const std::vector<double>& y) {
   LinearFit fit;

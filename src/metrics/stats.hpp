@@ -112,7 +112,6 @@ class Histogram {
   [[nodiscard]] double mean() const;
   [[nodiscard]] double min() const { return count_ == 0 ? 0.0 : min_; }
   [[nodiscard]] double max() const { return count_ == 0 ? 0.0 : max_; }
-  [[nodiscard]] const std::uint64_t* bins() const { return bins_; }
   [[nodiscard]] std::uint64_t bin(std::size_t b) const { return bins_[b]; }
 
   /// Bucket-resolution quantile estimate, q in [0,1]: walks the bins and
@@ -161,14 +160,6 @@ class Digest {
 
 /// 16 lowercase hex digits of an arbitrary u64 (the digest line format).
 [[nodiscard]] std::string hex16(std::uint64_t v);
-
-/// Pearson correlation of two equal-length series; 0 if degenerate.
-[[nodiscard]] double pearson(const std::vector<double>& a,
-                             const std::vector<double>& b);
-
-/// Lag-k autocorrelation of a series; 0 if degenerate.
-[[nodiscard]] double autocorrelation(const std::vector<double>& xs,
-                                     std::size_t lag);
 
 /// Ordinary least squares fit y = a + b*x; returns {a, b}.
 struct LinearFit {

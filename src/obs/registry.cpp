@@ -73,12 +73,8 @@ const Counter* Registry::find_counter(std::string_view name) const {
              : nullptr;
 }
 
-const Gauge* Registry::find_gauge(std::string_view name) const {
-  const Slot* s = find(name);
-  return s != nullptr && s->kind == InstrumentKind::kGauge ? &gauges_[s->index]
-                                                           : nullptr;
-}
-
+// mcs-lint: allow(R1) — the span tests (tests/engine_fault_test.cpp,
+// tests/obs_test.cpp) read engine histograms by name through it.
 const metrics::Histogram* Registry::find_histogram(
     std::string_view name) const {
   const Slot* s = find(name);

@@ -109,7 +109,6 @@ class Registry {
   /// Looks up an instrument without creating it; nullptr when absent or
   /// of a different kind.
   [[nodiscard]] const Counter* find_counter(std::string_view name) const;
-  [[nodiscard]] const Gauge* find_gauge(std::string_view name) const;
   [[nodiscard]] const metrics::Histogram* find_histogram(
       std::string_view name) const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <iomanip>
 #include <ostream>
 
 namespace mcs::obs {
@@ -101,7 +100,6 @@ void json_quantile(std::ostream& out, const char* key,
 
 constexpr double kQuantiles[] = {0.5, 0.95, 0.99, 0.999};
 constexpr const char* kQuantileKeys[] = {"p50", "p95", "p99", "p999"};
-constexpr const char* kQuantileLabels[] = {"p50", "p95", "p99", "p99.9"};
 
 }  // namespace
 
@@ -190,65 +188,6 @@ void write_report_json(std::ostream& out, const ReportInputs& in) {
     out << ",\"trace_digest\":\"" << metrics::hex16(in.trace_digest) << '"';
   }
   out << "}\n";
-}
-
-void write_report_text(std::ostream& out, const ReportInputs& in) {
-  out << "mcs report (mcs-report-v1), cells " << in.cells << "\n";
-  if (in.registry != nullptr) {
-    bool header = false;
-    for (std::size_t i = 0; i < in.registry->size(); ++i) {
-      const Registry::InstrumentView v = in.registry->view(i);
-      if (v.kind != InstrumentKind::kHistogram) continue;
-      if (!header) {
-        out << "\nhistograms (quantiles as estimate [lo, hi] bucket bounds)\n";
-        header = true;
-      }
-      const metrics::Histogram& h = *v.histogram;
-      out << "  " << v.name << ": count " << h.count() << ", mean "
-          << h.mean() << ", min " << h.min() << ", max " << h.max() << "\n";
-      for (std::size_t qi = 0; qi < 4; ++qi) {
-        const QuantileEstimate est = histogram_quantile(h, kQuantiles[qi]);
-        out << "    " << kQuantileLabels[qi] << " " << est.value << " ["
-            << est.lo << ", " << est.hi << "]\n";
-      }
-    }
-    header = false;
-    for (std::size_t i = 0; i < in.registry->size(); ++i) {
-      const Registry::InstrumentView v = in.registry->view(i);
-      if (v.kind == InstrumentKind::kHistogram) continue;
-      if (!header) {
-        out << "\ncounters & gauges\n";
-        header = true;
-      }
-      if (v.kind == InstrumentKind::kCounter) {
-        out << "  " << v.name << " = " << v.counter->value() << "\n";
-      } else {
-        out << "  " << v.name << " = " << v.gauge->value() << " (max "
-            << v.gauge->max() << ")\n";
-      }
-    }
-  }
-  if (in.slo != nullptr && !in.slo->empty() && in.registry != nullptr) {
-    out << "\nslo attainment\n";
-    for (const SloRow& r : slo_rows(*in.slo, *in.registry)) {
-      out << "  " << r.klass << " (<= " << r.threshold_seconds << " s, target "
-          << r.target << "): " << (r.met ? "MET" : "MISSED") << ", attainment "
-          << r.attainment << " (" << r.good << "/" << r.samples
-          << "), violation " << r.violation_minutes << " min, burn crossings "
-          << r.burn_crossings << "\n";
-    }
-  }
-  if (in.exemplar != nullptr) {
-    out << "\ntrace cost attribution (exemplar cell; " << in.exemplar->dropped
-        << " of " << in.exemplar->total << " events dropped)\n";
-    for (const CostRow& r : fold_costs(*in.exemplar)) {
-      out << "  " << r.name << ": events " << r.events << ", span "
-          << r.span_us << " us\n";
-    }
-  }
-  if (in.has_trace_digest) {
-    out << "\ntrace digest " << metrics::hex16(in.trace_digest) << "\n";
-  }
 }
 
 }  // namespace mcs::obs

@@ -5,17 +5,14 @@
 // The paper's observation pillar (§3.3) asks for comparable, repeatable
 // measurement across experiments; this module is the single rendering
 // path from the deterministic in-memory state (obs::Registry merged in
-// flat grid order, SloTracker counters, a TraceDump exemplar) to the two
-// consumer formats:
-//
-//   * write_report_text — human tables: per-histogram p50/p95/p99/p99.9
-//     with honest bucket-resolution error bounds, SLO attainment +
-//     violation minutes, per-event-type cost attribution.
-//   * write_report_json — "mcs-report-v1": keys in a fixed order, arrays
-//     in registration/name-table order, doubles at max round-trip
-//     precision — byte-identical across runs and thread counts, so CI
-//     diffs two reports with `cmp` and `tools/mcs_report --diff` explains
-//     *what* moved between PRs.
+// flat grid order, SloTracker counters, a TraceDump exemplar) to
+// write_report_json's "mcs-report-v1": keys in a fixed order, arrays in
+// registration/name-table order, doubles at max round-trip precision —
+// byte-identical across runs and thread counts, so CI diffs two reports
+// with `cmp`. tools/mcs_report renders the human tables (per-histogram
+// p50/p95/p99/p99.9 with bucket-resolution error bounds, SLO attainment +
+// violation minutes, per-event-type cost attribution) from that JSON, and
+// `mcs_report --diff` explains *what* moved between PRs.
 //
 // Quantiles come from metrics::Histogram's log2 bins, so every estimate
 // carries the bucket's [lo, hi) bounds: the true quantile provably lies
@@ -97,8 +94,5 @@ struct ReportInputs {
 /// registration/name-table order, doubles at round-trip precision —
 /// byte-identical for identical inputs.
 void write_report_json(std::ostream& out, const ReportInputs& in);
-
-/// Human-readable tables (the `mcs_report FILE` rendering).
-void write_report_text(std::ostream& out, const ReportInputs& in);
 
 }  // namespace mcs::obs

@@ -177,11 +177,4 @@ void SloTracker::finalize(sim::SimTime at) {
   }
 }
 
-double SloTracker::window_attainment(std::size_t slo) const {
-  const State& st = states_[slo];
-  if (st.window_total == 0) return 1.0;
-  return static_cast<double>(st.window_good) /
-         static_cast<double>(st.window_total);
-}
-
 }  // namespace mcs::obs

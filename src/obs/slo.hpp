@@ -110,8 +110,6 @@ class SloTracker {
   [[nodiscard]] bool violating(std::size_t slo) const {
     return states_[slo].violating;
   }
-  /// Good/total over the current window (1.0 when the window is empty).
-  [[nodiscard]] double window_attainment(std::size_t slo) const;
 
  private:
   static constexpr std::size_t kWindowSlots = 64;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace mcs::parallel {
 
@@ -9,10 +11,21 @@ namespace {
 
 std::size_t resolve_thread_count(std::size_t requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("MCS_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && parsed > 0) return static_cast<std::size_t>(parsed);
+  const char* env = std::getenv("MCS_THREADS");
+  if (env != nullptr && *env != '\0') {
+    // Digits only: no sign, no blanks, no trailing text. Parsing stops once
+    // the value passes the cap, so an overlong value cannot overflow.
+    std::size_t n = 0;
+    const char* p = env;
+    for (; *p >= '0' && *p <= '9' && n <= kMaxThreads; ++p) {
+      n = n * 10 + static_cast<std::size_t>(*p - '0');
+    }
+    if (*p != '\0' || n == 0 || n > kMaxThreads) {
+      throw std::invalid_argument(
+          "MCS_THREADS=" + std::string(env) +
+          ": expected a whole number from 1 to " + std::to_string(kMaxThreads));
+    }
+    return n;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

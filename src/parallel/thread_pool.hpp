@@ -26,13 +26,19 @@
 
 namespace mcs::parallel {
 
+/// Largest worker count MCS_THREADS may ask for. A fixed constant, not the
+/// core count: the determinism gates run 8 threads on 4-core machines.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 /// Fixed-size worker pool. Threads are started once and parked on a
 /// condition variable between batches; each run_tasks call fans a batch of
 /// indexed tasks over them and blocks until every task finished.
 class ThreadPool {
  public:
   /// `threads == 0` resolves to the MCS_THREADS environment variable if
-  /// set, else std::thread::hardware_concurrency() (min 1).
+  /// set and non-empty, else std::thread::hardware_concurrency() (min 1).
+  /// MCS_THREADS must be a whole decimal from 1 to kMaxThreads; anything
+  /// else throws std::invalid_argument naming the variable and its value.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

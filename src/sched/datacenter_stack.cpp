@@ -4,7 +4,8 @@ namespace mcs::sched {
 
 /// Shared state of one sampling loop. The probe lives here exactly once;
 /// each scheduled tick captures only a shared_ptr to this block (two
-/// words, always inline in sim::Callback) instead of copying the closure.
+/// words, always inline in the kernel's core::UniqueFunction<void()>)
+/// instead of copying the closure.
 struct OperationsService::MonitorLoop {
   std::string gauge;
   core::UniqueFunction<double()> probe;

@@ -51,6 +51,8 @@ class PortfolioScheduler {
   [[nodiscard]] std::size_t switches() const { return switches_; }
   [[nodiscard]] const std::string& current() const { return current_; }
   /// How often each candidate was selected (diagnostics).
+  // mcs-lint: allow(R1) — PortfolioTest.SwitchesPoliciesAndFinishesWorkload
+  // (tests/sched_test.cpp) checks the per-policy tallies through it.
   [[nodiscard]] const std::vector<std::size_t>& selections() const {
     return selections_;
   }

@@ -21,12 +21,6 @@ NodeScorePolicy score_policy_from_string(const std::string& s) {
   return NodeScorePolicy::kNone;
 }
 
-std::vector<NodeScorePolicy> all_score_policies() {
-  return {NodeScorePolicy::kNone, NodeScorePolicy::kRandomHash,
-          NodeScorePolicy::kFreeShareVariance,
-          NodeScorePolicy::kSquaredMinDelta};
-}
-
 namespace {
 
 /// SplitMix64 finalizer: the same mixer the sim RNG seeds substreams with —

@@ -33,8 +33,6 @@ namespace mcs::sched {
 /// Parses the to_string name; returns kNone for unknown input (forward
 /// compatibility for spec text files).
 [[nodiscard]] NodeScorePolicy score_policy_from_string(const std::string& s);
-/// All scoring policies including kNone (for sweeps/benches).
-[[nodiscard]] std::vector<NodeScorePolicy> all_score_policies();
 
 /// Planned free capacity per machine: the engine keeps one across rounds
 /// as a live mirror of its usable, non-draining machines, and a policy's
@@ -324,7 +322,10 @@ class LabelFilterCache {
                                              const infra::Datacenter& dc);
 
   [[nodiscard]] std::size_t size() const { return cache_.size(); }
+  // mcs-lint: allow(R1) — LabelFilterCacheTest.MemoizesPerExpression
+  // (tests/scoring_test.cpp) observes the memoization through them.
   [[nodiscard]] std::size_t hits() const { return hits_; }
+  // mcs-lint: allow(R1) — as hits().
   [[nodiscard]] std::size_t misses() const { return misses_; }
 
  private:

@@ -41,8 +41,6 @@ class MmppProcess final : public ArrivalProcess {
               double mean_burst_seconds);
   SimTime next_gap(Rng& rng) override;
 
-  [[nodiscard]] bool in_burst() const { return in_burst_; }
-
  private:
   double calm_rate_, burst_rate_;
   double mean_calm_s_, mean_burst_s_;

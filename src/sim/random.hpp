@@ -45,8 +45,6 @@ class Rng {
   double weibull(double shape, double scale);
   /// Pareto with minimum xm and tail index alpha (> 0).
   double pareto(double xm, double alpha);
-  /// Bounded Pareto on [lo, hi] with tail index alpha.
-  double bounded_pareto(double lo, double hi, double alpha);
   /// Gamma with shape k, scale theta.
   double gamma(double shape, double scale);
   /// Poisson-distributed count with given mean.

@@ -13,10 +13,11 @@
 //    pure function of its inputs and RNG seed.
 //  - Single-threaded by design: determinism and debuggability outrank kernel
 //    speed for this scale of model (see bench/micro_sim for throughput).
-//  - The hot path is allocation-free: callbacks use sim::Callback (inline
-//    storage for typical capturing lambdas, heap only as a fallback), and
-//    queue entries are 24-byte PODs whose callbacks live in a slot table —
-//    no queue operation ever moves a closure.
+//  - The hot path is allocation-free: callbacks are sim::Callback, i.e.
+//    core::UniqueFunction<void()> (inline storage for typical capturing
+//    lambdas, heap only as a fallback), and queue entries are 24-byte PODs
+//    whose callbacks live in a slot table — no queue operation ever moves
+//    a closure.
 //  - The event queue is a two-band structure ordered by the same global
 //    (at, seq) key (DESIGN.md §12):
 //      1. a sorted-run *tail buffer*: an insert that continues the current
@@ -37,13 +38,13 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <memory>
-#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "core/callback.hpp"
 
 namespace mcs::sim {
 
@@ -65,143 +66,12 @@ SimTime from_seconds(double seconds);
 /// Converts SimTime to floating point seconds (for reporting only).
 double to_seconds(SimTime t);
 
-/// Small-buffer-optimized move-only callable<void()>. Closures up to
-/// kInlineSize bytes (the common case: a few captured pointers/values) are
-/// stored inline; larger ones fall back to a single heap allocation. Unlike
-/// std::function it also accepts move-only closures (e.g. capturing a
-/// std::unique_ptr).
-class Callback {
- public:
-  static constexpr std::size_t kInlineSize = 48;
-
-  Callback() noexcept = default;
-
-  template <typename F,
-            typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, Callback> &&
-                                        std::is_invocable_v<D&>>>
-  Callback(F&& fn) {  // NOLINT(google-explicit-constructor): drop-in for std::function
-    construct<D>(std::forward<F>(fn));
-  }
-
-  /// Destroys the current callable (if any) and constructs `fn` directly in
-  /// this object's storage — the kernel uses this to build a closure in its
-  /// slot without an intermediate Callback and relocation.
-  template <typename F,
-            typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, Callback> &&
-                                        std::is_invocable_v<D&>>>
-  void emplace(F&& fn) {
-    reset();
-    construct<D>(std::forward<F>(fn));
-  }
-
-  Callback(Callback&& other) noexcept : ops_(other.ops_) {
-    if (ops_ != nullptr) {
-      relocate_from(other);
-    }
-  }
-
-  Callback& operator=(Callback&& other) noexcept {
-    if (this != &other) {
-      reset();
-      ops_ = other.ops_;
-      if (ops_ != nullptr) {
-        relocate_from(other);
-      }
-    }
-    return *this;
-  }
-
-  Callback(const Callback&) = delete;
-  Callback& operator=(const Callback&) = delete;
-
-  ~Callback() { reset(); }
-
-  /// Destroys the held callable (releasing its captures immediately).
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      if (ops_->destroy != nullptr) ops_->destroy(storage_);
-      ops_ = nullptr;
-    }
-  }
-
-  [[nodiscard]] explicit operator bool() const noexcept {
-    return ops_ != nullptr;
-  }
-
-  /// Whether the callable is stored inline (no heap allocation was made).
-  [[nodiscard]] bool is_inline() const noexcept {
-    return ops_ != nullptr && ops_->inline_storage;
-  }
-
-  void operator()() {
-    ops_->invoke(storage_);
-  }
-
- private:
-  // relocate/destroy may be null: a null relocate means "memcpy the whole
-  // buffer" (valid for trivially copyable closures and for the heap case,
-  // where the buffer just holds a pointer); a null destroy means "nothing
-  // to do". Both fast paths skip an indirect call on the kernel's hot path.
-  struct Ops {
-    void (*invoke)(void* storage);
-    void (*relocate)(void* dst, void* src) noexcept;  // move + destroy src
-    void (*destroy)(void* storage) noexcept;
-    bool inline_storage;
-  };
-
-  template <typename D, typename F>
-  void construct(F&& fn) {
-    if constexpr (sizeof(D) <= kInlineSize &&
-                  alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
-      ops_ = &inline_ops<D>;
-    } else {
-      // mcs-lint: allow(H3) — small-buffer fallback: closures that fit
-      // kInlineSize (all in-tree callbacks) never reach this branch.
-      *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(fn));
-      ops_ = &heap_ops<D>;
-    }
-  }
-
-  void relocate_from(Callback& other) noexcept {
-    if (ops_->relocate != nullptr) {
-      ops_->relocate(storage_, other.storage_);
-    } else {
-      std::memcpy(storage_, other.storage_, kInlineSize);
-    }
-    other.ops_ = nullptr;
-  }
-
-  template <typename D>
-  static constexpr Ops inline_ops = {
-      [](void* s) { (*std::launder(reinterpret_cast<D*>(s)))(); },
-      std::is_trivially_copyable_v<D>
-          ? nullptr
-          : +[](void* dst, void* src) noexcept {
-              D* from = std::launder(reinterpret_cast<D*>(src));
-              ::new (dst) D(std::move(*from));
-              from->~D();
-            },
-      std::is_trivially_destructible_v<D>
-          ? nullptr
-          : +[](void* s) noexcept {
-              std::launder(reinterpret_cast<D*>(s))->~D();
-            },
-      true};
-
-  template <typename D>
-  static constexpr Ops heap_ops = {
-      [](void* s) { (**std::launder(reinterpret_cast<D**>(s)))(); },
-      nullptr,  // the buffer holds one pointer; memcpy relocates it
-      [](void* s) noexcept { delete *std::launder(reinterpret_cast<D**>(s)); },
-      false};
-
-  alignas(std::max_align_t) unsigned char storage_[kInlineSize];
-  const Ops* ops_ = nullptr;
-};
+/// The event callback: core::UniqueFunction<void()>, a small-buffer-
+/// optimized move-only callable. Closures up to kInlineSize bytes (the
+/// common case: a few captured pointers/values) are stored inline; larger
+/// ones fall back to a single heap allocation. Unlike std::function it also
+/// accepts move-only closures (e.g. capturing a std::unique_ptr).
+using Callback = core::UniqueFunction<void()>;
 
 /// Opaque handle used to cancel a scheduled event. Internally a
 /// (slot, generation) pair: generations make handles single-use even when

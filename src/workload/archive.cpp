@@ -74,12 +74,16 @@ std::vector<Job> read_archive(std::istream& is) {
   return jobs;
 }
 
+// mcs-lint: allow(R1) — only ArchiveTest (tests/extensions_test.cpp) calls
+// it; the module goes with those five tests in a later change, since one
+// change may take at most three tests out of the suite.
 std::string to_archive_string(const std::vector<Job>& jobs) {
   std::ostringstream os;
   write_archive(os, jobs);
   return os.str();
 }
 
+// mcs-lint: allow(R1) — as to_archive_string.
 std::vector<Job> from_archive_string(const std::string& text) {
   std::istringstream is(text);
   return read_archive(is);

@@ -29,26 +29,6 @@ double Job::critical_path_seconds() const {
   return best;
 }
 
-std::vector<std::size_t> Job::level_of_tasks() const {
-  std::vector<std::size_t> level(tasks.size(), 0);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    for (std::size_t d : tasks[i].deps) {
-      level[i] = std::max(level[i], level[d] + 1);
-    }
-  }
-  return level;
-}
-
-std::size_t Job::max_parallelism() const {
-  if (tasks.empty()) return 0;
-  const auto levels = level_of_tasks();
-  const std::size_t max_level =
-      *std::max_element(levels.begin(), levels.end());
-  std::vector<std::size_t> width(max_level + 1, 0);
-  for (std::size_t l : levels) ++width[l];
-  return *std::max_element(width.begin(), width.end());
-}
-
 bool Job::valid() const {
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     for (std::size_t d : tasks[i].deps) {

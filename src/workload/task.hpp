@@ -28,10 +28,6 @@ struct Task {
   /// Dependencies always point to lower indices, so DAGs are acyclic by
   /// construction.
   std::vector<std::size_t> deps;
-
-  [[nodiscard]] bool needs_accelerator() const {
-    return demand.gpu() > 0.0;
-  }
 };
 
 /// Per-job placement constraints (C4): a zone label filter plus a simple
@@ -44,10 +40,6 @@ struct Placement {
   std::string zones;
   /// Max concurrently-running tasks of this job per machine; 0 = unlimited.
   std::uint32_t spread_limit = 0;
-
-  [[nodiscard]] bool constrained() const {
-    return !zones.empty() || spread_limit > 0;
-  }
 };
 
 struct Job {
@@ -68,13 +60,6 @@ struct Job {
   /// lower bound on makespan with infinite resources; used as the slowdown
   /// denominator for workflows.
   [[nodiscard]] double critical_path_seconds() const;
-
-  /// Tasks per dependency level (level = longest chain of deps below).
-  [[nodiscard]] std::vector<std::size_t> level_of_tasks() const;
-
-  /// Maximum number of tasks eligible to run simultaneously (width of the
-  /// widest level) — the workflow-aware autoscalers use this.
-  [[nodiscard]] std::size_t max_parallelism() const;
 
   /// Validates the dependency structure (deps point backwards & in range).
   [[nodiscard]] bool valid() const;

@@ -1,6 +1,5 @@
 #include "workload/workflow.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace mcs::workload {
@@ -16,53 +15,6 @@ Task sized_task(const WorkflowSizing& sizing, sim::Rng& rng) {
 }
 
 }  // namespace
-
-Job make_chain(JobId id, std::size_t stages, double work_each) {
-  if (stages == 0) throw std::invalid_argument("make_chain: zero stages");
-  Job job;
-  job.id = id;
-  for (std::size_t i = 0; i < stages; ++i) {
-    Task t;
-    t.work_seconds = work_each;
-    if (i > 0) t.deps.push_back(i - 1);
-    job.tasks.push_back(std::move(t));
-  }
-  return job;
-}
-
-Job make_fork_join(JobId id, std::size_t width, std::size_t stages,
-                   double work_each) {
-  if (width == 0 || stages == 0) {
-    throw std::invalid_argument("make_fork_join: zero width/stages");
-  }
-  Job job;
-  job.id = id;
-  std::size_t prev_sink = 0;
-  for (std::size_t s = 0; s < stages; ++s) {
-    // Source.
-    Task src;
-    src.work_seconds = work_each;
-    if (s > 0) src.deps.push_back(prev_sink);
-    job.tasks.push_back(std::move(src));
-    const std::size_t src_idx = job.tasks.size() - 1;
-    // Parallel body.
-    std::vector<std::size_t> body;
-    for (std::size_t w = 0; w < width; ++w) {
-      Task t;
-      t.work_seconds = work_each;
-      t.deps.push_back(src_idx);
-      job.tasks.push_back(std::move(t));
-      body.push_back(job.tasks.size() - 1);
-    }
-    // Sink.
-    Task sink;
-    sink.work_seconds = work_each;
-    sink.deps = body;
-    job.tasks.push_back(std::move(sink));
-    prev_sink = job.tasks.size() - 1;
-  }
-  return job;
-}
 
 Job make_montage_like(JobId id, std::size_t width,
                       const WorkflowSizing& sizing, sim::Rng& rng) {
@@ -155,42 +107,6 @@ Job make_ligo_like(JobId id, std::size_t banks, std::size_t width,
     job.tasks.push_back(std::move(thinca));
     prev_sink = job.tasks.size() - 1;
     have_prev = true;
-  }
-  return job;
-}
-
-Job make_random_dag(JobId id, std::size_t n, std::size_t levels,
-                    const WorkflowSizing& sizing, sim::Rng& rng) {
-  if (n == 0 || levels == 0 || levels > n) {
-    throw std::invalid_argument("make_random_dag: bad n/levels");
-  }
-  Job job;
-  job.id = id;
-  // Assign each task a level; level boundaries are index ranges so deps
-  // always point backwards.
-  std::vector<std::size_t> level_start(levels + 1, 0);
-  for (std::size_t l = 1; l <= levels; ++l) {
-    level_start[l] = l * n / levels;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    // Find this task's level.
-    std::size_t level = 0;
-    while (level + 1 < levels && i >= level_start[level + 1]) ++level;
-    Task t = sized_task(sizing, rng);
-    if (level > 0) {
-      const std::size_t lo = 0;
-      const std::size_t hi = level_start[level] - 1;
-      const std::size_t ndeps =
-          static_cast<std::size_t>(rng.uniform_int(1, 3));
-      for (std::size_t d = 0; d < ndeps; ++d) {
-        t.deps.push_back(static_cast<std::size_t>(
-            rng.uniform_int(static_cast<std::int64_t>(lo),
-                            static_cast<std::int64_t>(hi))));
-      }
-      std::sort(t.deps.begin(), t.deps.end());
-      t.deps.erase(std::unique(t.deps.begin(), t.deps.end()), t.deps.end());
-    }
-    job.tasks.push_back(std::move(t));
   }
   return job;
 }

@@ -2,7 +2,7 @@
 // workloads the paper names in §6.2 (citing Bharathi et al. [114]):
 // Montage (computational astrophysics mosaics), Epigenomics
 // (bioinformatics pipelines), and LIGO Inspiral (gravitational-wave
-// analysis), plus generic chains, fork-joins, and random DAGs.
+// analysis).
 //
 // Shapes are structural approximations of the published characterizations:
 //  - Montage: wide fan-out -> pairwise overlap stage -> deep reduction ->
@@ -15,14 +15,6 @@
 #include "workload/task.hpp"
 
 namespace mcs::workload {
-
-/// `stages` sequential tasks, each depending on the previous one.
-[[nodiscard]] Job make_chain(JobId id, std::size_t stages, double work_each);
-
-/// A fork-join: one source, `width` parallel tasks, one sink; repeated
-/// `stages` times.
-[[nodiscard]] Job make_fork_join(JobId id, std::size_t width,
-                                 std::size_t stages, double work_each);
 
 struct WorkflowSizing {
   double mean_task_seconds = 30.0;
@@ -48,10 +40,5 @@ struct WorkflowSizing {
 [[nodiscard]] Job make_ligo_like(JobId id, std::size_t banks,
                                  std::size_t width,
                                  const WorkflowSizing& sizing, sim::Rng& rng);
-
-/// A random layered DAG: `n` tasks in `levels` levels; each task depends on
-/// 1..3 uniformly chosen tasks of earlier levels.
-[[nodiscard]] Job make_random_dag(JobId id, std::size_t n, std::size_t levels,
-                                  const WorkflowSizing& sizing, sim::Rng& rng);
 
 }  // namespace mcs::workload

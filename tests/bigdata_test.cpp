@@ -3,6 +3,7 @@
 // sequential kernels), and the dataflow language (src/bigdata).
 #include <gtest/gtest.h>
 
+#include "fixtures.hpp"
 #include "bigdata/dataflow.hpp"
 #include "bigdata/mapreduce.hpp"
 #include "bigdata/pregel.hpp"
@@ -166,11 +167,49 @@ TEST_F(MapReduceSimTest, MoreMachinesShrinkMapPhase) {
 
 // ---- Pregel ---------------------------------------------------------------------------
 
+// BFS, WCC and SSSP as one halting vertex program: a vertex that is seeded
+// (superstep 0) or receives a smaller value keeps the minimum and sends it
+// plus the edge's cost to every neighbour, then halts until a message
+// reactivates it.
+template <typename Seeded, typename Cost>
+PregelRun min_relax(const graph::Graph& g, std::vector<double> values,
+                    Seeded seeded, Cost cost) {
+  PregelEngine engine(g, {});
+  PregelRun run;
+  run.values = std::move(values);
+  run.stats = engine.run(
+      run.values,
+      [&](graph::VertexId v, double& value, const std::vector<double>& msgs,
+          const PregelEngine::SendFn& send, std::size_t step) {
+        bool improved = step == 0 && seeded(v);
+        for (double m : msgs) {
+          if (m < value) {
+            value = m;
+            improved = true;
+          }
+        }
+        if (improved) {
+          const auto nbrs = g.neighbors(v);
+          for (std::size_t i = 0; i < nbrs.size(); ++i) {
+            send(nbrs[i], value + cost(v, i));
+          }
+        }
+        return false;
+      },
+      4 * g.vertex_count() + 2);
+  return run;
+}
+
 TEST(PregelTest, BfsMatchesSequential) {
   sim::Rng rng(11);
   const graph::Graph g = graph::erdos_renyi(300, 900, rng);
   const auto seq = graph::bfs(g, 0);
-  const auto bsp = pregel_bfs(g, 0);
+  std::vector<double> init(g.vertex_count(),
+                           static_cast<double>(graph::kUnreachable));
+  init[0] = 0.0;
+  const auto bsp = min_relax(
+      g, init, [](graph::VertexId v) { return v == 0; },
+      [](graph::VertexId, std::size_t) { return 1.0; });
   for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
     if (seq[v] == graph::kUnreachable) {
       EXPECT_EQ(bsp.values[v], static_cast<double>(graph::kUnreachable));
@@ -186,7 +225,13 @@ TEST(PregelTest, WccMatchesSequential) {
   sim::Rng rng(12);
   const graph::Graph g = graph::erdos_renyi(200, 300, rng);  // sparse: many components
   const auto seq = graph::wcc(g);
-  const auto bsp = pregel_wcc(g);
+  std::vector<double> init(g.vertex_count());
+  for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
+    init[v] = static_cast<double>(v);
+  }
+  const auto bsp = min_relax(
+      g, init, [](graph::VertexId) { return true; },
+      [](graph::VertexId, std::size_t) { return 0.0; });
   for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
     EXPECT_DOUBLE_EQ(bsp.values[v], static_cast<double>(seq[v]));
   }
@@ -197,18 +242,20 @@ TEST(PregelTest, SsspMatchesSequential) {
   auto edges = std::vector<graph::Edge>{};
   const graph::Graph base = graph::erdos_renyi(150, 600, rng);
   // Rebuild with random weights.
+  sim::Rng wrng(14);
   for (graph::VertexId v = 0; v < base.vertex_count(); ++v) {
-    const auto nbrs = base.neighbors(v);
-    for (graph::VertexId w : nbrs) {
-      if (v < w) edges.push_back({v, w, 0.0});
+    for (graph::VertexId w : base.neighbors(v)) {
+      if (v < w) edges.push_back({v, w, wrng.uniform(1.0, 10.0)});
     }
   }
-  sim::Rng wrng(14);
-  edges = graph::random_weights(std::move(edges), 1.0, 10.0, wrng);
   const graph::Graph g(base.vertex_count(), edges, true);
 
   const auto seq = graph::sssp(g, 0);
-  const auto bsp = pregel_sssp(g, 0);
+  std::vector<double> init(g.vertex_count(), graph::kInfDistance);
+  init[0] = 0.0;
+  const auto bsp = min_relax(
+      g, init, [](graph::VertexId v) { return v == 0; },
+      [&g](graph::VertexId v, std::size_t i) { return g.weights(v)[i]; });
   for (graph::VertexId v = 0; v < g.vertex_count(); ++v) {
     if (std::isinf(seq[v])) {
       EXPECT_TRUE(std::isinf(bsp.values[v]));
@@ -245,7 +292,7 @@ TEST(PregelTest, TimingModelChargesBarriersAndComm) {
   const graph::Graph g = graph::grid2d(8, 8);
   PregelConfig config;
   config.barrier_seconds = 1.0;  // exaggerate
-  const auto run = pregel_bfs(g, 0, config);
+  const auto run = pregel_pagerank(g, 5, config);
   EXPECT_GE(run.stats.wall_seconds,
             static_cast<double>(run.stats.supersteps) * 1.0);
 }
@@ -300,6 +347,9 @@ TEST(PregelTest, ResultsAndStatsInvariantUnderComputePoolSize) {
                                                        std::move(stats));
   };
   const auto [v1, s1] = run_with(1);
+  // The halting min-label program converges to the sequential WCC labels.
+  const std::vector<graph::VertexId> labels = graph::wcc(g);
+  EXPECT_EQ(v1, std::vector<double>(labels.begin(), labels.end()));
   for (std::size_t threads : {2u, 8u}) {
     const auto [vn, sn] = run_with(threads);
     EXPECT_EQ(v1, vn);
@@ -335,9 +385,8 @@ TEST(DataflowTest, StageFusionRules) {
                       .group_sum()
                       .map([](const Record& r) { return r; })
                       .group_sum();
-  EXPECT_EQ(df.stage_count(), 3u);  // narrow ops fused, 2 shuffles
   const auto plan = df.explain();
-  ASSERT_EQ(plan.size(), 3u);
+  ASSERT_EQ(plan.size(), 3u);  // narrow ops fused, 2 shuffles
   EXPECT_NE(plan[0].find("map -> filter -> shuffle"), std::string::npos);
 }
 
@@ -354,7 +403,6 @@ TEST(DataflowTest, LazyUntilCollect) {
 
 TEST(DataflowTest, EmptyPipeline) {
   EXPECT_TRUE(Dataflow::from({}).group_sum().collect().empty());
-  EXPECT_EQ(Dataflow::from({}).stage_count(), 1u);
 }
 
 }  // namespace

@@ -128,8 +128,8 @@ TEST(FuzzSpecTest, FromTextRejectsMalformedLines) {
 }
 
 TEST(FuzzTest, SeedRunsAreReproducible) {
-  const SeedRunResult a = run_seed(123);
-  const SeedRunResult b = run_seed(123);
+  const SeedRunResult a = run_spec(make_spec(123, false));
+  const SeedRunResult b = run_spec(make_spec(123, false));
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.transitions, b.transitions);
@@ -165,7 +165,8 @@ TEST(FuzzTest, SingleSeedReplayMatchesBatchCell) {
 
   metrics::Digest recomputed;
   for (std::size_t i = 0; i < opt.seeds; ++i) {
-    const SeedRunResult r = run_seed(seed_for_index(opt.base_seed, i));
+    const SeedRunResult r =
+        run_spec(make_spec(seed_for_index(opt.base_seed, i), false));
     recomputed.add_u64(r.seed);
     recomputed.add_u64(r.digest);
   }

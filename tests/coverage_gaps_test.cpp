@@ -95,9 +95,6 @@ TEST(StatsGapTest, QuantileClampsOutOfRangeArguments) {
 }
 
 TEST(StatsGapTest, DegenerateCorrelationInputs) {
-  EXPECT_DOUBLE_EQ(metrics::pearson({1.0}, {2.0}), 0.0);      // too short
-  EXPECT_DOUBLE_EQ(metrics::pearson({1, 2}, {1, 2, 3}), 0.0);  // mismatched
-  EXPECT_DOUBLE_EQ(metrics::autocorrelation({5.0, 5.0, 5.0}, 1), 0.0);
   const auto fit = metrics::least_squares({1.0, 1.0}, {2.0, 3.0});  // vertical
   EXPECT_DOUBLE_EQ(fit.slope, 0.0);
 }

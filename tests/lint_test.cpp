@@ -421,6 +421,40 @@ TEST(LintIndex, BuildsFunctionTableWithFacts) {
   EXPECT_EQ(idx.functions[1].calls[1].callee, "notify");
 }
 
+TEST(LintIndex, ConstructorWithInitializerListIsNamedForItsClass) {
+  const std::string code =
+      "struct Grower {\n"
+      "  Grower(int n, Sink& s) : n_(n), sink_{make_sink(s)} {\n"
+      "    v_.push_back(n_);\n"
+      "  }\n"
+      "  int n_;\n"
+      "};\n";
+  const mcs::lint::FileIndex idx =
+      mcs::lint::index_file("src/sched/grow.hpp", code);
+  ASSERT_EQ(idx.functions.size(), 1u);
+  EXPECT_EQ(idx.functions[0].qual, "Grower::Grower");
+  // The initializers' calls belong to the constructor, and so does its
+  // body: the `{...}` initializer opens no function of its own.
+  ASSERT_EQ(idx.functions[0].calls.size(), 3u);
+  EXPECT_EQ(idx.functions[0].calls[0].callee, "n_");
+  EXPECT_EQ(idx.functions[0].calls[1].callee, "make_sink");
+  EXPECT_EQ(idx.functions[0].calls[2].callee, "push_back");
+  EXPECT_EQ(idx.functions[0].allocs.size(), 1u);
+}
+
+TEST(LintIndex, TemplateSpecializationHeadIsAClass) {
+  const std::string code =
+      "template <typename R, typename... Args>\n"
+      "class UniqueFunction<R(Args...)> {\n"
+      " public:\n"
+      "  void reset() { ops_ = nullptr; }\n"
+      "};\n";
+  const mcs::lint::FileIndex idx =
+      mcs::lint::index_file("src/core/callback.hpp", code);
+  ASSERT_EQ(idx.functions.size(), 1u);
+  EXPECT_EQ(idx.functions[0].qual, "UniqueFunction::reset");
+}
+
 TEST(LintIndex, RecordsIncludeEdges) {
   const std::string code =
       "#include \"sched/engine.hpp\"\n"
@@ -514,6 +548,30 @@ TEST(LintH3, AllowOnDefinitionStopsPropagation) {
   EXPECT_TRUE(repo_findings(files, Rule::kH3).empty());
 }
 
+TEST(LintH3, FlagsConstructorWithInitializerList) {
+  // A hot caller reaches a constructor whose member-initializer list used
+  // to hide it from the call graph (it was indexed under the last
+  // initializer's name, `n_`).
+  const std::vector<FileInput> files = {
+      {"src/sched/grow.hpp",
+       "struct Grower {\n"
+       "  Grower(int n) : n_(n) { v_.push_back(n_); }\n"
+       "  std::size_t size() const { return v_.size(); }\n"
+       "  int n_;\n"
+       "  std::vector<int> v_;\n"
+       "};\n"},
+      {"src/sched/root.cpp",
+       "// mcs-lint: hot\n"
+       "std::size_t dispatch(int n) { return Grower(n).size(); }\n"},
+  };
+  const auto hits = repo_findings(files, Rule::kH3);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].file, "src/sched/grow.hpp");
+  EXPECT_EQ(hits[0].line, 2);
+  EXPECT_NE(hits[0].message.find("dispatch -> Grower::Grower"),
+            std::string::npos);
+}
+
 TEST(LintH3, ReserveSanctionsTransitiveCallee) {
   const std::vector<FileInput> files = {
       {"src/sched/root.cpp",
@@ -574,6 +632,88 @@ TEST(LintD4, FlagsSimulatorCallbacks) {
   const auto hits = repo_findings(files, Rule::kD4);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_NE(hits[0].message.find("simulator callback"), std::string::npos);
+}
+
+// ---- R1: src/ code some bench, tool or example reaches ---------------------
+
+TEST(LintR1, FlagsSrcFunctionOnlyATestCalls) {
+  const std::vector<FileInput> files = {
+      {"src/metrics/stats.cpp",
+       "double mean(const Series& s) { return s.sum / s.n; }\n"
+       "double skew(const Series& s) { return 0; }\n"},
+      {"bench/exp_demo.cpp", "int main() { return mean(load()) > 0; }\n"},
+      {"tests/stats_test.cpp",
+       "void check() { expect(skew(x) == mean(x)); }\n"},
+  };
+  const auto hits = repo_findings(files, Rule::kR1);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].file, "src/metrics/stats.cpp");
+  EXPECT_EQ(hits[0].line, 2);
+  EXPECT_NE(hits[0].message.find("`skew`"), std::string::npos);
+}
+
+TEST(LintR1, AllowOnDefinitionKeepsReferenceCode) {
+  // allow(R1) keeps the function and what only it reaches.
+  const std::vector<FileInput> files = {
+      {"src/graph/algorithms.cpp",
+       "double lcc_of_vertex(const Graph& g, int v) { return 0; }\n"
+       "// mcs-lint: allow(R1) — the sequential reference that\n"
+       "// ParallelKernelTest diffs lcc_parallel against.\n"
+       "std::vector<double> lcc(const Graph& g) {\n"
+       "  return {lcc_of_vertex(g, 0)};\n"
+       "}\n"},
+      {"bench/exp_demo.cpp", "int main() { return 0; }\n"},
+      {"tests/graph_test.cpp", "void check() { lcc(g); }\n"},
+  };
+  EXPECT_TRUE(repo_findings(files, Rule::kR1).empty());
+}
+
+TEST(LintR1, ValueUsesCountAsReferences) {
+  // Function pointers and template arguments reach a function without
+  // calling it.
+  const std::vector<FileInput> files = {
+      {"src/sched/allocation.cpp",
+       "bool order_fcfs(const Task& a, const Task& b) { return a < b; }\n"
+       "bool order_sjf(const Task& a, const Task& b) { return a < b; }\n"
+       "bool order_edf(const Task& a, const Task& b) { return a < b; }\n"
+       "Policy make_policy(const std::string& name) {\n"
+       "  static const Entry kTable[] = {{\"fcfs\", order_fcfs}};\n"
+       "  if (name == \"sjf\") return ordered<order_sjf>(name);\n"
+       "  return lookup(kTable, name);\n"
+       "}\n"},
+      {"bench/exp_scheduling.cpp",
+       "int main() { return make_policy(\"fcfs\").run(); }\n"},
+  };
+  const auto hits = repo_findings(files, Rule::kR1);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_NE(hits[0].message.find("`order_edf`"), std::string::npos);
+}
+
+TEST(LintR1, MakeUniqueReachesTheConstructor) {
+  const std::vector<FileInput> files = {
+      {"src/autoscale/autoscaler.hpp",
+       "class PidScaler {\n"
+       " public:\n"
+       "  PidScaler(double kp) : kp_(kp) { reset(); }\n"
+       "  void reset() { acc_ = 0; }\n"
+       "  double kp_, acc_;\n"
+       "};\n"},
+      {"src/autoscale/autoscaler.cpp",
+       "std::unique_ptr<Scaler> make_pid() {\n"
+       "  return std::make_unique<PidScaler>(0.5);\n"
+       "}\n"},
+      {"examples/quickstart.cpp", "int main() { return !make_pid(); }\n"},
+  };
+  EXPECT_TRUE(repo_findings(files, Rule::kR1).empty());
+}
+
+TEST(LintR1, SkippedWithoutARootFile) {
+  // `mcs_lint src` alone has no bench, tool or example to reach from.
+  const std::vector<FileInput> files = {
+      {"src/metrics/stats.cpp", "double unused() { return 0; }\n"},
+      {"tests/stats_test.cpp", "void check() {}\n"},
+  };
+  EXPECT_TRUE(repo_findings(files, Rule::kR1).empty());
 }
 
 // ---- L1: layer DAG ----------------------------------------------------------
@@ -676,7 +816,7 @@ TEST(LintRepo, SarifContainsFindings) {
 TEST(LintExplain, EveryRuleHasRationale) {
   using mcs::lint::Rule;
   for (Rule r : {Rule::kD1, Rule::kD2, Rule::kD3, Rule::kD4, Rule::kH1,
-                 Rule::kH2, Rule::kH3, Rule::kS1, Rule::kL1}) {
+                 Rule::kH2, Rule::kH3, Rule::kS1, Rule::kL1, Rule::kR1}) {
     ASSERT_NE(mcs::lint::explain(r), nullptr);
     EXPECT_NE(std::string(mcs::lint::explain(r)).find("Remedy"),
               std::string::npos)

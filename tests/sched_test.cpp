@@ -5,6 +5,7 @@
 #include <functional>
 #include <gtest/gtest.h>
 
+#include "fixtures.hpp"
 #include "failures/failure_model.hpp"
 #include "sched/datacenter_stack.hpp"
 #include "sched/engine.hpp"

@@ -38,6 +38,13 @@ infra::Datacenter make_zoned_dc(std::size_t machines, std::size_t zones,
 
 // ---- policy names --------------------------------------------------------------
 
+/// Every scoring policy, kNone first.
+std::vector<NodeScorePolicy> all_score_policies() {
+  return {NodeScorePolicy::kNone, NodeScorePolicy::kRandomHash,
+          NodeScorePolicy::kFreeShareVariance,
+          NodeScorePolicy::kSquaredMinDelta};
+}
+
 TEST(ScorePolicyTest, NamesRoundTrip) {
   for (NodeScorePolicy p : all_score_policies()) {
     EXPECT_EQ(score_policy_from_string(to_string(p)), p);

@@ -331,14 +331,6 @@ TEST_F(RngDistributionTest, ParetoRespectsMinimum) {
   }
 }
 
-TEST_F(RngDistributionTest, BoundedParetoStaysInBounds) {
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng_.bounded_pareto(1.0, 100.0, 1.1);
-    ASSERT_GE(x, 1.0);
-    ASSERT_LE(x, 100.0);
-  }
-}
-
 TEST_F(RngDistributionTest, PoissonMean) {
   double sum = 0.0;
   for (int i = 0; i < kN; ++i) sum += static_cast<double>(rng_.poisson(6.0));

@@ -1,6 +1,7 @@
 // Tests for tasks, workflow generators, and trace generation (src/workload).
 #include <gtest/gtest.h>
 
+#include "fixtures.hpp"
 #include "workload/trace.hpp"
 #include "workload/workflow.hpp"
 
@@ -17,7 +18,7 @@ TEST(JobTest, BagOfTasksBasics) {
   EXPECT_DOUBLE_EQ(bag.total_work_seconds(), 300.0);
   // Critical path of a bag is its longest task.
   EXPECT_DOUBLE_EQ(bag.critical_path_seconds(), 30.0);
-  EXPECT_EQ(bag.max_parallelism(), 10u);
+  EXPECT_EQ(max_parallelism(bag), 10u);
   EXPECT_TRUE(bag.valid());
 }
 
@@ -25,8 +26,8 @@ TEST(JobTest, ChainCriticalPathIsTotalWork) {
   const Job chain = make_chain(1, 5, 10.0);
   EXPECT_TRUE(chain.is_workflow());
   EXPECT_DOUBLE_EQ(chain.critical_path_seconds(), 50.0);
-  EXPECT_EQ(chain.max_parallelism(), 1u);
-  const auto levels = chain.level_of_tasks();
+  EXPECT_EQ(max_parallelism(chain), 1u);
+  const auto levels = level_of_tasks(chain);
   for (std::size_t i = 0; i < levels.size(); ++i) EXPECT_EQ(levels[i], i);
 }
 
@@ -34,7 +35,7 @@ TEST(JobTest, ForkJoinShape) {
   const Job fj = make_fork_join(1, 4, 2, 10.0);
   // Per stage: 1 source + 4 body + 1 sink = 6; 2 stages = 12 tasks.
   EXPECT_EQ(fj.tasks.size(), 12u);
-  EXPECT_EQ(fj.max_parallelism(), 4u);
+  EXPECT_EQ(max_parallelism(fj), 4u);
   // Critical path: per stage source+body+sink = 30; 2 stages = 60.
   EXPECT_DOUBLE_EQ(fj.critical_path_seconds(), 60.0);
   EXPECT_TRUE(fj.valid());
@@ -72,7 +73,7 @@ TEST_F(WorkflowShapeTest, MontageHasDiamondStructure) {
   // backgrounds.
   EXPECT_TRUE(m.tasks[0].deps.empty());
   EXPECT_EQ(m.tasks.back().deps.size(), 8u);
-  EXPECT_EQ(m.max_parallelism(), 8u);
+  EXPECT_EQ(max_parallelism(m), 8u);
 }
 
 TEST_F(WorkflowShapeTest, EpigenomicsLanesMerge) {
@@ -80,7 +81,7 @@ TEST_F(WorkflowShapeTest, EpigenomicsLanesMerge) {
   ASSERT_TRUE(e.valid());
   // 3 lanes x 4 stages + merge + analyze = 14.
   EXPECT_EQ(e.tasks.size(), 14u);
-  EXPECT_EQ(e.max_parallelism(), 3u);
+  EXPECT_EQ(max_parallelism(e), 3u);
   // The merge depends on all three lane tails.
   EXPECT_EQ(e.tasks[12].deps.size(), 3u);
 }
@@ -90,9 +91,9 @@ TEST_F(WorkflowShapeTest, LigoBanksChain) {
   ASSERT_TRUE(l.valid());
   // 3 banks x (5 inspirals + 1 thinca) = 18.
   EXPECT_EQ(l.tasks.size(), 18u);
-  EXPECT_EQ(l.max_parallelism(), 5u);
+  EXPECT_EQ(max_parallelism(l), 5u);
   // Critical path spans all banks: > per-bank path.
-  const auto levels = l.level_of_tasks();
+  const auto levels = level_of_tasks(l);
   EXPECT_EQ(*std::max_element(levels.begin(), levels.end()), 5u);
 }
 
@@ -106,10 +107,10 @@ TEST_F(WorkflowShapeTest, RandomDagIsValidAndLayered) {
 }
 
 TEST_F(WorkflowShapeTest, GeneratorsRejectDegenerateParameters) {
-  EXPECT_THROW(make_chain(1, 0, 1.0), std::invalid_argument);
-  EXPECT_THROW(make_fork_join(1, 0, 1, 1.0), std::invalid_argument);
   EXPECT_THROW(make_montage_like(1, 1, sizing_, rng_), std::invalid_argument);
-  EXPECT_THROW(make_random_dag(1, 3, 9, sizing_, rng_), std::invalid_argument);
+  EXPECT_THROW(make_epigenomics_like(1, 0, sizing_, rng_),
+               std::invalid_argument);
+  EXPECT_THROW(make_ligo_like(1, 0, 5, sizing_, rng_), std::invalid_argument);
 }
 
 // ---- trace generation ----------------------------------------------------------------
@@ -226,7 +227,7 @@ TEST(TraceTest, AcceleratedFractionHonoured) {
   for (const auto& j : jobs) {
     for (const auto& t : j.tasks) {
       ++total;
-      if (t.needs_accelerator()) ++acc;
+      if (t.demand.gpu() > 0.0) ++acc;
     }
   }
   EXPECT_NEAR(static_cast<double>(acc) / static_cast<double>(total), 0.25,

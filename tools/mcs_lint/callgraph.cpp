@@ -8,7 +8,8 @@
 
 namespace mcs::lint {
 
-CallGraph CallGraph::build(const std::vector<FileIndex>& files) {
+CallGraph CallGraph::build(const std::vector<FileIndex>& files,
+                           Edges edges) {
   CallGraph g;
   // Node table in (file, function) order.
   std::map<std::string, std::vector<int>> by_name;
@@ -29,19 +30,25 @@ CallGraph CallGraph::build(const std::vector<FileIndex>& files) {
   for (std::size_t n = 0; n < g.nodes_.size(); ++n) {
     const Node& node = g.nodes_[n];
     std::set<int> targets;
-    for (const CallSite& c : node.fn->calls) {
-      if (c.callee.rfind("<lambda@", 0) == 0) {
-        auto it = lambdas_by_file.find({node.file, c.callee});
+    const auto link = [&](const std::string& name) {
+      if (name.rfind("<lambda@", 0) == 0) {
+        auto it = lambdas_by_file.find({node.file, name});
         if (it != lambdas_by_file.end()) {
           targets.insert(it->second.begin(), it->second.end());
         }
-        continue;
+        return;
       }
-      auto it = by_name.find(c.callee);
-      if (it == by_name.end()) continue;
+      auto it = by_name.find(name);
+      if (it == by_name.end()) return;
       for (int t : it->second) {
         if (t != static_cast<int>(n)) targets.insert(t);
       }
+    };
+    // Lambda names reach a body only as calls (the enclosing function
+    // "calls" each lambda it defines), so both kinds walk the call sites.
+    for (const CallSite& c : node.fn->calls) link(c.callee);
+    if (edges == Edges::kReferences) {
+      for (const std::string& name : node.fn->refs) link(name);
     }
     g.out_[n].assign(targets.begin(), targets.end());
   }

@@ -9,6 +9,12 @@
 // while a spurious edge at worst asks for a reviewed `allow(...)`.
 // Lambdas resolve only within their defining file (their synthesized
 // `<lambda@LINE>` names are file-local).
+//
+// The same nodes carry a second edge kind for R1: a *reference* edge links
+// a function to every function whose name its body mentions, as a call or
+// as a value (a function pointer, a template argument, the class named by
+// `std::make_unique<T>`, which reaches T's constructors). H3 and D4 walk
+// calls only; R1's "is anything still using this?" walks references.
 #pragma once
 
 #include <cstddef>
@@ -26,10 +32,13 @@ class CallGraph {
     const FunctionInfo* fn = nullptr;
   };
 
+  enum class Edges { kCalls, kReferences };
+
   /// Builds nodes and edges over all indexed files. The files vector must
   /// outlive the graph (nodes point into it). Node order is (file order,
   /// function order) — deterministic because files arrive sorted by path.
-  static CallGraph build(const std::vector<FileIndex>& files);
+  static CallGraph build(const std::vector<FileIndex>& files,
+                         Edges edges = Edges::kCalls);
 
   [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
   [[nodiscard]] const std::vector<int>& edges(std::size_t node) const {

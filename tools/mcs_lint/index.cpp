@@ -270,6 +270,9 @@ PathPolicy classify_path(const std::string& tag) {
   if (t.rfind("./", 0) == 0) t = t.substr(2);
   PathPolicy p;
   p.in_src = t.rfind("src/", 0) == 0 || contains(t, "/src/");
+  for (const char* dir : {"bench/", "tools/", "examples/", "perfbench/"}) {
+    if (t.rfind(dir, 0) == 0) p.r1_root = true;
+  }
   p.d1_exempt =
       contains(t, "src/sim/random.") || contains(t, "src/parallel/");
   p.hot_dir = contains(t, "src/sim/") || contains(t, "src/graph/") ||
@@ -331,6 +334,11 @@ class Indexer {
 
   FileIndex run() {
     walk();
+    for (FunctionInfo& fn : out_.functions) {
+      std::sort(fn.refs.begin(), fn.refs.end());
+      fn.refs.erase(std::unique(fn.refs.begin(), fn.refs.end()),
+                    fn.refs.end());
+    }
     return std::move(out_);
   }
 
@@ -394,6 +402,20 @@ class Indexer {
     return {};
   }
 
+  /// Index of the `<` that opens the template argument list closed by the
+  /// `>` / `>>` at `close`; size() when there is none within reach.
+  std::size_t template_args_open(std::size_t close) const {
+    int depth = 0;
+    for (std::size_t k = close + 1; k-- > 0 && k + 64 > close;) {
+      const std::string& s = tok(k).text;
+      if (s == ">") ++depth;
+      else if (s == ">>") depth += 2;
+      else if (s == "<" && --depth == 0) return k;
+      else if (s == ";" || s == "{" || s == "}") break;
+    }
+    return size();
+  }
+
   /// Same heuristic as the original analyzer: walk back from the `{` over
   /// trailing function decorations to decide what kind of scope opens.
   ScopeKind classify_brace(std::size_t i) const {
@@ -429,6 +451,15 @@ class Indexer {
         return ScopeKind::kFunction;
       }
       if (t.text == "]") return ScopeKind::kFunction;  // captureless lambda
+      // `class UniqueFunction<R(Args...)> {`: the parentheses belong to
+      // the specialization's arguments, not to a parameter list.
+      if (t.text == ">" || t.text == ">>") {
+        const std::size_t open = template_args_open(k - 1);
+        if (open < k) {
+          k = open;
+          continue;
+        }
+      }
       if (t.kind == TokKind::kIdent) {
         if (t.text == "namespace") return ScopeKind::kNamespace;
         if (t.text == "class" || t.text == "struct" || t.text == "union" ||
@@ -451,12 +482,18 @@ class Indexer {
     return inside_function() ? ScopeKind::kBlock : ScopeKind::kNamespace;
   }
 
+  struct Declarator {
+    std::string name;
+    std::string qual;
+    int line = 0;             ///< line of the name
+    std::size_t params = 0;   ///< index of the parameter list's `(`
+  };
+
   /// For a Function scope opening at token `i` (the `{`), recover the
   /// function's name: find the parameter list's `(`, take the identifier
   /// chain before it. Returns false for lambdas / operators we name
   /// synthetically.
-  bool function_name(std::size_t i, std::string& name,
-                     std::string& qual) const {
+  bool function_name(std::size_t i, Declarator& d) const {
     static const std::set<std::string> kSkippable = {
         "const", "noexcept", "override", "final", "mutable",
         "->",    "::",       "<",        ">",     "&",
@@ -489,18 +526,27 @@ class Indexer {
         }
         if (q == 0 || tok(q - 1).kind != TokKind::kIdent) return false;
         if (kNotACall.count(tok(q - 1).text) != 0) return false;
-        name = tok(q - 1).text;
-        qual = name;
+        d.name = tok(q - 1).text;
+        d.line = tok(q - 1).line;
+        d.params = p;
+        d.qual = d.name;
         // Collect `A::B::name` qualifiers.
         std::size_t r = q - 1;
         while (r >= 2 && tok(r - 1).text == "::" &&
                tok(r - 2).kind == TokKind::kIdent) {
-          qual = tok(r - 2).text + "::" + qual;
+          d.qual = tok(r - 2).text + "::" + d.qual;
           r -= 2;
         }
         return true;
       }
       if (t.text == "]") return false;  // lambda
+      if (t.text == ">" || t.text == ">>") {  // `-> std::map<K, std::set<V>>`
+        const std::size_t open = template_args_open(k - 1);
+        if (open < k) {
+          k = open;
+          continue;
+        }
+      }
       if (t.kind == TokKind::kIdent ||
           (t.kind == TokKind::kPunct && kSkippable.count(t.text) != 0)) {
         --k;
@@ -511,16 +557,53 @@ class Indexer {
     return false;
   }
 
+  /// For a `:` at `i` that follows a parameter list, parses a constructor's
+  /// member-initializer list (`: a_(x), Base<T>{y}, b_(z...) {`) and
+  /// returns the index of the body's `{`; size() when the tokens after
+  /// `:` are not one (a ternary, a case label, a range-for).
+  std::size_t ctor_body_brace(std::size_t i) const {
+    if (i == 0 || (tok(i - 1).text != ")" && tok(i - 1).text != "noexcept")) {
+      return size();
+    }
+    std::size_t j = i + 1;
+    while (j < size()) {
+      if (is(j, "::")) ++j;
+      if (j >= size() || tok(j).kind != TokKind::kIdent) return size();
+      ++j;
+      while (is(j, "::") && j + 1 < size() &&
+             tok(j + 1).kind == TokKind::kIdent) {
+        j += 2;
+      }
+      if (is(j, "<")) j = skip_template_args(j);
+      std::size_t close = size();
+      if (is(j, "(")) close = match_forward(j, "(", ")");
+      else if (is(j, "{")) close = match_forward(j, "{", "}");
+      if (close >= size()) return size();
+      j = close + 1;
+      if (is(j, "...")) ++j;
+      if (is(j, "{")) return j;
+      if (!is(j, ",")) return size();
+      ++j;
+    }
+    return size();
+  }
+
   void open_function(std::size_t i) {
     FunctionInfo fn;
     fn.line = tok(i).line;
     const int parent = current_func();
     fn.parent = parent;
-    std::string name;
-    std::string qual;
-    if (function_name(i, name, qual)) {
-      fn.name = std::move(name);
-      fn.qual = std::move(qual);
+    fn.decl_line = fn.line;
+    Declarator d;
+    if (function_name(i, d)) {
+      fn.name = std::move(d.name);
+      fn.qual = std::move(d.qual);
+      fn.decl_line = d.line;
+      // The parameter list is part of the definition: a parameter of type
+      // T constructs a T on every call, so its names are R1 references.
+      for (std::size_t k = d.params; k < i; ++k) {
+        if (tok(k).kind == TokKind::kIdent) fn.refs.push_back(tok(k).text);
+      }
       if (fn.qual.find("::") == std::string::npos) {
         const std::string cls = enclosing_class();
         if (!cls.empty()) fn.qual = cls + "::" + fn.qual;
@@ -642,8 +725,30 @@ class Indexer {
         }
       }
 
+      // A constructor's scope opens at the `:` of its member-initializer
+      // list, so the initializers' calls and names belong to it; the body's
+      // `{` then opens nothing, and braces in between are initializers.
+      if (t.kind == TokKind::kPunct && t.text == ":" && init_list_end_ == 0) {
+        const std::size_t body = ctor_body_brace(i);
+        Declarator d;
+        if (body < size() && function_name(i, d)) {
+          open_function(i);
+          init_list_end_ = body;
+          continue;
+        }
+      }
       if (t.kind == TokKind::kPunct && t.text == "{") {
-        const ScopeKind kind = classify_brace(i);
+        if (i == init_list_end_) {
+          init_list_end_ = 0;
+          continue;
+        }
+        const bool initializer =
+            init_list_end_ != 0 &&
+            ((tok(i - 1).kind == TokKind::kIdent &&
+              tok(i - 1).text != "mutable") ||
+             tok(i - 1).text == ">" || tok(i - 1).text == ">>");
+        const ScopeKind kind =
+            initializer ? ScopeKind::kBlock : classify_brace(i);
         switch (kind) {
           case ScopeKind::kFunction:
             open_function(i);
@@ -701,6 +806,7 @@ class Indexer {
       if (f < 0) continue;
       FunctionInfo& fn = out_.functions[f];
       Scope* fscope = function_scope();
+      fn.refs.push_back(t.text);
 
       // Allocation facts (H2 for annotated-hot functions, H3 when a hot
       // root reaches the function transitively).
@@ -765,6 +871,7 @@ class Indexer {
   FileIndex out_;
   std::vector<Scope> stack_;
   std::vector<RootRange> root_ranges_;
+  std::size_t init_list_end_ = 0;  ///< pending constructor body `{`, or 0
   bool pending_hot_ = false;
 };
 

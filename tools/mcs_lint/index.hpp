@@ -5,10 +5,12 @@
 // structure once, producing everything the rule passes need:
 //
 //  - every function definition (free functions, member functions defined
-//    inline or out-of-line, lambdas) with its source span and enclosing
-//    class/function context;
+//    inline or out-of-line, constructors with their member-initializer
+//    lists, lambdas) with its source span and enclosing class/function
+//    context;
 //  - the calls each body makes (callee name + line), which pass 2 links
-//    into the repo-wide call graph;
+//    into the repo-wide call graph, and every name the body mentions
+//    (calls and value uses alike), which links R1's reference graph;
 //  - per-function *facts*: H2-style allocation sites (new / make_unique /
 //    make_shared / push_back / emplace_back / resize without a prior
 //    reserve on the same receiver), ambient-time/randomness observations
@@ -95,7 +97,11 @@ struct Site {
 struct FunctionInfo {
   std::string name;  ///< unqualified name; lambdas get `<lambda@LINE>`
   std::string qual;  ///< display name with class qualifier if known
-  int line = 0;      ///< line of the opening brace's declaration
+  int line = 0;      ///< line of the opening brace (for a constructor with
+                     ///< a member-initializer list: of its `:`)
+  int decl_line = 0;  ///< line of the name (lambdas: == line); `allow(...)`
+                      ///< anywhere from the line above it to `line` covers
+                      ///< the definition
   int parent = -1;   ///< index of enclosing function (lambdas), or -1
   bool hot = false;  ///< annotated `mcs-lint: hot`, or lexically inside a
                      ///< hot function (H2 covers its body either way)
@@ -105,6 +111,10 @@ struct FunctionInfo {
                             ///< a sweep *cell*, a D4 determinism root
   bool sim_callback_root = false;  ///< lambda passed to schedule_at/_after
   std::vector<CallSite> calls;
+  /// Every identifier the body mentions, sorted and unique: a superset of
+  /// the callees that also holds value uses (`ordered<order_fcfs>(...)`,
+  /// `{"fcfs", order_fcfs}`, the `T` of `std::make_unique<T>`).
+  std::vector<std::string> refs;
   std::vector<Site> allocs;        ///< H2-style allocation facts
   std::vector<Site> wallclock;     ///< D1-style ambient time/randomness
   std::vector<Site> std_function;  ///< `std::function` mentions
@@ -133,6 +143,7 @@ struct FileIndex {
 
 struct PathPolicy {
   bool in_src = false;
+  bool r1_root = false;     ///< bench/, tools/, examples/, perfbench/
   bool d1_exempt = false;   ///< src/sim/random.* and src/parallel/
   bool hot_dir = false;     ///< src/sim/, src/graph/, src/parallel/, src/obs/
   bool s1_whitelisted = false;

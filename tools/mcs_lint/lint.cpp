@@ -25,6 +25,7 @@ const char* rule_name(Rule rule) {
     case Rule::kH3: return "H3";
     case Rule::kS1: return "S1";
     case Rule::kL1: return "L1";
+    case Rule::kR1: return "R1";
   }
   return "??";
 }
@@ -81,8 +82,9 @@ const char* explain(Rule rule) {
           "src/parallel/, src/obs/). std::function type-erases with a\n"
           "possible heap allocation per assignment and an indirect call\n"
           "per invocation; on event dispatch and graph kernels this is\n"
-          "measurable. Remedy: sim::Callback (small-buffer, move-only),\n"
-          "core::UniqueFunction (owning) or core::FunctionRef (borrowed).";
+          "measurable. Remedy: core::UniqueFunction (owning, small-\n"
+          "buffer, move-only; sim::Callback is its void() form) or\n"
+          "core::FunctionRef (borrowed).";
     case Rule::kH2:
       return
           "H2 — heap allocation in functions annotated `// mcs-lint: hot`.\n"
@@ -124,6 +126,22 @@ const char* explain(Rule rule) {
           "staying domain-agnostic. Remedy: invert the dependency (inject\n"
           "a callback / interface defined lower) or move the shared piece\n"
           "down a layer.";
+    case Rule::kR1:
+      return
+          "R1 — src/ holds only code a bench, tool or example runs.\n"
+          "A function defined under src/ must be reachable from a root:\n"
+          "any function defined under bench/, tools/, examples/ or\n"
+          "perfbench/ (each main, each BM_* benchmark). Reachability\n"
+          "follows every name a reached body mentions, as a call or as a\n"
+          "value (function pointers, template arguments, the T of\n"
+          "std::make_unique<T>). tests/ is not a root: code that only its\n"
+          "own unit tests call is weight the library carries for nothing.\n"
+          "R1 is skipped when the input holds no root file; lint src\n"
+          "bench tests tools examples perfbench together. Remedy: call it\n"
+          "from the bench that regenerates its artifact, move a sequential\n"
+          "reference or fixture to tests/, or delete it with its tests;\n"
+          "`allow(R1) — <reason>` on the definition keeps reviewed\n"
+          "reference code (and what it reaches).";
   }
   return nullptr;
 }
@@ -132,7 +150,8 @@ bool parse_rule(const std::string& name, Rule& out) {
   static const std::pair<const char*, Rule> kRules[] = {
       {"D1", Rule::kD1}, {"D2", Rule::kD2}, {"D3", Rule::kD3},
       {"D4", Rule::kD4}, {"H1", Rule::kH1}, {"H2", Rule::kH2},
-      {"H3", Rule::kH3}, {"S1", Rule::kS1}, {"L1", Rule::kL1}};
+      {"H3", Rule::kH3}, {"S1", Rule::kS1}, {"L1", Rule::kL1},
+      {"R1", Rule::kR1}};
   for (const auto& [n, r] : kRules) {
     if (name == n) {
       out = r;
@@ -252,9 +271,9 @@ std::string json_escape(const std::string& s) {
 }  // namespace
 
 std::string to_sarif(const std::vector<Finding>& findings) {
-  static const Rule kAll[] = {Rule::kD1, Rule::kD2, Rule::kD3,
-                              Rule::kD4, Rule::kH1, Rule::kH2,
-                              Rule::kH3, Rule::kS1, Rule::kL1};
+  static const Rule kAll[] = {Rule::kD1, Rule::kD2, Rule::kD3, Rule::kD4,
+                              Rule::kH1, Rule::kH2, Rule::kH3, Rule::kS1,
+                              Rule::kL1, Rule::kR1};
   std::ostringstream out;
   out << "{\n"
       << "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n"

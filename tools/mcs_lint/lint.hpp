@@ -21,8 +21,9 @@
 //       and unordered containers keyed on pointers whose iteration feeds a
 //       fold — all ASLR-dependent, all silently break `--digest` equality.
 //   H1  std::function in hot-path files (src/sim/, src/graph/,
-//       src/parallel/, src/obs/) — use sim::Callback, core::UniqueFunction,
-//       or core::FunctionRef.
+//       src/parallel/, src/obs/) — use core::UniqueFunction (owning; the
+//       event kernel's sim::Callback is its void() form) or
+//       core::FunctionRef.
 //   H2  heap allocation (`new`, `make_unique`/`make_shared`, `push_back`/
 //       `emplace_back`/`resize` without a prior `reserve` on the same
 //       receiver in the same function) inside functions marked
@@ -41,11 +42,19 @@
 //   L1  the DESIGN.md layer DAG enforced on src-internal #include edges
 //       (core <- sim/metrics <- graph/parallel/infra/workload <-
 //       sched/failures/obs <- exp/check <- domains), plus module cycles.
+//   R1  src/ holds only code something runs: a function defined under
+//       src/ that no root reaches through calls or value uses (function
+//       pointers, template arguments, `std::make_unique<T>`) is flagged.
+//       Roots are the functions defined under bench/, tools/, examples/
+//       and perfbench/; tests/ is not one. Skipped when no root file is
+//       in the input, so lint all six directories together.
 //
 // Generic per-line suppression: `// mcs-lint: allow(D1)` on the finding's
 // line or the line above. For H3/D4, `allow(...)` on a function's
-// definition line also stops propagation *through* that function — the
-// justification covers the subtree it guards. `--baseline` /
+// definition (any line from the one above its name to its opening brace)
+// also stops propagation *through* that function — the justification
+// covers the subtree it guards; for R1 it keeps the function and what it
+// reaches. `--baseline` /
 // `--write-baseline` implement the ratchet: existing debt is recorded and
 // only *new* findings fail CI. This tree carries zero baseline entries.
 #pragma once
@@ -56,12 +65,12 @@
 
 namespace mcs::lint {
 
-enum class Rule { kD1, kD2, kD3, kD4, kH1, kH2, kH3, kS1, kL1 };
+enum class Rule { kD1, kD2, kD3, kD4, kH1, kH2, kH3, kS1, kL1, kR1 };
 
 [[nodiscard]] const char* rule_name(Rule rule);
 
 /// Long-form rationale + remedy text for `--explain RULE`; nullptr for an
-/// unknown rule name. `parse_rule` accepts "D1" ... "L1".
+/// unknown rule name. `parse_rule` accepts "D1" ... "R1".
 [[nodiscard]] const char* explain(Rule rule);
 [[nodiscard]] bool parse_rule(const std::string& name, Rule& out);
 
@@ -103,7 +112,7 @@ struct RepoOptions {
 };
 
 struct RepoResult {
-  /// All findings — per-file rules plus H3/D4/L1 — sorted by
+  /// All findings — per-file rules plus H3/D4/L1/R1 — sorted by
   /// (file, line, rule, message).
   std::vector<Finding> findings;
   std::string callgraph_dot;  ///< Graphviz DOT when requested
@@ -111,7 +120,7 @@ struct RepoResult {
 
 /// Two-pass repo analysis: pass 1 indexes every file (in parallel when
 /// opt.jobs > 1) and runs the per-file rules; pass 2 builds the call
-/// graph and include graph and runs H3/D4/L1.
+/// graph and include graph and runs H3/D4/L1/R1.
 [[nodiscard]] RepoResult analyze_repo(const std::vector<FileInput>& files,
                                       const RepoOptions& opt = {});
 

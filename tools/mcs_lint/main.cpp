@@ -16,8 +16,8 @@
 //
 // Exit code: 0 = clean (after baseline), 1 = findings, 2 = usage/IO error.
 // Run from the repository root so path tags are repo-relative
-// (`build/tools/mcs_lint src bench tests tools`); the `lint.tree` ctest
-// and the `lint` CMake target do exactly that.
+// (`build/tools/mcs_lint src bench tests tools examples perfbench`); the
+// `lint.tree` ctest and the `lint` CMake target do exactly that.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
       const std::string name = argv[++i];
       if (!mcs::lint::parse_rule(name, rule)) {
         std::cerr << "mcs_lint: unknown rule " << name
-                  << " (rules: D1 D2 D3 D4 H1 H2 H3 S1 L1)\n";
+                  << " (rules: D1 D2 D3 D4 H1 H2 H3 S1 L1 R1)\n";
         return 2;
       }
       std::cout << mcs::lint::explain(rule) << "\n";

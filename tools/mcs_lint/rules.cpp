@@ -404,9 +404,9 @@ void check_h1(const FileIndex& idx, Reporter& rep) {
     if (toks[i].text == "std" && toks[i + 1].text == "::" &&
         toks[i + 2].text == "function") {
       rep.report(Rule::kH1, toks[i].line,
-                 "std::function in hot-path file — use sim::Callback, "
-                 "core::UniqueFunction (owning) or core::FunctionRef "
-                 "(borrowed)");
+                 "std::function in hot-path file — use "
+                 "core::UniqueFunction (owning; sim::Callback is its void() "
+                 "form) or core::FunctionRef (borrowed)");
     }
   }
 }
@@ -464,21 +464,23 @@ std::vector<Finding> run_file_rules(const FileIndex& idx) {
 
 namespace {
 
+/// Whether `allow(RULE)` sits on the definition of `node`: on any line
+/// from the one above its name to the one holding its opening brace.
+bool allowed_on_definition(const CallGraph::Node& node, Rule rule) {
+  const auto& allow = node.file->markers.allow;
+  for (auto it = allow.lower_bound(node.fn->decl_line - 1);
+       it != allow.end() && it->first <= node.fn->line; ++it) {
+    if (it->second.count(rule_name(rule)) != 0) return true;
+  }
+  return false;
+}
+
 /// A node is a propagation stop for `rule` when `allow(RULE)` sits on its
-/// definition line (or the line above): the justification covers the
-/// subtree the function guards.
+/// definition: the justification covers the subtree the function guards.
 std::vector<char> blocked_nodes(const CallGraph& graph, Rule rule) {
-  const char* rn = rule_name(rule);
   std::vector<char> blocked(graph.nodes().size(), 0);
   for (std::size_t n = 0; n < graph.nodes().size(); ++n) {
-    const CallGraph::Node& node = graph.nodes()[n];
-    for (int l : {node.fn->line, node.fn->line - 1}) {
-      auto it = node.file->markers.allow.find(l);
-      if (it != node.file->markers.allow.end() &&
-          it->second.count(rn) != 0) {
-        blocked[n] = 1;
-      }
-    }
+    blocked[n] = allowed_on_definition(graph.nodes()[n], rule) ? 1 : 0;
   }
   return blocked;
 }
@@ -519,7 +521,7 @@ void run_h3(const std::vector<FileIndex>& files, const CallGraph& graph,
       rep.report(Rule::kH3, s.line,
                  s.what + " on a hot path — reachable from `mcs-lint: hot` "
                           "root via " +
-                     chain + "; use sim::Callback / core::FunctionRef");
+                     chain + "; use core::UniqueFunction / core::FunctionRef");
     }
   }
 }
@@ -572,6 +574,45 @@ void run_d4(const std::vector<FileIndex>& files, const CallGraph& graph,
   }
 }
 
+/// R1 — every function defined under src/ must be reachable, through
+/// reference edges, from a root: any function defined under bench/,
+/// tools/, examples/ or perfbench/ (each `main`, each registered `BM_*`).
+/// A function carrying `allow(R1)` is kept on purpose (reference code a
+/// test diffs against) and roots the subtree it keeps alive. Skipped when
+/// the input holds no root file, so `mcs_lint src` lints as before.
+void run_r1(const std::vector<FileIndex>& files, std::vector<Finding>& out) {
+  const bool any_root = std::any_of(
+      files.begin(), files.end(),
+      [](const FileIndex& f) { return classify_path(f.path).r1_root; });
+  if (!any_root) return;
+  const CallGraph refs =
+      CallGraph::build(files, CallGraph::Edges::kReferences);
+  std::vector<int> roots;
+  for (std::size_t n = 0; n < refs.nodes().size(); ++n) {
+    const CallGraph::Node& node = refs.nodes()[n];
+    if (classify_path(node.file->path).r1_root ||
+        allowed_on_definition(node, Rule::kR1)) {
+      roots.push_back(static_cast<int>(n));
+    }
+  }
+  const std::vector<int> parent = refs.reach(roots, {});
+  for (std::size_t n = 0; n < refs.nodes().size(); ++n) {
+    const CallGraph::Node& node = refs.nodes()[n];
+    if (parent[n] >= 0 || node.fn->is_lambda ||
+        !classify_path(node.file->path).in_src) {
+      continue;
+    }
+    Reporter rep(*node.file, out);
+    rep.report(Rule::kR1, node.fn->line,
+               "`" + node.fn->qual +
+                   "` is defined under src/ but no bench, tool, example or "
+                   "perfbench function reaches it — call it from the bench "
+                   "that regenerates its artifact, move it to tests/, or "
+                   "delete it; keep reviewed reference code with "
+                   "`// mcs-lint: allow(R1) — <reason>`");
+  }
+}
+
 /// L1 — the include-layer DAG.
 void run_l1(const std::vector<FileIndex>& files, std::vector<Finding>& out) {
   for (const LayerViolation& v : check_layers(files)) {
@@ -594,6 +635,7 @@ std::vector<Finding> run_repo_rules(const std::vector<FileIndex>& files,
   run_h3(files, graph, out);
   run_d4(files, graph, out);
   run_l1(files, out);
+  run_r1(files, out);
   return out;
 }
 

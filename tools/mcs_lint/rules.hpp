@@ -10,8 +10,8 @@
 // `run_repo_rules` consumes the merged index plus the call graph and
 // evaluates the interprocedural rules: H3 (hotness propagates through
 // calls), D4 (determinism roots — sweep cells and simulator callbacks —
-// must not reach ambient time), L1 (the include-layer DAG). Serial, after
-// the merge barrier.
+// must not reach ambient time), L1 (the include-layer DAG), R1 (src/ code
+// some bench, tool or example reaches). Serial, after the merge barrier.
 #pragma once
 
 #include <vector>

@@ -251,7 +251,8 @@ class JsonParser {
 };
 
 // ---------------------------------------------------------------------------
-// Rendering: mcs-report-v1 -> the same tables write_report_text produces.
+// Rendering: mcs-report-v1 -> the human-readable report tables (the only
+// text renderer; src/obs writes the JSON alone).
 
 std::string scalar_to_string(const JsonValue& v) {
   switch (v.kind) {
