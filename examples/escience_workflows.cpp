@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   infra::Federation fed("escience-grid");
   infra::Datacenter& ams = fed.add_datacenter("ams", "eu-west");
   infra::Datacenter& lyon = fed.add_datacenter("lyon", "eu-central");
-  fed.set_latency("ams", "lyon", 12 * sim::kMillisecond);
   ams.add_uniform_racks(2, 8, infra::ResourceVector{8.0, 32.0, 0.0}, 1.0);
   lyon.add_uniform_racks(2, 8, infra::ResourceVector{8.0, 32.0, 0.0}, 1.2);
   metrics::print_kv(std::cout, "sites", std::to_string(fed.size()));

@@ -1,10 +1,12 @@
 #include "check/fuzz.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <iomanip>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "check/oracle.hpp"
 #include "exp/sweep.hpp"
@@ -138,6 +140,91 @@ std::vector<Flap> materialize_flaps(const ScenarioSpec& spec,
     flaps.push_back(f);
   }
   return flaps;
+}
+
+/// Calls f(key, field) for every ScenarioSpec field, in repro-file order:
+/// the one list both to_text and from_text walk.
+template <typename Spec, typename F>
+void for_each_field(Spec& spec, F&& f) {
+  f("seed", spec.seed);
+  f("racks", spec.racks);
+  f("per_rack", spec.per_rack);
+  f("heterogeneous", spec.heterogeneous);
+  f("accel_fraction", spec.accel_fraction);
+  f("trace.job_count", spec.trace.job_count);
+  f("trace.arrivals", spec.trace.arrivals);
+  f("trace.arrival_rate_per_hour", spec.trace.arrival_rate_per_hour);
+  f("trace.workflow_fraction", spec.trace.workflow_fraction);
+  f("trace.workflow_width", spec.trace.workflow_width);
+  f("trace.mean_tasks_per_job", spec.trace.mean_tasks_per_job);
+  f("trace.mean_task_seconds", spec.trace.mean_task_seconds);
+  f("trace.cv_task_seconds", spec.trace.cv_task_seconds);
+  f("trace.mean_cores_per_task", spec.trace.mean_cores_per_task);
+  f("trace.memory_per_core_gib", spec.trace.memory_per_core_gib);
+  f("trace.accelerated_fraction", spec.trace.accelerated_fraction);
+  f("trace.user_count", spec.trace.user_count);
+  f("trace.fragmentation_factor", spec.trace.fragmentation_factor);
+  f("job_limit", spec.job_limit);
+  f("impossible_job", spec.impossible_job);
+  f("policy", spec.policy);
+  f("retry", spec.retry);
+  f("max_retries", spec.max_retries);
+  f("scavenging", spec.scavenging);
+  f("failures_enabled", spec.failures_enabled);
+  f("failure.mode", spec.failure.mode);
+  f("failure.failures_per_machine_day", spec.failure.failures_per_machine_day);
+  f("failure.mean_repair_seconds", spec.failure.mean_repair_seconds);
+  f("failure.cv_repair", spec.failure.cv_repair);
+  f("failure.mean_burst_size", spec.failure.mean_burst_size);
+  f("failure.weibull_shape", spec.failure.weibull_shape);
+  f("failure_limit", spec.failure_limit);
+  f("flap_count", spec.flap_count);
+  f("horizon", spec.horizon);
+  f("slo", spec.slo);
+  f("score_policy", spec.score_policy);
+  f("score_salt", spec.score_salt);
+  f("net_capacity", spec.net_capacity);
+  f("net_demand_fraction", spec.net_demand_fraction);
+  f("zone_count", spec.zone_count);
+  f("zone_job_fraction", spec.zone_job_fraction);
+  f("spread_fraction", spec.spread_fraction);
+  f("spread_limit", spec.spread_limit);
+}
+
+/// The last enumerator of each enum a spec carries; larger values are
+/// malformed.
+constexpr workload::ArrivalKind last_enumerator(workload::ArrivalKind) {
+  return workload::ArrivalKind::kDiurnal;
+}
+constexpr failures::CorrelationMode last_enumerator(failures::CorrelationMode) {
+  return failures::CorrelationMode::kSpaceAndTime;
+}
+
+/// Parses the whole of `text` as a T: bools are 0 or 1, enums a number up
+/// to their last enumerator, numbers plain decimals (a '-' only where the
+/// type is signed) with no blank, no '+' and no trailing text. False when
+/// `text` is not such a value.
+template <typename T>
+bool parse_value(const std::string& text, T& out) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    out = text;
+    return true;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out = text == "1";
+    return out || text == "0";
+  } else if constexpr (std::is_enum_v<T>) {
+    int v = 0;
+    if (!parse_value(text, v) || v < 0 ||
+        v > static_cast<int>(last_enumerator(T{}))) {
+      return false;
+    }
+    out = static_cast<T>(v);
+    return true;
+  } else {
+    const char* last = text.data() + text.size();
+    const auto [end, error] = std::from_chars(text.data(), last, out);
+    return error == std::errc{} && end == last;
+  }
 }
 
 }  // namespace
@@ -429,56 +516,15 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
 std::string to_text(const ScenarioSpec& spec) {
   std::ostringstream out;
   out << std::setprecision(17);
-  out << "seed=" << spec.seed << "\n";
-  out << "racks=" << spec.racks << "\n";
-  out << "per_rack=" << spec.per_rack << "\n";
-  out << "heterogeneous=" << (spec.heterogeneous ? 1 : 0) << "\n";
-  out << "accel_fraction=" << spec.accel_fraction << "\n";
-  out << "trace.job_count=" << spec.trace.job_count << "\n";
-  out << "trace.arrivals=" << static_cast<int>(spec.trace.arrivals) << "\n";
-  out << "trace.arrival_rate_per_hour=" << spec.trace.arrival_rate_per_hour
-      << "\n";
-  out << "trace.workflow_fraction=" << spec.trace.workflow_fraction << "\n";
-  out << "trace.workflow_width=" << spec.trace.workflow_width << "\n";
-  out << "trace.mean_tasks_per_job=" << spec.trace.mean_tasks_per_job << "\n";
-  out << "trace.mean_task_seconds=" << spec.trace.mean_task_seconds << "\n";
-  out << "trace.cv_task_seconds=" << spec.trace.cv_task_seconds << "\n";
-  out << "trace.mean_cores_per_task=" << spec.trace.mean_cores_per_task
-      << "\n";
-  out << "trace.memory_per_core_gib=" << spec.trace.memory_per_core_gib
-      << "\n";
-  out << "trace.accelerated_fraction=" << spec.trace.accelerated_fraction
-      << "\n";
-  out << "trace.user_count=" << spec.trace.user_count << "\n";
-  out << "trace.fragmentation_factor=" << spec.trace.fragmentation_factor
-      << "\n";
-  out << "job_limit=" << spec.job_limit << "\n";
-  out << "impossible_job=" << (spec.impossible_job ? 1 : 0) << "\n";
-  out << "policy=" << spec.policy << "\n";
-  out << "retry=" << (spec.retry ? 1 : 0) << "\n";
-  out << "max_retries=" << spec.max_retries << "\n";
-  out << "scavenging=" << (spec.scavenging ? 1 : 0) << "\n";
-  out << "failures_enabled=" << (spec.failures_enabled ? 1 : 0) << "\n";
-  out << "failure.mode=" << static_cast<int>(spec.failure.mode) << "\n";
-  out << "failure.failures_per_machine_day="
-      << spec.failure.failures_per_machine_day << "\n";
-  out << "failure.mean_repair_seconds=" << spec.failure.mean_repair_seconds
-      << "\n";
-  out << "failure.cv_repair=" << spec.failure.cv_repair << "\n";
-  out << "failure.mean_burst_size=" << spec.failure.mean_burst_size << "\n";
-  out << "failure.weibull_shape=" << spec.failure.weibull_shape << "\n";
-  out << "failure_limit=" << spec.failure_limit << "\n";
-  out << "flap_count=" << spec.flap_count << "\n";
-  out << "horizon=" << spec.horizon << "\n";
-  out << "slo=" << spec.slo << "\n";
-  out << "score_policy=" << spec.score_policy << "\n";
-  out << "score_salt=" << spec.score_salt << "\n";
-  out << "net_capacity=" << spec.net_capacity << "\n";
-  out << "net_demand_fraction=" << spec.net_demand_fraction << "\n";
-  out << "zone_count=" << spec.zone_count << "\n";
-  out << "zone_job_fraction=" << spec.zone_job_fraction << "\n";
-  out << "spread_fraction=" << spec.spread_fraction << "\n";
-  out << "spread_limit=" << spec.spread_limit << "\n";
+  // Bools print as 1 and 0 (the stream's default), enums as their number.
+  for_each_field(spec, [&out](const char* key, const auto& value) {
+    out << key << '=';
+    if constexpr (std::is_enum_v<std::decay_t<decltype(value)>>) {
+      out << static_cast<int>(value) << '\n';
+    } else {
+      out << value << '\n';
+    }
+  });
   return out.str();
 }
 
@@ -498,83 +544,19 @@ ScenarioSpec from_text(const std::string& text) {
     }
     const std::string key = line.substr(start, eq - start);
     const std::string value = line.substr(eq + 1);
+    // Unknown keys are ignored for forward compatibility.
+    bool ok = true;
+    for_each_field(spec, [&](const char* name, auto& field) {
+      if (key == name) ok = parse_value(value, field);
+    });
     try {
-      if (key == "seed") spec.seed = std::stoull(value);
-      else if (key == "racks") spec.racks = std::stoull(value);
-      else if (key == "per_rack") spec.per_rack = std::stoull(value);
-      else if (key == "heterogeneous") spec.heterogeneous = std::stoi(value) != 0;
-      else if (key == "accel_fraction") spec.accel_fraction = std::stod(value);
-      else if (key == "trace.job_count") spec.trace.job_count = std::stoull(value);
-      else if (key == "trace.arrivals")
-        spec.trace.arrivals = static_cast<workload::ArrivalKind>(std::stoi(value));
-      else if (key == "trace.arrival_rate_per_hour")
-        spec.trace.arrival_rate_per_hour = std::stod(value);
-      else if (key == "trace.workflow_fraction")
-        spec.trace.workflow_fraction = std::stod(value);
-      else if (key == "trace.workflow_width")
-        spec.trace.workflow_width = std::stoull(value);
-      else if (key == "trace.mean_tasks_per_job")
-        spec.trace.mean_tasks_per_job = std::stod(value);
-      else if (key == "trace.mean_task_seconds")
-        spec.trace.mean_task_seconds = std::stod(value);
-      else if (key == "trace.cv_task_seconds")
-        spec.trace.cv_task_seconds = std::stod(value);
-      else if (key == "trace.mean_cores_per_task")
-        spec.trace.mean_cores_per_task = std::stod(value);
-      else if (key == "trace.memory_per_core_gib")
-        spec.trace.memory_per_core_gib = std::stod(value);
-      else if (key == "trace.accelerated_fraction")
-        spec.trace.accelerated_fraction = std::stod(value);
-      else if (key == "trace.user_count")
-        spec.trace.user_count = std::stoull(value);
-      else if (key == "trace.fragmentation_factor")
-        spec.trace.fragmentation_factor = std::stod(value);
-      else if (key == "job_limit") spec.job_limit = std::stoull(value);
-      else if (key == "impossible_job") spec.impossible_job = std::stoi(value) != 0;
-      else if (key == "policy") spec.policy = value;
-      else if (key == "retry") spec.retry = std::stoi(value) != 0;
-      else if (key == "max_retries") spec.max_retries = std::stoull(value);
-      else if (key == "scavenging") spec.scavenging = std::stoi(value) != 0;
-      else if (key == "failures_enabled")
-        spec.failures_enabled = std::stoi(value) != 0;
-      else if (key == "failure.mode")
-        spec.failure.mode = static_cast<failures::CorrelationMode>(std::stoi(value));
-      else if (key == "failure.failures_per_machine_day")
-        spec.failure.failures_per_machine_day = std::stod(value);
-      else if (key == "failure.mean_repair_seconds")
-        spec.failure.mean_repair_seconds = std::stod(value);
-      else if (key == "failure.cv_repair")
-        spec.failure.cv_repair = std::stod(value);
-      else if (key == "failure.mean_burst_size")
-        spec.failure.mean_burst_size = std::stod(value);
-      else if (key == "failure.weibull_shape")
-        spec.failure.weibull_shape = std::stod(value);
-      else if (key == "failure_limit") spec.failure_limit = std::stoull(value);
-      else if (key == "flap_count") spec.flap_count = std::stoull(value);
-      else if (key == "horizon") spec.horizon = std::stoll(value);
-      else if (key == "slo") {
-        (void)sched::parse_engine_slo_specs(value);
-        spec.slo = value;
-      }
-      else if (key == "score_policy") spec.score_policy = value;
-      else if (key == "score_salt") spec.score_salt = std::stoull(value);
-      else if (key == "net_capacity") spec.net_capacity = std::stod(value);
-      else if (key == "net_demand_fraction")
-        spec.net_demand_fraction = std::stod(value);
-      else if (key == "zone_count") spec.zone_count = std::stoull(value);
-      else if (key == "zone_job_fraction")
-        spec.zone_job_fraction = std::stod(value);
-      else if (key == "spread_fraction")
-        spec.spread_fraction = std::stod(value);
-      else if (key == "spread_limit")
-        spec.spread_limit = static_cast<std::uint32_t>(std::stoul(value));
-      // Unknown keys are ignored for forward compatibility.
+      if (ok && key == "slo") (void)sched::parse_engine_slo_specs(value);
     } catch (const std::invalid_argument&) {
+      ok = false;
+    }
+    if (!ok) {
       throw std::invalid_argument("repro line " + std::to_string(line_no) +
                                   ": malformed value for '" + key + "'");
-    } catch (const std::out_of_range&) {
-      throw std::invalid_argument("repro line " + std::to_string(line_no) +
-                                  ": value out of range for '" + key + "'");
     }
   }
   return spec;

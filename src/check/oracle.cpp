@@ -275,6 +275,33 @@ void InvariantChecker::verify(const sched::ExecutionEngine& e,
     ++held_count_[rt.machine];
   });
 
+  // I4 running index: walking every machine's list reaches each live task
+  // once, on its own machine, and nothing else. A stale or looping list
+  // fails on the first key it repeats or does not own.
+  listed_marks_.assign(e.running_.size(), 0);
+  std::size_t indexed = 0;
+  for (infra::MachineId id = 0; id < e.running_.machine_bound(); ++id) {
+    e.running_.for_each_on(id, [&](std::uint32_t key,
+                                   const sched::RunningTask& rt) {
+      const char* wrong = !e.running_.live(key) ? "a released key"
+                          : rt.machine != id ? "a task of another machine"
+                          : listed_marks_[key] != 0 ? "a key twice"
+                                                    : nullptr;
+      if (wrong != nullptr) {
+        fail("I4 running-index", where,
+             "machine " + std::to_string(id) + "'s list holds " + wrong +
+                 " (key " + std::to_string(key) + ")");
+      }
+      listed_marks_[key] = 1;
+      ++indexed;
+    });
+  }
+  if (indexed != e.running_.live_count()) {
+    fail("I4 running-index", where,
+         std::to_string(e.running_.live_count()) + " tasks run but the " +
+             "machine lists hold " + std::to_string(indexed));
+  }
+
   // I4: per-machine capacity sanity (and exclusive-allocation accounting),
   // checked in every resource dimension of the vector. Machines added after
   // attach() start undrained in the shadow, as they do in the engine.

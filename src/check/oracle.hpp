@@ -44,6 +44,9 @@
 //                    (==, no epsilon: a row that drifted by one ulp can flip
 //                    a fit at an exact boundary), and no unlisted machine
 //                    has a planned row.
+//                    RUNNING INDEX: every live running task is listed
+//                    exactly once, on its own machine's list, and the
+//                    per-machine lists hold nothing else.
 //  I5 PLACEMENT      every running task sits on a usable machine, a
 //                    kTaskStarted transition never targets a draining or
 //                    failed machine, every running task of a zone-
@@ -155,6 +158,8 @@ class InvariantChecker final : public sched::EngineObserver,
   /// dimension of the vector, not just the three historically named ones.
   std::vector<double> held_dims_;
   std::vector<std::uint32_t> held_count_;
+  /// Per running key: seen on a machine list in this sweep.
+  std::vector<std::uint8_t> listed_marks_;
 };
 
 }  // namespace mcs::check

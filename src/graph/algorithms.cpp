@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <queue>
-#include <string>
 
 namespace mcs::graph {
 
@@ -317,13 +316,6 @@ std::vector<double> lcc_parallel(const Graph& g, parallel::ThreadPool& pool) {
         }
       });
   return coeff;
-}
-
-// mcs-lint: allow(R1) — only AlgorithmTest.KernelListHasSixEntries
-// (tests/graph_test.cpp) calls it; it goes with that test in a later change,
-// since one change may take at most three tests out of the suite.
-std::vector<std::string> graphalytics_kernels() {
-  return {"BFS", "PR", "WCC", "CDLP", "LCC", "SSSP"};
 }
 
 }  // namespace mcs::graph

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -74,8 +73,5 @@ constexpr double kInfDistance = std::numeric_limits<double>::infinity();
 /// by the same arithmetic as lcc().
 [[nodiscard]] std::vector<double> lcc_parallel(const Graph& g,
                                                parallel::ThreadPool& pool);
-
-/// Names of the six kernels in canonical order.
-[[nodiscard]] std::vector<std::string> graphalytics_kernels();
 
 }  // namespace mcs::graph

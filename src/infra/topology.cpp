@@ -5,9 +5,8 @@
 
 namespace mcs::infra {
 
-Datacenter::Datacenter(std::string name, std::string region,
-                       NetworkModel network)
-    : name_(std::move(name)), region_(std::move(region)), network_(network) {}
+Datacenter::Datacenter(std::string name, std::string region)
+    : name_(std::move(name)), region_(std::move(region)) {}
 
 Machine& Datacenter::add_machine(std::string name, ResourceVector capacity,
                                  double speed_factor, std::size_t rack,
@@ -102,38 +101,10 @@ double Datacenter::power_watts() const {
   return total;
 }
 
-// mcs-lint: allow(R1) — only DatacenterTest.IntraRackLatencyLowerThanCrossRack
-// (tests/infra_test.cpp) calls it; it goes with that test in a later
-// change, since one change may take at most three tests out of the suite.
-sim::SimTime Datacenter::latency_between(MachineId a, MachineId b) const {
-  if (a == b) return 0;
-  return rack_of(a) == rack_of(b) ? network_.intra_rack_latency
-                                  : network_.intra_dc_latency;
-}
-
-Datacenter& Federation::add_datacenter(std::string name, std::string region,
-                                       NetworkModel network) {
+Datacenter& Federation::add_datacenter(std::string name, std::string region) {
   datacenters_.push_back(
-      std::make_unique<Datacenter>(std::move(name), std::move(region), network));
+      std::make_unique<Datacenter>(std::move(name), std::move(region)));
   return *datacenters_.back();
-}
-
-void Federation::set_latency(const std::string& dc_a, const std::string& dc_b,
-                             sim::SimTime rtt) {
-  latencies_[{std::min(dc_a, dc_b), std::max(dc_a, dc_b)}] = rtt;
-}
-
-// mcs-lint: allow(R1) — only FederationTest.LatencySymmetricLookup
-// (tests/infra_test.cpp) reads the latencies; deferred as latency_between.
-sim::SimTime Federation::latency(const std::string& dc_a,
-                                 const std::string& dc_b) const {
-  if (dc_a == dc_b) return 0;
-  auto it = latencies_.find({std::min(dc_a, dc_b), std::max(dc_a, dc_b)});
-  if (it == latencies_.end()) {
-    throw std::out_of_range("Federation::latency: unknown pair " + dc_a + "/" +
-                            dc_b);
-  }
-  return it->second;
 }
 
 std::size_t Federation::machine_count() const {

@@ -2,8 +2,8 @@
 //
 // The rack grouping is load-bearing: space-correlated failures [26] strike
 // rack-sized machine groups, and locality-aware placement (bigdata) prefers
-// rack-local block replicas. Federation (C10) is a set of datacenters with
-// an inter-site latency matrix, used by the geo-distributed experiments.
+// rack-local block replicas. Federation (C10) is a set of datacenters, used
+// by the geo-distributed experiments.
 #pragma once
 
 #include <map>
@@ -12,23 +12,13 @@
 #include <vector>
 
 #include "infra/machine.hpp"
-#include "sim/simulator.hpp"
 
 namespace mcs::infra {
-
-/// Flow-level network model inside one datacenter.
-struct NetworkModel {
-  sim::SimTime intra_rack_latency = 50;         // 50 us
-  sim::SimTime intra_dc_latency = 250;          // 250 us across racks
-  double intra_rack_gbps = 40.0;
-  double intra_dc_gbps = 10.0;  ///< oversubscribed core
-};
 
 /// A datacenter: machines organized into racks.
 class Datacenter {
  public:
-  Datacenter(std::string name, std::string region,
-             NetworkModel network = {});
+  Datacenter(std::string name, std::string region);
 
   const std::string& name() const { return name_; }
   const std::string& region() const { return region_; }
@@ -79,13 +69,9 @@ class Datacenter {
   /// Instantaneous power draw across the floor (watts).
   [[nodiscard]] double power_watts() const;
 
-  /// Network latency between two machines under the flow model.
-  [[nodiscard]] sim::SimTime latency_between(MachineId a, MachineId b) const;
-
  private:
   std::string name_;
   std::string region_;
-  NetworkModel network_;
   std::vector<std::unique_ptr<Machine>> machines_;
   /// On the heap, so the machines' pointers to it survive a move of the
   /// Datacenter (datacenters are returned and stored by value).
@@ -98,22 +84,15 @@ class Datacenter {
   std::map<std::string, std::uint32_t> zone_ids_{{"", 0}};
 };
 
-/// A federation of datacenters with inter-site latencies (C10:
-/// "geo-distributed, federated, multi-DC operation").
+/// A federation of datacenters (C10: "geo-distributed, federated, multi-DC
+/// operation").
 class Federation {
  public:
   explicit Federation(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
 
-  Datacenter& add_datacenter(std::string name, std::string region,
-                             NetworkModel network = {});
-
-  void set_latency(const std::string& dc_a, const std::string& dc_b,
-                   sim::SimTime rtt);
-
-  [[nodiscard]] sim::SimTime latency(const std::string& dc_a,
-                                     const std::string& dc_b) const;
+  Datacenter& add_datacenter(std::string name, std::string region);
 
   [[nodiscard]] std::size_t size() const { return datacenters_.size(); }
 
@@ -123,7 +102,6 @@ class Federation {
  private:
   std::string name_;
   std::vector<std::unique_ptr<Datacenter>> datacenters_;
-  std::map<std::pair<std::string, std::string>, sim::SimTime> latencies_;
 };
 
 }  // namespace mcs::infra

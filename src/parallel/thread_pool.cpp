@@ -58,27 +58,31 @@ void ThreadPool::worker_loop() {
       return stop_ || (batch_id_ != seen_batch && next_task_ < batch_size_);
     });
     if (stop_) return;
-    const std::uint64_t batch = batch_id_;
-    while (batch_id_ == batch && next_task_ < batch_size_) {
-      const std::size_t task = next_task_++;
-      ++in_flight_;
-      lock.unlock();
-      std::exception_ptr error;
-      try {
-        batch_fn_(task);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      lock.lock();
-      // mcs-lint: allow(H3) — exception path only: one entry per *failed*
-      // task; the success path never touches errors_.
-      if (error) errors_.emplace_back(task, error);
-      --in_flight_;
-      if (next_task_ >= batch_size_ && in_flight_ == 0) {
-        done_cv_.notify_all();
-      }
+    seen_batch = batch_id_;
+    claim_and_run(lock, seen_batch);
+  }
+}
+
+void ThreadPool::claim_and_run(std::unique_lock<std::mutex>& lock,
+                               std::uint64_t batch) {
+  while (batch_id_ == batch && next_task_ < batch_size_) {
+    const std::size_t task = next_task_++;
+    ++in_flight_;
+    lock.unlock();
+    std::exception_ptr error;
+    try {
+      batch_fn_(task);
+    } catch (...) {
+      error = std::current_exception();
     }
-    seen_batch = batch;
+    lock.lock();
+    // mcs-lint: allow(H3) — exception path only: one entry per *failed*
+    // task; the success path never touches errors_.
+    if (error) errors_.emplace_back(task, error);
+    --in_flight_;
+    if (next_task_ >= batch_size_ && in_flight_ == 0) {
+      done_cv_.notify_all();
+    }
   }
 }
 
@@ -94,22 +98,7 @@ void ThreadPool::run_tasks(std::size_t tasks,
   work_cv_.notify_all();
   // The caller participates too: with a 1-thread pool this still overlaps
   // compute with the worker, and it never deadlocks a small pool.
-  while (next_task_ < batch_size_) {
-    const std::size_t task = next_task_++;
-    ++in_flight_;
-    lock.unlock();
-    std::exception_ptr error;
-    try {
-      fn(task);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    lock.lock();
-    // mcs-lint: allow(H3) — exception path only: one entry per *failed*
-    // task; the success path never touches errors_.
-    if (error) errors_.emplace_back(task, error);
-    --in_flight_;
-  }
+  claim_and_run(lock, batch_id_);
   done_cv_.wait(lock, [&] { return in_flight_ == 0; });
   batch_size_ = 0;
   batch_fn_ = {};

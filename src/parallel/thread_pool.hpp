@@ -58,6 +58,10 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  /// The one task loop workers and the calling thread share: claims and
+  /// runs tasks of `batch` until none is left, recording each failure.
+  /// Called and returns with `lock` (on mu_) held.
+  void claim_and_run(std::unique_lock<std::mutex>& lock, std::uint64_t batch);
 
   std::vector<std::thread> workers_;
   std::mutex mu_;

@@ -202,7 +202,7 @@ std::optional<std::pair<infra::MachineId, double>> earliest_finish(
   double best_finish = std::numeric_limits<double>::max();
   for (const infra::Machine* m : view.machines) {
     if (!planned.fits(m->id(), t.demand)) continue;
-    if (!placement_allows(view, t, m->id())) continue;
+    if (!placement_allows(view.running, t, m->id())) continue;
     const double finish = t.work_seconds / m->speed_factor();
     if (finish < best_finish) {
       best_finish = finish;
@@ -308,7 +308,7 @@ class RandomPolicy final : public AllocationPolicy {
       options.reserve(view.machines.size());
       for (const infra::Machine* m : view.machines) {
         if (planned.fits(m->id(), t.demand) &&
-            placement_allows(view, t, m->id())) {
+            placement_allows(view.running, t, m->id())) {
           options.push_back(m->id());
         }
       }

@@ -21,6 +21,7 @@
 namespace mcs::sched {
 
 class PlannedCapacity;  // sched/scoring.hpp
+class RunningSet;       // sched/running_set.hpp
 
 /// Node-scoring policy for the placement pass (lowest score wins; ties
 /// break to the lowest machine id). The YT/YP EPodNodeScoreType lineage —
@@ -39,15 +40,6 @@ struct PlacementContext {
   NodeScorePolicy score = NodeScorePolicy::kNone;
   /// Hash salt for kRandomHash (varies the spread pattern per experiment).
   std::uint64_t salt = 0;
-};
-
-/// One row of the engine-built anti-affinity table: how many tasks of the
-/// job in `job_slot` currently run on `machine`. Sorted by (job_slot,
-/// machine); only jobs with a spread limit appear.
-struct AaCount {
-  std::uint32_t job_slot = 0;
-  std::uint32_t machine = 0;
-  std::uint32_t count = 0;
 };
 
 /// A task eligible to run now (dependencies satisfied).
@@ -80,20 +72,13 @@ struct ReadyTask {
   std::uint32_t spread_limit = 0;
 };
 
-/// A task currently executing (exposed so backfilling policies can reason
-/// about when capacity frees up).
-struct RunningView {
-  infra::MachineId machine = 0;
-  sim::SimTime expected_end = 0;
-  infra::ResourceVector demand;
-};
-
 /// What an allocation policy sees each scheduling round. The engine lends
 /// its live usable-machine list and planned capacity instead of rebuilding
 /// them per round (DESIGN.md §12): `machines` is moved in and out of the
 /// view, and `planned` mirrors exactly those machines' live free capacity.
 /// A policy takes from `*planned` while it plans and restore()s it before
-/// decide() returns, so the engine finds the mirror as it lent it.
+/// decide() returns, so the engine finds the mirror as it lent it. The
+/// running set is the engine's own, read in place.
 struct SchedulerView {
   sim::SimTime now = 0;
   const std::vector<ReadyTask>* ready = nullptr;
@@ -103,17 +88,15 @@ struct SchedulerView {
   /// std::invalid_argument without it; a hand-built view points it at a
   /// PlannedCapacity built from its machines. Null in snapshot_view().
   PlannedCapacity* planned = nullptr;
-  const std::vector<RunningView>* running = nullptr;
+  /// The engine's running tasks; the engine starts nothing while a policy
+  /// plans, so anti-affinity counts read from it are the round's.
+  const RunningSet* running = nullptr;
   /// Consumed core-seconds per user, indexed by ReadyTask::user_id
   /// (fair-share input).
   const std::vector<double>* user_usage = nullptr;
   /// Scoring configuration; null or score == kNone means the legacy Fit
   /// heuristic (bit-identical to the pre-scoring engine).
   const PlacementContext* placement = nullptr;
-  /// Anti-affinity running counts, sorted by (job_slot, machine); null when
-  /// no live job carries a spread limit (the common case — building the
-  /// table costs nothing then).
-  const std::vector<AaCount>* aa = nullptr;
 };
 
 /// One placement decision: ready-queue index -> machine.

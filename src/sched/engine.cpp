@@ -148,12 +148,10 @@ void ExecutionEngine::submit(workload::Job job) {
   jr.klass = jr.job.is_workflow() ? 1 : 0;
   jr.user_id = intern_user(jr.job.user);
   // Placement constraints (C4): resolve the zone expression once through
-  // the label-filter cache (the returned reference is map-node stable) and
-  // count spread-limited jobs so unconstrained rounds skip AA bookkeeping.
+  // the label-filter cache (the returned reference is map-node stable).
   jr.zone_mask = jr.job.placement.zones.empty()
                      ? nullptr
                      : &zone_cache_.mask_for(jr.job.placement.zones, dc_);
-  if (jr.job.placement.spread_limit > 0) ++spread_jobs_live_;
 
   // Successor CSR: counts, prefix sum, fill (targets of each task end up in
   // ascending order because tasks are topologically ordered).
@@ -218,57 +216,6 @@ bool ExecutionEngine::demand_satisfiable(
     }
   }
   return false;
-}
-
-// mcs-lint: hot
-bool ExecutionEngine::placement_allows_start(const ReadyTask& rt,
-                                             infra::MachineId machine) const {
-  if (!machine_in_zone(rt, machine)) return false;
-  if (rt.spread_limit > 0) {
-    // Exact anti-affinity: count this job's tasks live on the machine.
-    // O(R) over running slots, but only paid by spread-limited tasks.
-    std::uint32_t live = 0;
-    for (std::uint32_t key = 0; key < running_.size(); ++key) {
-      if (!running_.live(key)) continue;
-      const RunningSlot& rs = running_[key];
-      if (rs.machine == machine && rs.job_slot == rt.job_slot &&
-          ++live >= rt.spread_limit) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-// mcs-lint: hot
-void ExecutionEngine::build_aa_table() {
-  // Sorted (job_slot, machine) -> live-count table for policies to consult
-  // via aa_count(). Rebuilt each scheduling round; merge-dedup in place so
-  // steady state allocates nothing once capacity is warm.
-  aa_scratch_.clear();
-  if (aa_scratch_.capacity() < running_.size()) {
-    aa_scratch_.reserve(running_.size());
-  }
-  for (std::uint32_t key = 0; key < running_.size(); ++key) {
-    if (!running_.live(key)) continue;
-    const RunningSlot& rs = running_[key];
-    aa_scratch_.push_back(AaCount{rs.job_slot, rs.machine, 1});
-  }
-  std::sort(aa_scratch_.begin(), aa_scratch_.end(),
-            [](const AaCount& a, const AaCount& b) {
-              return a.job_slot != b.job_slot ? a.job_slot < b.job_slot
-                                              : a.machine < b.machine;
-            });
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < aa_scratch_.size(); ++i) {
-    if (out > 0 && aa_scratch_[out - 1].job_slot == aa_scratch_[i].job_slot &&
-        aa_scratch_[out - 1].machine == aa_scratch_[i].machine) {
-      aa_scratch_[out - 1].count += aa_scratch_[i].count;
-    } else {
-      aa_scratch_[out++] = aa_scratch_[i];
-    }
-  }
-  aa_scratch_.resize(out);
 }
 
 void ExecutionEngine::arrive(std::uint32_t job_slot) {
@@ -365,13 +312,6 @@ bool ExecutionEngine::is_draining(infra::MachineId id) const {
          (draining_bits_[word] >> (id & 63) & 1) != 0;
 }
 
-bool ExecutionEngine::idle(infra::MachineId id) const {
-  for (std::uint32_t key = 0; key < running_.size(); ++key) {
-    if (running_.live(key) && running_[key].machine == id) return false;
-  }
-  return true;
-}
-
 void ExecutionEngine::kick() {
   if (schedule_pending_) return;
   schedule_pending_ = true;
@@ -397,14 +337,7 @@ void ExecutionEngine::try_schedule() {
     view.machines = std::move(machines_);
     view.planned = &planned_;
     rebuild_pending_ = true;
-    fill_view(view, running_scratch_);
-    // Anti-affinity is advisory at proposal time: a sorted per-round count
-    // table steers policies away from saturated machines; start_task makes
-    // the exact final call. Skipped entirely when no live job spreads.
-    if (spread_jobs_live_ > 0) {
-      build_aa_table();
-      view.aa = &aa_scratch_;
-    }
+    fill_view(view);
 
     const auto assignments = policy_->decide(view);
     machines_ = std::move(view.machines);
@@ -447,7 +380,9 @@ bool ExecutionEngine::start_task(std::size_t ready_index,
   const ReadyTask rt = ready_[ready_index];
   infra::Machine& m = dc_.machine(machine_id);
   if (!m.usable() || is_draining(machine_id)) return false;
-  if (!placement_allows_start(rt, machine_id)) return false;
+  // Zone and anti-affinity against the live set: a round's own proposals
+  // count once they start, so a second task of one job can be refused here.
+  if (!placement_allows(&running_, rt, machine_id)) return false;
 
   infra::ResourceVector held = rt.demand;
   double runtime_multiplier = 1.0;
@@ -515,17 +450,11 @@ bool ExecutionEngine::start_task(std::size_t ready_index,
   const sim::SimTime end =
       sim_.now() + std::max<sim::SimTime>(sim::from_seconds(runtime_s), 1);
 
-  const std::uint32_t key = running_.acquire();
-  RunningSlot& task = running_[key];
-  task.job_slot = rt.job_slot;
-  task.task_index = static_cast<std::uint32_t>(rt.task_index);
-  task.machine = machine_id;
-  task.start = sim_.now();
-  task.expected_end = end;
-  task.held = held;
-  task.work_seconds = rt.work_seconds;
+  const std::uint32_t key = running_.add(
+      RunningTask{rt.job_slot, static_cast<std::uint32_t>(rt.task_index),
+                  machine_id, sim_.now(), end, held, rt.work_seconds, {}});
   const std::uint32_t gen = running_.gen(key);
-  task.completion = sim_.schedule_at(end, [this, key, gen] {
+  running_[key].completion = sim_.schedule_at(end, [this, key, gen] {
     finish_task(key, gen);
   });
   ctr_tasks_started_->add();
@@ -543,8 +472,8 @@ void ExecutionEngine::finish_task(std::uint32_t key, std::uint32_t gen) {
   // Generation guard: the slot may have been recycled after a failure
   // kill or job abandonment cancelled this completion's run.
   if (!running_.live(key) || running_.gen(key) != gen) return;
-  const RunningSlot rt = running_[key];
-  running_.release(key);
+  const RunningTask rt = running_[key];
+  running_.remove(key);
 
   infra::Machine& m = dc_.machine(rt.machine);
   if (m.usable()) {
@@ -598,8 +527,8 @@ void ExecutionEngine::on_machine_failed(infra::MachineId id) {
   std::int64_t killed_here = 0;
   for (std::uint32_t key = 0; key < running_.size(); ++key) {
     if (!running_.live(key) || running_[key].machine != id) continue;
-    const RunningSlot rt = running_[key];
-    running_.release(key);
+    const RunningTask rt = running_[key];
+    running_.remove(key);
     sim_.cancel(rt.completion);
     ctr_tasks_killed_->add();
     ++killed_here;
@@ -688,18 +617,17 @@ void ExecutionEngine::complete_job(std::uint32_t job_slot, bool abandoned) {
                  ready_.end());
     for (std::uint32_t key = 0; key < running_.size(); ++key) {
       if (!running_.live(key) || running_[key].job_slot != job_slot) continue;
-      const RunningSlot rt = running_[key];
+      const RunningTask rt = running_[key];
       sim_.cancel(rt.completion);
       infra::Machine& m = dc_.machine(rt.machine);
       if (m.usable()) {
         m.release(rt.held);
         own_change(rt.machine);
       }
-      running_.release(key);
+      running_.remove(key);
     }
     jr.remaining = 0;
   }
-  if (jr.job.placement.spread_limit > 0) --spread_jobs_live_;
   jr.zone_mask = nullptr;
   id_to_slot_.erase(jr.job.id);
   jobs_.release(job_slot);
@@ -714,7 +642,7 @@ bool ExecutionEngine::all_done() const {
 double ExecutionEngine::demand_cores() const {
   double cores = 0.0;
   for (const ReadyTask& t : ready_) cores += t.demand.cpu();
-  running_.for_each([&](std::uint32_t, const RunningSlot& rt) {
+  running_.for_each([&](std::uint32_t, const RunningTask& rt) {
     cores += rt.held.cpu();
   });
   return cores;
@@ -742,7 +670,7 @@ double ExecutionEngine::pending_work_core_seconds() const {
   });
   // Running tasks are already counted as not-done above; subtract the part
   // already executed (approximate by elapsed fraction).
-  running_.for_each([&](std::uint32_t, const RunningSlot& rt) {
+  running_.for_each([&](std::uint32_t, const RunningTask& rt) {
     const double elapsed = sim::to_seconds(sim_.now() - rt.start);
     work -= std::min(elapsed, rt.work_seconds) * rt.held.cpu();
   });
@@ -763,7 +691,7 @@ std::size_t ExecutionEngine::eligible_within(sim::SimTime window) const {
         if (jr.done[d] != 0) continue;
         for (std::uint32_t key = 0; key < running_.size(); ++key) {
           if (!running_.live(key)) continue;
-          const RunningSlot& rt = running_[key];
+          const RunningTask& rt = running_[key];
           if (rt.job_slot == job_slot && rt.task_index == d &&
               rt.expected_end <= horizon) {
             ++resolving;
@@ -783,11 +711,10 @@ std::map<std::string, double> ExecutionEngine::user_usage() const {
   return out;
 }
 
-SchedulerView ExecutionEngine::snapshot_view(
-    std::vector<RunningView>& running_storage) const {
+SchedulerView ExecutionEngine::snapshot_view() const {
   SchedulerView view;
   collect_usable(view.machines);
-  fill_view(view, running_storage);
+  fill_view(view);
   return view;
 }
 
@@ -821,18 +748,10 @@ void ExecutionEngine::own_change(infra::MachineId id) {
 }
 
 // mcs-lint: hot
-void ExecutionEngine::fill_view(SchedulerView& view,
-                                std::vector<RunningView>& running) const {
+void ExecutionEngine::fill_view(SchedulerView& view) const {
   view.now = sim_.now();
   view.ready = &ready_;
-  running.clear();
-  running.reserve(running_.size());
-  for (std::uint32_t key = 0; key < running_.size(); ++key) {
-    if (!running_.live(key)) continue;
-    const RunningSlot& rt = running_[key];
-    running.push_back(RunningView{rt.machine, rt.expected_end, rt.held});
-  }
-  view.running = &running;
+  view.running = &running_;
   view.user_usage = &user_usage_;
   view.placement = &config_.placement;
 }

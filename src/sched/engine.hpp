@@ -9,9 +9,10 @@
 // demand_cores() themselves and read supply from
 // ProvisionedPool::supply_series() (sched/provisioning.hpp).
 //
-// Storage discipline (DESIGN.md §9): jobs and running tasks live in
-// core::SlotPool arenas addressed by dense uint32 slot indices, draining is
-// a machine-id bitset, and user names are interned to dense ids at submit.
+// Storage discipline (DESIGN.md §9): jobs live in a core::SlotPool arena
+// addressed by dense uint32 slot indices, running tasks in a RunningSet (the
+// same keys, plus a list per machine) that policies read in place, draining
+// is a machine-id bitset, and user names are interned to dense ids at submit.
 // The usable-machine list and the PlannedCapacity policies plan against
 // are a live view kept across rounds (DESIGN.md §12): each allocate or
 // release the engine makes refreshes one planned row, and the view is
@@ -37,6 +38,7 @@
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "sched/allocation.hpp"
+#include "sched/running_set.hpp"
 #include "sched/scoring.hpp"
 #include "sim/simulator.hpp"
 #include "workload/task.hpp"
@@ -166,7 +168,9 @@ class ExecutionEngine {
   void undrain(infra::MachineId id);
   [[nodiscard]] bool is_draining(infra::MachineId id) const;
   /// True when the machine executes no task of this engine.
-  [[nodiscard]] bool idle(infra::MachineId id) const;
+  [[nodiscard]] bool idle(infra::MachineId id) const {
+    return running_.idle(id);
+  }
 
   /// Failure hook (wire to FailureInjector): kills tasks running on the
   /// machine; they are re-queued when retries remain.
@@ -254,10 +258,9 @@ class ExecutionEngine {
 
   /// Builds the view a policy would receive, with its own machine list and
   /// no planned capacity (for surrogate evaluation by the portfolio
-  /// scheduler; decide() rejects it). `running_storage` must outlive the
-  /// view.
-  [[nodiscard]] SchedulerView snapshot_view(
-      std::vector<RunningView>& running_storage) const;
+  /// scheduler; decide() rejects it). It reads the engine's running set, so
+  /// it is valid until the engine next starts or ends a task.
+  [[nodiscard]] SchedulerView snapshot_view() const;
 
   /// Integrated busy core-seconds (for utilization reporting).
   [[nodiscard]] double busy_core_seconds() const { return busy_core_seconds_; }
@@ -288,38 +291,19 @@ class ExecutionEngine {
     const std::vector<std::uint64_t>* zone_mask = nullptr;
   };
 
-  struct RunningSlot {
-    std::uint32_t job_slot = 0;
-    std::uint32_t task_index = 0;
-    infra::MachineId machine = 0;
-    sim::SimTime start = 0;
-    sim::SimTime expected_end = 0;
-    infra::ResourceVector held;   ///< resources actually held on machine
-    double work_seconds = 0.0;    ///< for usage accounting
-    sim::EventHandle completion;
-  };
-
   void arrive(std::uint32_t job_slot);
   /// True when some machine's *total* capacity covers `demand` (granting
   /// maximal memory scavenging), restricted to `zone_mask` when non-null.
   [[nodiscard]] bool demand_satisfiable(
       const infra::ResourceVector& demand,
       const std::vector<std::uint64_t>* zone_mask) const;
-  /// Zone + anti-affinity re-validation against *live* running state (the
-  /// exact check backing the policies' advisory table).
-  [[nodiscard]] bool placement_allows_start(const ReadyTask& rt,
-                                            infra::MachineId machine) const;
-  /// Rebuilds the (job_slot, machine) -> running-count table policies
-  /// consult for spread constraints.
-  void build_aa_table();
   void enqueue_ready(JobSlot& jr, std::uint32_t job_slot,
                      std::size_t task_index, double rank);
   void try_schedule();
-  /// Fills the policy view's per-round fields (time, queue, running set
-  /// into `running`, usage, placement) shared by try_schedule and
-  /// snapshot_view; the machines, planned capacity and anti-affinity table
-  /// are each caller's own.
-  void fill_view(SchedulerView& view, std::vector<RunningView>& running) const;
+  /// Points the policy view's per-round fields (time, queue, running set,
+  /// usage, placement) at the engine's live state, for try_schedule and
+  /// snapshot_view; the machines and planned capacity are each caller's own.
+  void fill_view(SchedulerView& view) const;
   /// Fills `out` with the usable, non-draining machines in id order.
   void collect_usable(std::vector<const infra::Machine*>& out) const;
   /// True when machines_ and planned_ equal a fresh build: no drain set
@@ -353,7 +337,7 @@ class ExecutionEngine {
   /// completion — never in the per-task loop.
   std::map<workload::JobId, std::uint32_t> id_to_slot_;
   std::vector<ReadyTask> ready_;
-  core::SlotPool<RunningSlot> running_;
+  RunningSet running_;
   /// Draining machines as a bitset over dense machine ids.
   std::vector<std::uint64_t> draining_bits_;
 
@@ -409,9 +393,6 @@ class ExecutionEngine {
 
   /// Zone expression -> machine bitset cache (submit-time resolution only).
   LabelFilterCache zone_cache_;
-  /// Live jobs carrying a spread limit; the anti-affinity table is only
-  /// built while this is non-zero, so unconstrained workloads pay nothing.
-  std::size_t spread_jobs_live_ = 0;
 
   /// The live view policies borrow: the usable, non-draining machines in
   /// id order and their planned rows. Between rounds both equal a fresh
@@ -426,9 +407,7 @@ class ExecutionEngine {
 
   // Scratch buffers reused across scheduling rounds (capacity persists, so
   // refilling the per-round view allocates nothing once warmed up).
-  std::vector<RunningView> running_scratch_;
   std::vector<Assignment> sorted_scratch_;
-  std::vector<AaCount> aa_scratch_;
   std::vector<double> rank_scratch_;
   std::vector<std::uint32_t> succ_cursor_;
 };

@@ -25,12 +25,11 @@ double estimate_queue_makespan(
     mm.speed = m->speed_factor();
     // Current running tasks delay availability: approximate with the
     // latest expected end among tasks on this machine.
-    for (const RunningView& r : *view.running) {
-      if (r.machine == m->id()) {
-        mm.free_at = std::max(
-            mm.free_at, sim::to_seconds(r.expected_end - view.now));
-      }
-    }
+    view.running->for_each_on(
+        m->id(), [&](std::uint32_t, const RunningTask& r) {
+          mm.free_at =
+              std::max(mm.free_at, sim::to_seconds(r.expected_end - view.now));
+        });
     machines.push_back(mm);
   }
   if (machines.empty()) return std::numeric_limits<double>::max();
@@ -94,8 +93,7 @@ void PortfolioScheduler::tick() {
 
   // Score every candidate against the engine's live queue snapshot with the
   // greedy surrogate, and switch to the winner.
-  std::vector<RunningView> running_storage;
-  const SchedulerView snapshot = engine_.snapshot_view(running_storage);
+  const SchedulerView snapshot = engine_.snapshot_view();
   if (snapshot.ready != nullptr && !snapshot.ready->empty() &&
       !snapshot.machines.empty()) {
     double best_makespan = std::numeric_limits<double>::max();

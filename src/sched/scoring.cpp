@@ -47,29 +47,11 @@ namespace {
 }  // namespace
 
 // mcs-lint: hot
-std::uint32_t aa_count(const std::vector<AaCount>& table,
-                       std::uint32_t job_slot, infra::MachineId machine) {
-  const auto it = std::lower_bound(
-      table.begin(), table.end(), std::pair{job_slot, machine},
-      [](const AaCount& row, const std::pair<std::uint32_t, infra::MachineId>& key) {
-        if (row.job_slot != key.first) return row.job_slot < key.first;
-        return row.machine < key.second;
-      });
-  if (it == table.end() || it->job_slot != job_slot || it->machine != machine) {
-    return 0;
-  }
-  return it->count;
-}
-
-// mcs-lint: hot
-bool placement_allows(const SchedulerView& view, const ReadyTask& t,
+bool placement_allows(const RunningSet* running, const ReadyTask& t,
                       infra::MachineId id) {
-  if (!machine_in_zone(t, id)) return false;
-  if (t.spread_limit > 0 && view.aa != nullptr &&
-      aa_count(*view.aa, t.job_slot, id) >= t.spread_limit) {
-    return false;
-  }
-  return true;
+  return machine_in_zone(t, id) &&
+         (t.spread_limit == 0 || running == nullptr ||
+          running->count(t.job_slot, id) < t.spread_limit);
 }
 
 // mcs-lint: hot
@@ -129,7 +111,7 @@ std::optional<infra::MachineId> pick_machine(
   for (const infra::Machine* m : machines) {
     const infra::MachineId id = m->id();
     if (!planned.fits(id, t.demand)) continue;
-    if (constrained && !placement_allows(view, t, id)) continue;
+    if (constrained && !placement_allows(view.running, t, id)) continue;
     double score = 0.0;
     if (sp != NodeScorePolicy::kNone) {
       score = score_machine(sp, salt, t.job, planned, id, t.demand);

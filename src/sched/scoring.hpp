@@ -22,12 +22,13 @@
 #include "core/resources.hpp"
 #include "infra/topology.hpp"
 #include "sched/allocation.hpp"
+#include "sched/running_set.hpp"
 
 namespace mcs::sched {
 
-// NodeScorePolicy / PlacementContext / AaCount live in sched/allocation.hpp
-// (they are part of the SchedulerView contract every policy sees); this
-// header owns the machinery that consumes them.
+// NodeScorePolicy / PlacementContext live in sched/allocation.hpp (they are
+// part of the SchedulerView contract every policy sees); this header owns
+// the machinery that consumes them.
 
 [[nodiscard]] const char* to_string(NodeScorePolicy p);
 /// Parses the to_string name; returns kNone for unknown input (forward
@@ -216,32 +217,29 @@ class PlannedCapacity {
 }
 
 /// The running set's release order, built on a backfilling round's first
-/// reservation: running tasks bucketed by machine id (CSR layout),
-/// each bucket stable-sorted by expected_end. A reservation query walks one
-/// bucket per admissible machine instead of re-filtering and re-sorting the
-/// whole running set per machine (DESIGN.md §9).
+/// reservation: the tasks on each of the view's machines, read from that
+/// machine's list and sorted by (expected_end, key) — the order a stable
+/// sort of the key-ordered set gives. A reservation query walks one bucket
+/// per admissible machine (DESIGN.md §9).
 class ReleaseProfile {
  public:
   explicit ReleaseProfile(const SchedulerView& view) {
-    infra::MachineId max_id = 0;
+    const RunningSet& running = *view.running;
+    begin_.reserve(view.machines.size() + 1);
+    begin_.push_back(0);
     for (const infra::Machine* m : view.machines) {
-      max_id = std::max(max_id, m->id());
+      const std::size_t first = by_end_.size();
+      running.for_each_on(m->id(), [&](std::uint32_t key, const RunningTask&) {
+        by_end_.push_back(key);
+      });
+      std::sort(by_end_.begin() + static_cast<std::ptrdiff_t>(first),
+                by_end_.end(), [&running](std::uint32_t a, std::uint32_t b) {
+                  const sim::SimTime ea = running[a].expected_end;
+                  const sim::SimTime eb = running[b].expected_end;
+                  return ea != eb ? ea < eb : a < b;
+                });
+      begin_.push_back(by_end_.size());
     }
-    // Only the view's machines are walked: tasks past its largest id (on a
-    // draining machine) are dropped.
-    by_end_.reserve(view.running->size());
-    for (const RunningView& r : *view.running) {
-      if (r.machine <= max_id) by_end_.push_back(&r);
-    }
-    std::stable_sort(by_end_.begin(), by_end_.end(),
-                     [](const RunningView* a, const RunningView* b) {
-                       return a->machine != b->machine
-                                  ? a->machine < b->machine
-                                  : a->expected_end < b->expected_end;
-                     });
-    begin_.assign(max_id + 2, 0);
-    for (const RunningView* r : by_end_) ++begin_[r->machine + 1];
-    for (std::size_t i = 1; i < begin_.size(); ++i) begin_[i] += begin_[i - 1];
   }
 
   /// Earliest time at which `t` is expected to fit on some admissible
@@ -253,17 +251,18 @@ class ReleaseProfile {
       const ReadyTask& t, const SchedulerView& view) const {
     sim::SimTime best_time = sim::kTimeInfinity;
     infra::MachineId best_machine = 0;
-    for (const infra::Machine* m : view.machines) {
+    for (std::size_t v = 0; v < view.machines.size(); ++v) {
+      const infra::Machine* m = view.machines[v];
       if (!t.demand.fits_within(m->capacity())) continue;
       if (!machine_in_zone(t, m->id())) continue;
       // Release this machine's tasks in end-time order until `t` fits.
       infra::ResourceVector free = m->available();
       sim::SimTime when = view.now;
       bool fits = t.demand.fits_within(free);
-      for (std::size_t i = begin_[m->id()]; !fits && i < begin_[m->id() + 1];
-           ++i) {
-        free += by_end_[i]->demand;
-        when = by_end_[i]->expected_end;
+      for (std::size_t i = begin_[v]; !fits && i < begin_[v + 1]; ++i) {
+        const RunningTask& r = (*view.running)[by_end_[i]];
+        free += r.held;
+        when = r.expected_end;
         fits = t.demand.fits_within(free);
       }
       if (fits && when < best_time) {
@@ -275,21 +274,16 @@ class ReleaseProfile {
   }
 
  private:
-  std::vector<const RunningView*> by_end_;  ///< by machine id, then end time
-  std::vector<std::size_t> begin_;  ///< bucket of id: [begin_[id], begin_[id+1])
+  std::vector<std::uint32_t> by_end_;  ///< running keys, bucket by bucket
+  /// Bucket of view.machines[v]: by_end_[begin_[v], begin_[v + 1]).
+  std::vector<std::size_t> begin_;
 };
 
-/// Running-task count of (job_slot, machine) in the engine-built table
-/// (sorted by job_slot then machine); 0 when absent or no table.
+/// Zone + anti-affinity admission for one (task, machine) pair, counting
+/// the job's tasks on the machine in `running` (null: nothing runs).
+/// Resource fit is PlannedCapacity's job; this is everything else.
 // mcs-lint: hot
-[[nodiscard]] std::uint32_t aa_count(const std::vector<AaCount>& table,
-                                     std::uint32_t job_slot,
-                                     infra::MachineId machine);
-
-/// Zone + anti-affinity admission for one (task, machine) pair. Resource
-/// fit is PlannedCapacity's job; this is everything else.
-// mcs-lint: hot
-[[nodiscard]] bool placement_allows(const SchedulerView& view,
+[[nodiscard]] bool placement_allows(const RunningSet* running,
                                     const ReadyTask& t, infra::MachineId id);
 
 /// Score of placing `demand` on machine `id` under planned free capacity

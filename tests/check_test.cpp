@@ -105,14 +105,18 @@ TEST(OracleTest, DetachRestoresNullHooks) {
 }
 
 TEST(FuzzSpecTest, TextRoundTripPreservesBehavior) {
-  for (std::uint64_t seed : {1ull, 7ull, 42ull}) {
-    const ScenarioSpec spec = make_spec(seed);
-    const ScenarioSpec parsed = from_text(to_text(spec));
-    const SeedRunResult a = run_spec(spec);
-    const SeedRunResult b = run_spec(parsed);
-    EXPECT_EQ(a.digest, b.digest) << "seed " << seed;
-    EXPECT_EQ(a.events, b.events) << "seed " << seed;
-    EXPECT_EQ(to_text(spec), to_text(parsed)) << "seed " << seed;
+  for (const bool het : {false, true}) {
+    for (std::uint64_t seed : {1ull, 7ull, 42ull}) {
+      ScenarioSpec spec = make_spec(seed, het);
+      if (het) spec.slo = "all:300:0.9;bot:120:0.8";  // writes an slo= line
+      const ScenarioSpec parsed = from_text(to_text(spec));
+      const SeedRunResult a = run_spec(spec);
+      const SeedRunResult b = run_spec(parsed);
+      EXPECT_EQ(a.digest, b.digest) << "seed " << seed << " het " << het;
+      EXPECT_EQ(a.events, b.events) << "seed " << seed << " het " << het;
+      EXPECT_EQ(to_text(spec), to_text(parsed))
+          << "seed " << seed << " het " << het;
+    }
   }
 }
 
@@ -125,6 +129,28 @@ TEST(FuzzSpecTest, FromTextRejectsMalformedLines) {
   EXPECT_NO_THROW(from_text("slo=bot:60:0.9;workflow:600:0.9"));
   // Comments and unknown keys are fine (forward compatibility).
   EXPECT_NO_THROW(from_text("# comment\nfuture_knob=3\nracks=2"));
+  // Values are whole: no trailing text, no sign an unsigned field lacks,
+  // bools 0 or 1, enums within their enumerators.
+  for (const std::string line :
+       {"racks=3x", "heterogeneous=1junk", "heterogeneous=2",
+        "trace.job_count=-3", "trace.arrivals=7", "failure.mode=9",
+        "failure.mode=-1", "accel_fraction=0.5x", "racks= 3", "seed=+1",
+        "spread_limit=4294967296"}) {
+    const std::string key = line.substr(0, line.find('='));
+    try {
+      (void)from_text("# header\n" + line);
+      ADD_FAILURE() << line << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "repro line 2: malformed value for '" + key + "'");
+    }
+  }
+  // Both committed repros carry the all-ones limits.
+  EXPECT_EQ(from_text("job_limit=18446744073709551615").job_limit,
+            static_cast<std::size_t>(-1));
+  EXPECT_EQ(from_text("trace.arrivals=2\nfailure.mode=3\nhorizon=-1")
+                .failure.mode,
+            failures::CorrelationMode::kSpaceAndTime);
 }
 
 TEST(FuzzTest, SeedRunsAreReproducible) {

@@ -1,12 +1,19 @@
-// Engine edge paths under the slot-table layout (PR 3): retry after
-// machine failure with slot reuse, drain-while-running, scavenging
-// penalty accounting, abandoned-job accounting, and per-user usage under
-// job churn. These pin the behaviors that the dense storage refactor
-// (core::SlotPool jobs/running tables, generation-guarded completions,
-// interned users) must preserve.
+// Engine edge paths under the slot-table layout: retry after machine
+// failure with slot reuse, drain-while-running, scavenging penalty
+// accounting, abandoned-job accounting, and per-user usage under job
+// churn. These pin the behaviors that the dense storage (core::SlotPool
+// jobs, the RunningSet of running tasks with its per-machine lists,
+// generation-guarded completions, interned users) must preserve.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <vector>
+
+#include "core/slot_pool.hpp"
 #include "sched/engine.hpp"
+#include "sched/running_set.hpp"
+#include "sim/random.hpp"
 #include "workload/task.hpp"
 
 namespace mcs::sched {
@@ -184,6 +191,73 @@ TEST(EngineSlotsTest, UserInterningSurvivesChurn) {
   EXPECT_NEAR(usage.at("even"), 40.0, 0.5);
   EXPECT_NEAR(usage.at("odd"), 40.0, 0.5);
   EXPECT_EQ(engine.user_usage_by_id().size(), 2u);
+}
+
+// ---- the running set's per-machine lists ------------------------------------
+
+TEST(RunningSetTest, RandomChurnMatchesNaiveScan) {
+  // Random adds and removes, in phases that fill and drain the set so keys
+  // are recycled and machines fall idle. After every step each machine's
+  // list walk, each (job, machine) count and idle() are diffed against a
+  // naive scan of the key-order walk, and every key handed out must be the
+  // one a plain core::SlotPool hands out.
+  constexpr infra::MachineId kMachines = 6;
+  constexpr std::uint32_t kJobs = 4;
+  sim::Rng rng(19);
+  RunningSet running;
+  core::SlotPool<char> keys;
+  std::vector<std::uint32_t> live;
+  std::size_t recycled = 0;
+  std::size_t idle_seen = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const double add_chance = (step / 300) % 2 == 0 ? 0.7 : 0.3;
+    if (live.empty() || rng.chance(add_chance)) {
+      RunningTask task;
+      task.job_slot = static_cast<std::uint32_t>(rng.uniform_int(0, kJobs - 1));
+      task.machine =
+          static_cast<infra::MachineId>(rng.uniform_int(0, kMachines - 1));
+      const std::uint32_t size_before = running.size();
+      const std::uint32_t key = running.add(task);
+      ASSERT_EQ(key, keys.acquire()) << "step " << step;
+      if (running.size() == size_before) ++recycled;
+      live.push_back(key);
+    } else {
+      const auto i = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(live.size()) - 1));
+      running.remove(live[i]);
+      keys.release(live[i]);
+      live[i] = live.back();
+      live.pop_back();
+    }
+    ASSERT_EQ(running.live_count(), live.size());
+    // One machine past the fleet never had a list.
+    for (infra::MachineId m = 0; m <= kMachines; ++m) {
+      std::vector<std::uint32_t> want;
+      running.for_each([&](std::uint32_t key, const RunningTask& t) {
+        if (t.machine == m) want.push_back(key);
+      });
+      std::vector<std::uint32_t> got;
+      running.for_each_on(m, [&](std::uint32_t key, const RunningTask&) {
+        if (got.size() > live.size()) throw std::runtime_error("list loops");
+        got.push_back(key);
+      });
+      std::sort(got.begin(), got.end());
+      ASSERT_EQ(got, want) << "machine " << m << " step " << step;
+      ASSERT_EQ(running.idle(m), want.empty()) << "machine " << m;
+      if (want.empty()) ++idle_seen;
+      for (std::uint32_t job = 0; job < kJobs; ++job) {
+        const auto naive = static_cast<std::uint32_t>(
+            std::count_if(want.begin(), want.end(), [&](std::uint32_t key) {
+              return running[key].job_slot == job;
+            }));
+        ASSERT_EQ(running.count(job, m), naive)
+            << "job " << job << " machine " << m << " step " << step;
+      }
+    }
+  }
+  // The phases reach both recycling and idle machines often.
+  EXPECT_GT(recycled, 500u);
+  EXPECT_GT(idle_seen, 3000u);
 }
 
 }  // namespace

@@ -232,10 +232,6 @@ TEST(AlgorithmTest, SsspMatchesBfsOnUnitWeights) {
   }
 }
 
-TEST(AlgorithmTest, KernelListHasSixEntries) {
-  EXPECT_EQ(graphalytics_kernels().size(), 6u);
-}
-
 // ---- parallel kernels: bit-identical to the sequential reference ---------------
 //
 // The acceptance bar for the parallel substrate: at 1, 2, and 8 threads the
@@ -307,8 +303,11 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelKernelTest,
 
 // ---- property sweep over generators (parameterized) ----------------------------
 
+// The name is held inline, not as a std::string: gtest prints the parameter's
+// raw bytes into the test name, and a std::string's leading heap pointer made
+// that name shift with the heap layout of the test binary.
 struct GenCase {
-  std::string name;
+  char name[32];
   std::function<Graph(sim::Rng&)> make;
 };
 
@@ -351,7 +350,7 @@ INSTANTIATE_TEST_SUITE_P(
         GenCase{"rmat", [](sim::Rng& r) { return rmat(9, 6, r); }},
         GenCase{"grid", [](sim::Rng&) { return grid2d(20, 20); }}),
     [](const ::testing::TestParamInfo<GenCase>& info) {
-      return info.param.name;
+      return std::string(info.param.name);
     });
 
 }  // namespace

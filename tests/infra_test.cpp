@@ -151,24 +151,6 @@ TEST(DatacenterTest, MutationsSurviveAMoveIntoAVector) {
   }
 }
 
-TEST(DatacenterTest, IntraRackLatencyLowerThanCrossRack) {
-  Datacenter dc("dc1", "eu");
-  dc.add_uniform_racks(2, 2, rv(4, 8), 1.0);
-  EXPECT_EQ(dc.latency_between(0, 0), 0);
-  EXPECT_LT(dc.latency_between(0, 1), dc.latency_between(0, 2));
-}
-
-TEST(FederationTest, LatencySymmetricLookup) {
-  Federation fed("geo");
-  fed.add_datacenter("ams", "eu-west");
-  fed.add_datacenter("nyc", "us-east");
-  fed.set_latency("ams", "nyc", 80 * sim::kMillisecond);
-  EXPECT_EQ(fed.latency("ams", "nyc"), 80 * sim::kMillisecond);
-  EXPECT_EQ(fed.latency("nyc", "ams"), 80 * sim::kMillisecond);
-  EXPECT_EQ(fed.latency("ams", "ams"), 0);
-  EXPECT_THROW((void)fed.latency("ams", "tokyo"), std::out_of_range);
-}
-
 TEST(FederationTest, AggregatesMachines) {
   Federation fed("geo");
   fed.add_datacenter("a", "eu").add_uniform_racks(1, 4, rv(4, 8), 1.0);

@@ -511,8 +511,7 @@ TEST(PortfolioTest, SurrogateRanksOrderingsSanely) {
   ExecutionEngine engine(sim, dc, make_fcfs());
   engine.submit(workload::make_bag_of_tasks(1, 3, 30.0));
   sim.run_until(sim::kSecond);  // let tasks arrive & one start
-  std::vector<RunningView> storage;
-  const SchedulerView view = engine.snapshot_view(storage);
+  const SchedulerView view = engine.snapshot_view();
   const auto portfolio = default_portfolio();
   for (const auto& cand : portfolio) {
     const double est = estimate_queue_makespan(view, cand.order);

@@ -332,34 +332,58 @@ TEST(ZoneMaskTest, PickMachineHonorsZoneFilter) {
   EXPECT_EQ(*got, 2u);
 }
 
-// ---- anti-affinity table -------------------------------------------------------
+// ---- anti-affinity counts -------------------------------------------------------
+
+/// A task of the job in `job_slot` on `machine`, ending at `end`.
+RunningTask running_task(std::uint32_t job_slot, infra::MachineId machine,
+                         sim::SimTime end = 0,
+                         const infra::ResourceVector& held = {}) {
+  RunningTask task;
+  task.job_slot = job_slot;
+  task.machine = machine;
+  task.expected_end = end;
+  task.held = held;
+  return task;
+}
 
 TEST(AaCountTest, LookupFindsRowsAndDefaultsToZero) {
-  const std::vector<AaCount> table = {
-      {0, 1, 2}, {0, 3, 1}, {2, 0, 4}, {2, 5, 1}};
-  EXPECT_EQ(aa_count(table, 0, 1), 2u);
-  EXPECT_EQ(aa_count(table, 0, 3), 1u);
-  EXPECT_EQ(aa_count(table, 2, 0), 4u);
-  EXPECT_EQ(aa_count(table, 2, 5), 1u);
-  EXPECT_EQ(aa_count(table, 0, 0), 0u);
-  EXPECT_EQ(aa_count(table, 1, 1), 0u);
-  EXPECT_EQ(aa_count(table, 3, 9), 0u);
-  EXPECT_EQ(aa_count({}, 0, 0), 0u);
+  RunningSet running;
+  EXPECT_EQ(running.count(0, 0), 0u);  // no machine has a list yet
+  // (job slot, machine, tasks): (0, 1, 2), (0, 3, 1), (2, 0, 4), (2, 5, 1),
+  // added interleaved so the lists mix jobs.
+  for (const auto& [job, machine] :
+       std::vector<std::pair<std::uint32_t, infra::MachineId>>{
+           {2, 0}, {0, 1}, {2, 0}, {0, 3}, {2, 5}, {0, 1}, {2, 0}, {2, 0}}) {
+    (void)running.add(running_task(job, machine));
+  }
+  EXPECT_EQ(running.count(0, 1), 2u);
+  EXPECT_EQ(running.count(0, 3), 1u);
+  EXPECT_EQ(running.count(2, 0), 4u);
+  EXPECT_EQ(running.count(2, 5), 1u);
+  EXPECT_EQ(running.count(0, 0), 0u);
+  EXPECT_EQ(running.count(1, 1), 0u);
+  EXPECT_EQ(running.count(3, 9), 0u);
+  // A removed task stops counting; its key is the next one handed out.
+  running.remove(1);
+  EXPECT_EQ(running.count(0, 1), 1u);
+  EXPECT_EQ(running.add(running_task(3, 9)), 1u);
+  EXPECT_EQ(running.count(3, 9), 1u);
 }
 
 TEST(AaCountTest, PlacementAllowsEnforcesSpreadLimit) {
-  SchedulerView view;
-  const std::vector<AaCount> table = {{5, 2, 1}};
-  view.aa = &table;
+  RunningSet running;
+  (void)running.add(running_task(5, 2));
+  (void)running.add(running_task(4, 3));  // another job's task
   ReadyTask t = ready_task(infra::ResourceVector{1.0, 1.0, 0.0});
   t.job_slot = 5;
   t.spread_limit = 1;
-  EXPECT_FALSE(placement_allows(view, t, 2));  // at the limit
-  EXPECT_TRUE(placement_allows(view, t, 3));   // clean machine
+  EXPECT_FALSE(placement_allows(&running, t, 2));  // at the limit
+  EXPECT_TRUE(placement_allows(&running, t, 3));   // clean machine
+  EXPECT_TRUE(placement_allows(nullptr, t, 2));    // nothing runs
   t.spread_limit = 2;
-  EXPECT_TRUE(placement_allows(view, t, 2));  // below the raised limit
+  EXPECT_TRUE(placement_allows(&running, t, 2));  // below the raised limit
   t.spread_limit = 0;
-  EXPECT_TRUE(placement_allows(view, t, 2));  // unlimited
+  EXPECT_TRUE(placement_allows(&running, t, 2));  // unlimited
 }
 
 // ---- label filter cache --------------------------------------------------------
@@ -410,21 +434,20 @@ std::pair<sim::SimTime, infra::MachineId> naive_reservation_for(
     if (!machine_in_zone(t, m->id())) continue;
     // Sort this machine's running tasks by end time and release them
     // in order until the task fits.
-    std::vector<const RunningView*> on_machine;
-    on_machine.reserve(view.running->size());
-    for (const RunningView& r : *view.running) {
+    std::vector<const RunningTask*> on_machine;
+    view.running->for_each([&](std::uint32_t, const RunningTask& r) {
       if (r.machine == m->id()) on_machine.push_back(&r);
-    }
+    });
     std::sort(on_machine.begin(), on_machine.end(),
-              [](const RunningView* a, const RunningView* b) {
+              [](const RunningTask* a, const RunningTask* b) {
                 return a->expected_end < b->expected_end;
               });
     infra::ResourceVector free = m->available();
     sim::SimTime when = view.now;
     bool fits = t.demand.fits_within(free);
-    for (const RunningView* r : on_machine) {
+    for (const RunningTask* r : on_machine) {
       if (fits) break;
-      free += r->demand;
+      free += r->held;
       when = r->expected_end;
       fits = t.demand.fits_within(free);
     }
@@ -462,8 +485,8 @@ struct RandomView {
             static_cast<double>(rng.uniform_int(0, 1))};
         if (!m.can_fit(d)) continue;
         m.allocate(d);
-        running.push_back(
-            RunningView{m.id(), rng.uniform_int(1, 5) * sim::kSecond, d});
+        (void)running.add(running_task(
+            0, m.id(), rng.uniform_int(1, 5) * sim::kSecond, d));
       }
     }
     view.now = 2 * sim::kSecond;
@@ -509,7 +532,7 @@ struct RandomView {
 
   sim::Rng rng;
   infra::Datacenter dc{"rv", "sim"};
-  std::vector<RunningView> running;
+  RunningSet running;
   std::vector<ReadyTask> ready;
   std::uint64_t mask[1] = {0};
   PlannedCapacity planned;
@@ -673,11 +696,11 @@ TEST(ReleaseProfileTest, SaturatedFloorProposesNothingUnderEveryPolicy) {
   // Two 8-core machines with one core free each; the smallest queued cpu
   // demand is 2 cores, so the queue's floor fits nowhere.
   auto dc = make_zoned_dc(2, 0);
-  std::vector<RunningView> running;
+  RunningSet running;
   for (infra::MachineId id = 0; id < 2; ++id) {
     const infra::ResourceVector held{7.0, 8.0, 0.0};
     dc.machine(id).allocate(held);
-    running.push_back(RunningView{id, 60 * sim::kSecond, held});
+    (void)running.add(running_task(0, id, 60 * sim::kSecond, held));
   }
   std::vector<ReadyTask> ready;
   for (std::size_t i = 0; i < 6; ++i) {
@@ -697,9 +720,9 @@ TEST(ReleaseProfileTest, SaturatedFloorProposesNothingUnderEveryPolicy) {
     EXPECT_TRUE(make_policy(name)->decide(view).empty()) << name;
   }
   // Control: with one machine idle again, every policy places something.
-  dc.machine(0).release(running[0].demand);
+  dc.machine(0).release(running[0].held);
   planned.refresh(0);
-  running.erase(running.begin());
+  running.remove(0);
   for (const std::string& name : all_policy_names()) {
     EXPECT_FALSE(make_policy(name)->decide(view).empty()) << name;
   }
@@ -737,7 +760,7 @@ TEST(BorrowedPlanTest, DecideLeavesThePlannedCapacityAsItFoundIt) {
 TEST(BorrowedPlanTest, DecideRejectsAViewWithoutPlannedCapacity) {
   auto dc = make_zoned_dc(2, 0);
   std::vector<ReadyTask> ready{ready_task(infra::ResourceVector{1.0, 1.0, 0.0})};
-  const std::vector<RunningView> running;
+  const RunningSet running;
   SchedulerView view;
   view.ready = &ready;
   view.running = &running;
