@@ -13,6 +13,7 @@
 // autoscaler sees the same jobs within a rep). Merged output is
 // bit-identical at any MCS_THREADS (`--digest`).
 #include <iostream>
+#include <stdexcept>
 
 #include "autoscale/autoscaler.hpp"
 #include "exp/obs_harness.hpp"
@@ -88,7 +89,13 @@ CellResult run_cell(const std::string& name, std::uint64_t trace_seed,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const exp::SweepCli cli = exp::parse_sweep_cli(argc, argv);
+  exp::SweepCli cli;
+  try {
+    cli = exp::parse_sweep_cli(argc, argv);
+  } catch (const std::invalid_argument& ex) {
+    std::cerr << "exp_autoscalers: " << ex.what() << "\n";
+    return 2;
+  }
   const std::uint64_t seed = 1743;
 
   std::vector<std::string> names = {"none"};

@@ -11,6 +11,7 @@
 // MCS_THREADS (`--digest`).
 #include <algorithm>
 #include <iostream>
+#include <stdexcept>
 
 #include "exp/obs_harness.hpp"
 #include "exp/sweep.hpp"
@@ -157,7 +158,13 @@ CellResult run_cell(failures::CorrelationMode mode, const exp::SweepPoint& p,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const exp::SweepCli cli = exp::parse_sweep_cli(argc, argv);
+  exp::SweepCli cli;
+  try {
+    cli = exp::parse_sweep_cli(argc, argv);
+  } catch (const std::invalid_argument& ex) {
+    std::cerr << "exp_failures: " << ex.what() << "\n";
+    return 2;
+  }
   const std::uint64_t seed = 26;
 
   parallel::ThreadPool pool(cli.threads);

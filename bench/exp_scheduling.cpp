@@ -14,6 +14,7 @@
 // ctest, which also pins the `--digest` line to its golden).
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 
 #include "exp/obs_harness.hpp"
 #include "exp/sweep.hpp"
@@ -167,7 +168,13 @@ CellResult run_cell(const Regime& regime, const exp::SweepPoint& p,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const exp::SweepCli cli = exp::parse_sweep_cli(argc, argv);
+  exp::SweepCli cli;
+  try {
+    cli = exp::parse_sweep_cli(argc, argv);
+  } catch (const std::invalid_argument& ex) {
+    std::cerr << "exp_scheduling: " << ex.what() << "\n";
+    return 2;
+  }
   const std::uint64_t seed = 22;
   const auto regimes = make_regimes();
   const std::size_t row_count = policy_names().size() + 1;  // + portfolio

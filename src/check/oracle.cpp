@@ -1,6 +1,8 @@
 #include "check/oracle.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "core/resources.hpp"
@@ -166,7 +168,9 @@ void InvariantChecker::verify(const sched::ExecutionEngine& e,
 
   // I2: ready entries reference live jobs, runnable tasks, and no task is
   // ready twice.
-  for (const sched::ReadyTask& rt : e.ready_) {
+  const sched::ReadyQueue& ready = e.ready_;
+  for (const sched::ReadyQueue::Handle h : ready.handles()) {
+    const sched::ReadyTask& rt = ready[h];
     if (rt.job_slot >= job_slots || !e.jobs_.live(rt.job_slot)) {
       fail("I2 task-partition", where,
            "ready entry references dead job slot " +
@@ -196,6 +200,8 @@ void InvariantChecker::verify(const sched::ExecutionEngine& e,
     }
     mark |= 1u;
   }
+
+  verify_ready_index(ready, where);
 
   // I2/I5: running slots reference live jobs and usable machines; no task
   // runs twice or is both ready and running.
@@ -411,6 +417,63 @@ void InvariantChecker::verify(const sched::ExecutionEngine& e,
   }
 }
 
+void InvariantChecker::verify_ready_index(const sched::ReadyQueue& ready,
+                                          const char* where) {
+  // I2 ready-index: sequence numbers strictly increase along the enqueue
+  // order; the index holds every queued handle once, each adjacent pair
+  // strictly increasing under (order, sequence) — together exactly a stable
+  // sort of the enqueue order; and the floor is a fresh minimum. O(Q).
+  const std::vector<sched::ReadyQueue::Handle>& queued = ready.handles();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  infra::ResourceVector floor{kInf, kInf, kInf, kInf};
+  for (std::size_t p = 0; p < queued.size(); ++p) {
+    if (p > 0 && ready.seq(queued[p]) <= ready.seq(queued[p - 1])) {
+      fail("I2 ready-index", where,
+           "enqueue position " + std::to_string(p) + " has sequence " +
+               std::to_string(ready.seq(queued[p])) + " after " +
+               std::to_string(ready.seq(queued[p - 1])));
+    }
+    const infra::ResourceVector& demand = ready[queued[p]].demand;
+    for (std::size_t d = 0; d < core::kResourceDims; ++d) {
+      floor[d] = std::min(floor[d], demand[d]);
+    }
+  }
+  if (!(ready.floor() == floor)) {
+    fail("I2 ready-index", where,
+         "the queue's floor differs from a fresh minimum over its " +
+             std::to_string(queued.size()) + " tasks");
+  }
+  const sched::QueueOrder order = ready.index_order();
+  if (order == nullptr) return;
+  const std::vector<sched::ReadyQueue::Handle>& index = ready.ordered(order);
+  if (index.size() != queued.size()) {
+    fail("I2 ready-index", where,
+         "the index holds " + std::to_string(index.size()) + " handles for " +
+             std::to_string(queued.size()) + " queued tasks");
+  }
+  indexed_marks_.assign(ready.handle_bound(), 0);
+  for (std::size_t p = 0; p < index.size(); ++p) {
+    const sched::ReadyQueue::Handle h = index[p];
+    if (!ready.contains(h) || indexed_marks_[h] != 0) {
+      fail("I2 ready-index", where,
+           "index position " + std::to_string(p) + " holds " +
+               (ready.contains(h) ? "a handle twice" : "an unqueued handle") +
+               " (" + std::to_string(h) + ")");
+    }
+    indexed_marks_[h] = 1;
+    if (p == 0) continue;
+    const sched::ReadyQueue::Handle prev = index[p - 1];
+    const bool increasing =
+        order(ready[prev], ready[h]) ||
+        (!order(ready[h], ready[prev]) && ready.seq(prev) < ready.seq(h));
+    if (!increasing) {
+      fail("I2 ready-index", where,
+           "index positions " + std::to_string(p - 1) + " and " +
+               std::to_string(p) + " are out of (order, sequence) order");
+    }
+  }
+}
+
 std::string InvariantChecker::quiescence_report(
     const sched::ExecutionEngine& e) const {
   std::ostringstream out;
@@ -418,7 +481,8 @@ std::string InvariantChecker::quiescence_report(
       << " running, " << (e.jobs_submitted() - e.completed_.size())
       << " jobs open;";
   std::size_t shown = 0;
-  for (const sched::ReadyTask& rt : e.ready_) {
+  for (const sched::ReadyQueue::Handle h : e.ready_.handles()) {
+    const sched::ReadyTask& rt = e.ready_[h];
     if (shown++ == 4) {
       out << " ...";
       break;

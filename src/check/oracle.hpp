@@ -23,6 +23,12 @@
 //  I2 TASK PARTITION every task of a live job is in at most one runtime
 //                    state — ready or running, never both, never twice —
 //                    and only when all its dependencies are done.
+//                    READY INDEX: sequence numbers strictly increase along
+//                    the ready queue's enqueue order; its ordered index (once
+//                    built) holds every queued handle exactly once, each
+//                    adjacent pair strictly increasing under (order,
+//                    sequence) — exactly a stable sort of the enqueue order;
+//                    and its floor equals a fresh componentwise minimum.
 //  I3 DEPENDENCIES   a not-done task's missing_deps count equals a fresh
 //                    recount of its not-done dependencies (CSR unlock
 //                    bookkeeping never drifts).
@@ -139,6 +145,8 @@ class InvariantChecker final : public sched::EngineObserver,
  private:
   [[noreturn]] void fail(const char* invariant, const char* where,
                          const std::string& detail) const;
+  /// I2 ready-index: the queue's enqueue order, ordered index and floor.
+  void verify_ready_index(const sched::ReadyQueue& ready, const char* where);
 
   sim::Simulator& sim_;
   const infra::Datacenter& dc_;
@@ -160,6 +168,8 @@ class InvariantChecker final : public sched::EngineObserver,
   std::vector<std::uint32_t> held_count_;
   /// Per running key: seen on a machine list in this sweep.
   std::vector<std::uint8_t> listed_marks_;
+  /// Per ready handle: seen in the queue's index in this sweep.
+  std::vector<std::uint8_t> indexed_marks_;
 };
 
 }  // namespace mcs::check

@@ -52,28 +52,6 @@ Ecosystem& Ecosystem::add_subecosystem(std::string name) {
   return *children_.back();
 }
 
-// mcs-lint: allow(R1) — only EcosystemTest (tests/core_test.cpp) calls it;
-// it goes with EcosystemTest.RemoveReturnsFalseForUnknown in a later change,
-// since one change may take at most three tests out of the suite.
-bool Ecosystem::remove_system(const std::string& name) {
-  auto it = std::find_if(systems_.begin(), systems_.end(),
-                         [&](const SystemInfo& s) { return s.name == name; });
-  if (it == systems_.end()) return false;
-  record(EvolutionMechanism::kRemove, name, "system removed");
-  systems_.erase(it);
-  return true;
-}
-
-// mcs-lint: allow(R1) — as remove_system.
-bool Ecosystem::replace_system(const std::string& name, SystemInfo replacement) {
-  auto it = std::find_if(systems_.begin(), systems_.end(),
-                         [&](const SystemInfo& s) { return s.name == name; });
-  if (it == systems_.end()) return false;
-  record(EvolutionMechanism::kReplace, name, "replaced by " + replacement.name);
-  *it = std::move(replacement);
-  return true;
-}
-
 void Ecosystem::bridge(const std::string& from, const std::string& to) {
   record(EvolutionMechanism::kBridge, from, "bridged to " + to);
   bridges_.emplace_back(from, to);

@@ -88,13 +88,6 @@ class Ecosystem {
   /// super-distribution (P5).
   Ecosystem& add_subecosystem(std::string name);
 
-  /// Removes a system by name anywhere in this level (not recursive).
-  /// Returns true if found.
-  bool remove_system(const std::string& name);
-
-  /// Replaces a system by name with a new one; records provenance.
-  bool replace_system(const std::string& name, SystemInfo replacement);
-
   /// Declares an interoperation bridge between two constituents
   /// (meta-middleware in the paper's C2 discussion).
   void bridge(const std::string& from, const std::string& to);

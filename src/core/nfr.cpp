@@ -22,25 +22,6 @@ Slo deadline_slo(double seconds, double weight) {
   return Slo{NfrDimension::kLatency, seconds, /*is_ceiling=*/true, weight};
 }
 
-// mcs-lint: allow(R1) — only SlaTest.ReviseChangesTargetAtRuntime
-// (tests/core_test.cpp) calls it; it goes with that test in a later change,
-// since one change may take at most three tests out of the suite.
-bool Sla::revise(NfrDimension dim, double new_target) {
-  for (Slo& s : objectives_) {
-    if (s.dimension == dim) {
-      s.target = new_target;
-      return true;
-    }
-  }
-  // Dimension not present: add with the conventional direction.
-  const bool ceiling = dim == NfrDimension::kLatency ||
-                       dim == NfrDimension::kCost ||
-                       dim == NfrDimension::kEnergy ||
-                       dim == NfrDimension::kElasticity;
-  objectives_.push_back(Slo{dim, new_target, ceiling, 1.0});
-  return false;
-}
-
 std::optional<Slo> Sla::objective(NfrDimension dim) const {
   for (const Slo& s : objectives_) {
     if (s.dimension == dim) return s;

@@ -4,8 +4,7 @@
 // The paper envisions spatially fine-grained NFRs (per unit of work) and
 // temporally fine-grained NFRs (targets that change at runtime). An Slo here
 // is a single target on one dimension; an Sla is a set of Slos with penalty
-// accounting; both can be attached to whole jobs or to individual tasks, and
-// targets may be revised mid-run.
+// accounting; both can be attached to whole jobs or to individual tasks.
 #pragma once
 
 #include <optional>
@@ -49,7 +48,7 @@ struct Slo {
 Slo deadline_slo(double seconds, double weight = 1.0);
 
 /// A service-level agreement: objectives plus the penalty owed per violated
-/// objective. Temporal fine-graining: revise() swaps targets at runtime.
+/// objective.
 class Sla {
  public:
   Sla() = default;
@@ -58,10 +57,6 @@ class Sla {
   // mcs-lint: allow(H3) — setup-time API; shares the name `add` with
   // hot-path metric recording, which over-approximate call resolution links.
   void add(Slo slo) { objectives_.push_back(slo); }
-
-  /// Replaces the target for a dimension (adds the objective if missing).
-  /// Returns true if an existing objective was revised.
-  bool revise(NfrDimension dim, double new_target);
 
   [[nodiscard]] const std::vector<Slo>& objectives() const { return objectives_; }
 

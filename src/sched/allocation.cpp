@@ -10,32 +10,40 @@
 
 namespace mcs::sched {
 
-bool order_fcfs(const ReadyTask& a, const ReadyTask& b, const SchedulerView&) {
+bool order_fcfs(const ReadyTask& a, const ReadyTask& b) {
   if (a.job_submit != b.job_submit) return a.job_submit < b.job_submit;
   if (a.job != b.job) return a.job < b.job;
   return a.task_index < b.task_index;
 }
 
-bool order_sjf(const ReadyTask& a, const ReadyTask& b, const SchedulerView&) {
+bool order_sjf(const ReadyTask& a, const ReadyTask& b) {
   return a.work_seconds < b.work_seconds;
 }
 
-bool order_ljf(const ReadyTask& a, const ReadyTask& b, const SchedulerView&) {
+bool order_ljf(const ReadyTask& a, const ReadyTask& b) {
   return a.work_seconds > b.work_seconds;
+}
+
+bool order_edf(const ReadyTask& a, const ReadyTask& b) {
+  if (a.deadline != b.deadline) return a.deadline < b.deadline;
+  return order_fcfs(a, b);
+}
+
+bool order_rank(const ReadyTask& a, const ReadyTask& b) {
+  return a.rank > b.rank;
 }
 
 namespace {
 
 // Every queue-ordering policy (FCFS, SJF, LJF, fair-share, EDF, EASY and
 // conservative backfilling) is one OrderedPolicy skeleton that differs only
-// in its queue order, Fit heuristic and reservation depth; HEFT and MinMin
+// in its queue walk, Fit heuristic and reservation depth; HEFT and MinMin
 // share one earliest-finish scan. PlannedCapacity, ReleaseProfile and
 // pick_machine live in sched/scoring.hpp: the placement pass (K=4 planned
 // capacity, node scoring, zone/anti-affinity admission) is shared with the
 // engine, the fuzzer, and the benches.
 
-using QueueOrder = bool (*)(const ReadyTask&, const ReadyTask&,
-                            const SchedulerView&);
+using Handle = ReadyQueue::Handle;
 
 /// The view's planned capacity, borrowed for one decide(): every row the
 /// policy takes from is restored to the machines' live state on exit, even
@@ -57,79 +65,91 @@ class BorrowedPlan {
   PlannedCapacity* planned_;
 };
 
-/// Ready-queue indices stable-sorted by `Order` (ties keep queue order).
-/// A template argument, so every comparison is a direct, inlinable call.
+/// The order a policy walks the ready queue in: the queue's live index for
+/// one queue order, or a walk built into `scratch` from it (fair-share).
+using QueueWalk = const std::vector<Handle>& (*)(const SchedulerView& view,
+                                                 std::vector<Handle>& scratch);
+
 template <QueueOrder Order>
-std::vector<std::size_t> sorted_order(const SchedulerView& view) {
-  std::vector<std::size_t> order(view.ready->size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return Order((*view.ready)[a], (*view.ready)[b], view);
-                   });
-  return order;
+const std::vector<Handle>& indexed(const SchedulerView& view,
+                                   std::vector<Handle>&) {
+  return view.ready->ordered(Order);
 }
 
-/// The queue's componentwise minimum demand, its "floor" (+inf when empty).
-/// Where the floor fits nowhere no queued task fits, and `take` only shrinks
-/// the bound: a placement loop may stop there, bit-identically (DESIGN.md §9).
-infra::ResourceVector min_demand(const std::vector<ReadyTask>& ready) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  infra::ResourceVector floor{kInf, kInf, kInf, kInf};
-  for (const ReadyTask& t : ready) {
-    for (std::size_t d = 0; d < core::kResourceDims; ++d) {
-      floor[d] = std::min(floor[d], t.demand[d]);
+/// Fair-share: least-served user (consumed core-seconds at the start of the
+/// round) first, then FCFS, then enqueue order. Usage moves every round, so
+/// it is no index key: the walk is the FCFS index regrouped by usage. The
+/// users present are ranked by usage, users with equal usage sharing a rank,
+/// and a counting sort by rank, stable over the FCFS index, lays the walk
+/// out — no comparison sort runs over the tasks.
+const std::vector<Handle>& fair_share(const SchedulerView& view,
+                                      std::vector<Handle>& out) {
+  const ReadyQueue& queue = *view.ready;
+  const std::vector<Handle>& fcfs = queue.ordered(order_fcfs);
+  if (view.user_usage == nullptr) return fcfs;  // nobody has used anything
+  const std::vector<double>& usage = *view.user_usage;
+  // A user id past the usage table has used nothing; all such share `past`.
+  const std::size_t past = usage.size();
+  const auto user_of = [&](Handle h) {
+    return std::min<std::size_t>(queue[h].user_id, past);
+  };
+  const auto usage_of = [&](std::size_t u) {
+    return u < past ? usage[u] : 0.0;
+  };
+  constexpr std::size_t kAbsent = SIZE_MAX;
+  std::vector<std::size_t> rank(past + 1, kAbsent);  // by user
+  std::vector<std::size_t> present;
+  present.reserve(past + 1);
+  for (const Handle h : fcfs) {
+    const std::size_t u = user_of(h);
+    if (rank[u] == kAbsent) {
+      rank[u] = 0;
+      present.push_back(u);
     }
   }
-  return floor;
-}
-
-/// Fair-share: least-served user (consumed core-seconds) first, then FCFS.
-bool order_fair_share(const ReadyTask& a, const ReadyTask& b,
-                      const SchedulerView& view) {
-  double ua = 0.0, ub = 0.0;
-  if (view.user_usage != nullptr) {
-    const std::vector<double>& usage = *view.user_usage;
-    if (a.user_id < usage.size()) ua = usage[a.user_id];
-    if (b.user_id < usage.size()) ub = usage[b.user_id];
+  std::sort(present.begin(), present.end(),
+            [&](std::size_t a, std::size_t b) {
+              return usage_of(a) < usage_of(b);
+            });
+  std::size_t top = 0;  // the highest rank
+  for (std::size_t i = 0; i < present.size(); ++i) {
+    if (i > 0 && usage_of(present[i]) != usage_of(present[i - 1])) ++top;
+    rank[present[i]] = top;
   }
-  if (ua != ub) return ua < ub;
-  return order_fcfs(a, b, view);
+  if (top == 0) return fcfs;  // one usage level: the FCFS index as it stands
+  // first[r]: rank r's task count at r + 1, then by prefix sum the position
+  // of its first task.
+  std::vector<std::size_t> first(top + 2, 0);
+  for (const Handle h : fcfs) ++first[rank[user_of(h)] + 1];
+  for (std::size_t r = 1; r <= top; ++r) first[r] += first[r - 1];
+  out.resize(fcfs.size());
+  for (const Handle h : fcfs) out[first[rank[user_of(h)]]++] = h;
+  return out;
 }
 
-/// EDF: earliest deadline first, then FCFS.
-bool order_edf(const ReadyTask& a, const ReadyTask& b,
-               const SchedulerView& view) {
-  if (a.deadline != b.deadline) return a.deadline < b.deadline;
-  return order_fcfs(a, b, view);
-}
-
-/// HEFT: highest upward rank first.
-bool order_rank(const ReadyTask& a, const ReadyTask& b, const SchedulerView&) {
-  return a.rank > b.rank;
-}
-
-/// The one list-scheduling skeleton (DESIGN.md §9). Order the ready queue
-/// by `Order` and walk it once: a task starts when pick_machine places it and
-/// it is expected to end by the earliest reservation on that machine. A task
-/// that cannot start takes a reservation at the earliest time some machine
-/// could hold it (ReleaseProfile), while fewer than `depth` were granted this
+/// The one list-scheduling skeleton (DESIGN.md §9). Walk the ready queue
+/// once in `walk` order: a task starts when pick_machine places it and it is
+/// expected to end by the earliest reservation on that machine. A task that
+/// cannot start takes a reservation at the earliest time some machine could
+/// hold it (ReleaseProfile), while fewer than `depth` were granted this
 /// round. Depth 0 is greedy list scheduling (FCFS/SJF/LJF/fair-share/EDF),
 /// depth 1 is EASY backfilling (only the blocked head is protected) and
 /// SIZE_MAX is conservative backfilling (every blocked task is) — Mu'alem &
-/// Feitelson's reservation depth.
-template <QueueOrder Order>
+/// Feitelson's reservation depth. The queue's floor bounds every queued
+/// demand from below and `take` only shrinks the planned bound, so where the
+/// floor fits nowhere the walk stops, bit-identically (DESIGN.md §9).
 class OrderedPolicy final : public AllocationPolicy {
  public:
-  OrderedPolicy(std::string name, Fit fit, std::size_t depth)
-      : name_(std::move(name)), fit_(fit), depth_(depth) {}
+  OrderedPolicy(std::string name, QueueWalk walk, Fit fit, std::size_t depth)
+      : name_(std::move(name)), walk_(walk), fit_(fit), depth_(depth) {}
 
   [[nodiscard]] std::string name() const override { return name_; }
 
   std::vector<Assignment> decide(const SchedulerView& view) override {
     const BorrowedPlan plan(view);
     PlannedCapacity& planned = *plan;
-    const infra::ResourceVector floor = min_demand(*view.ready);
+    const ReadyQueue& queue = *view.ready;
+    const infra::ResourceVector floor = queue.floor();
     if (!planned.may_fit_anywhere(floor)) return {};
     // Built on the first reservation, so a depth-0 round never pays for
     // them. reservation_at: earliest reservation per machine id
@@ -138,11 +158,11 @@ class OrderedPolicy final : public AllocationPolicy {
     std::vector<sim::SimTime> reservation_at;
     std::size_t granted = 0;
     std::vector<Assignment> out;
-    out.reserve(view.ready->size());
-    for (std::size_t idx : sorted_order<Order>(view)) {
+    out.reserve(queue.size());
+    for (const Handle h : walk_(view, scratch_)) {
       // Nothing left fits anywhere, so nothing can start or gate a start.
       if (!planned.may_fit_anywhere(floor)) break;
-      const ReadyTask& t = (*view.ready)[idx];
+      const ReadyTask& t = queue[h];
       const auto m = pick_machine(view.machines, planned, t, fit_, view);
       // Once a reservation exists, a start must be expected to end by the
       // earliest reservation on its machine.
@@ -151,7 +171,7 @@ class OrderedPolicy final : public AllocationPolicy {
                                              planned.speed(*m)) <=
                     reservation_at[*m])) {
         planned.take(*m, t.demand);
-        out.push_back(Assignment{idx, *m});
+        out.push_back(Assignment{h, *m});
         continue;
       }
       if (granted >= depth_) continue;
@@ -170,14 +190,16 @@ class OrderedPolicy final : public AllocationPolicy {
 
  private:
   std::string name_;
+  QueueWalk walk_;
   Fit fit_;
   std::size_t depth_;  ///< reservations granted per round at most
+  std::vector<Handle> scratch_;  ///< a walk the queue does not keep
 };
 
-template <QueueOrder Order>
-std::unique_ptr<AllocationPolicy> ordered(std::string name, Fit fit,
-                                          std::size_t depth = 0) {
-  return std::make_unique<OrderedPolicy<Order>>(std::move(name), fit, depth);
+std::unique_ptr<AllocationPolicy> ordered_policy(std::string name,
+                                                 QueueWalk walk, Fit fit,
+                                                 std::size_t depth = 0) {
+  return std::make_unique<OrderedPolicy>(std::move(name), walk, fit, depth);
 }
 
 std::string fit_suffix(Fit fit) {
@@ -221,17 +243,18 @@ class Heft final : public AllocationPolicy {
   std::vector<Assignment> decide(const SchedulerView& view) override {
     const BorrowedPlan plan(view);
     PlannedCapacity& planned = *plan;
-    const infra::ResourceVector floor = min_demand(*view.ready);
+    const ReadyQueue& queue = *view.ready;
+    const infra::ResourceVector floor = queue.floor();
     if (!planned.may_fit_anywhere(floor)) return {};
     std::vector<Assignment> out;
-    out.reserve(view.ready->size());
-    // Highest upward rank first; ties keep queue order.
-    for (std::size_t idx : sorted_order<order_rank>(view)) {
+    out.reserve(queue.size());
+    // Highest upward rank first; ties keep enqueue order.
+    for (const Handle h : queue.ordered(order_rank)) {
       if (!planned.may_fit_anywhere(floor)) break;
-      const ReadyTask& t = (*view.ready)[idx];
+      const ReadyTask& t = queue[h];
       if (const auto best = earliest_finish(view, planned, t)) {
         planned.take(best->first, t.demand);
-        out.push_back(Assignment{idx, best->first});
+        out.push_back(Assignment{h, best->first});
       }
     }
     return out;
@@ -252,17 +275,19 @@ class MinMin final : public AllocationPolicy {
   std::vector<Assignment> decide(const SchedulerView& view) override {
     const BorrowedPlan plan(view);
     PlannedCapacity& planned = *plan;
-    std::vector<bool> taken(view.ready->size(), false);
+    const ReadyQueue& queue = *view.ready;
+    const std::vector<Handle>& queued = queue.handles();
+    std::vector<bool> taken(queued.size(), false);
     std::vector<Assignment> out;
-    out.reserve(view.ready->size());
+    out.reserve(queued.size());
     for (;;) {
       // For each unassigned task, its minimum completion time and argmin
-      // machine under planned capacity.
+      // machine under planned capacity; ties go to the oldest task.
       std::optional<std::size_t> chosen;
       std::pair<infra::MachineId, double> chosen_finish;
-      for (std::size_t i = 0; i < view.ready->size(); ++i) {
+      for (std::size_t i = 0; i < queued.size(); ++i) {
         if (taken[i]) continue;
-        const auto f = earliest_finish(view, planned, (*view.ready)[i]);
+        const auto f = earliest_finish(view, planned, queue[queued[i]]);
         if (!f) continue;
         const bool better =
             !chosen || (max_first_ ? f->second > chosen_finish.second
@@ -274,8 +299,8 @@ class MinMin final : public AllocationPolicy {
       }
       if (!chosen) break;
       taken[*chosen] = true;
-      planned.take(chosen_finish.first, (*view.ready)[*chosen].demand);
-      out.push_back(Assignment{*chosen, chosen_finish.first});
+      planned.take(chosen_finish.first, queue[queued[*chosen]].demand);
+      out.push_back(Assignment{queued[*chosen], chosen_finish.first});
     }
     return out;
   }
@@ -295,13 +320,15 @@ class RandomPolicy final : public AllocationPolicy {
   std::vector<Assignment> decide(const SchedulerView& view) override {
     const BorrowedPlan plan(view);
     PlannedCapacity& planned = *plan;
-    std::vector<std::size_t> order(view.ready->size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    const ReadyQueue& queue = *view.ready;
+    // The shuffle permutes enqueue positions 0..Q-1: the digests pin the
+    // RNG stream it draws, which depends on Q only.
+    std::vector<Handle> order = queue.handles();
     rng_.shuffle(order);
     std::vector<Assignment> out;
-    out.reserve(view.ready->size());
-    for (std::size_t idx : order) {
-      const ReadyTask& t = (*view.ready)[idx];
+    out.reserve(order.size());
+    for (const Handle h : order) {
+      const ReadyTask& t = queue[h];
       if (!planned.may_fit_anywhere(t.demand)) continue;
       // Collect fitting machines, pick one uniformly.
       std::vector<infra::MachineId> options;
@@ -316,7 +343,7 @@ class RandomPolicy final : public AllocationPolicy {
       const auto pick = static_cast<std::size_t>(rng_.uniform_int(
           0, static_cast<std::int64_t>(options.size()) - 1));
       planned.take(options[pick], t.demand);
-      out.push_back(Assignment{idx, options[pick]});
+      out.push_back(Assignment{h, options[pick]});
     }
     return out;
   }
@@ -328,25 +355,26 @@ class RandomPolicy final : public AllocationPolicy {
 }  // namespace
 
 std::unique_ptr<AllocationPolicy> make_fcfs(Fit fit) {
-  return ordered<order_fcfs>("fcfs" + fit_suffix(fit), fit);
+  return ordered_policy("fcfs" + fit_suffix(fit), indexed<order_fcfs>, fit);
 }
 std::unique_ptr<AllocationPolicy> make_sjf(Fit fit) {
-  return ordered<order_sjf>("sjf" + fit_suffix(fit), fit);
+  return ordered_policy("sjf" + fit_suffix(fit), indexed<order_sjf>, fit);
 }
 std::unique_ptr<AllocationPolicy> make_ljf(Fit fit) {
-  return ordered<order_ljf>("ljf" + fit_suffix(fit), fit);
+  return ordered_policy("ljf" + fit_suffix(fit), indexed<order_ljf>, fit);
 }
 std::unique_ptr<AllocationPolicy> make_fair_share(Fit fit) {
-  return ordered<order_fair_share>("fair-share" + fit_suffix(fit), fit);
+  return ordered_policy("fair-share" + fit_suffix(fit), fair_share, fit);
 }
 std::unique_ptr<AllocationPolicy> make_edf(Fit fit) {
-  return ordered<order_edf>("edf" + fit_suffix(fit), fit);
+  return ordered_policy("edf" + fit_suffix(fit), indexed<order_edf>, fit);
 }
 std::unique_ptr<AllocationPolicy> make_easy_backfilling() {
-  return ordered<order_fcfs>("easy-backfill", Fit::kFirst, 1);
+  return ordered_policy("easy-backfill", indexed<order_fcfs>, Fit::kFirst, 1);
 }
 std::unique_ptr<AllocationPolicy> make_conservative_backfilling() {
-  return ordered<order_fcfs>("conservative-backfill", Fit::kFirst, SIZE_MAX);
+  return ordered_policy("conservative-backfill", indexed<order_fcfs>,
+                        Fit::kFirst, SIZE_MAX);
 }
 std::unique_ptr<AllocationPolicy> make_heft() {
   return std::make_unique<Heft>();

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "infra/machine.hpp"
+#include "sched/ready_queue.hpp"
 #include "sim/simulator.hpp"
 #include "workload/task.hpp"
 
@@ -42,46 +43,18 @@ struct PlacementContext {
   std::uint64_t salt = 0;
 };
 
-/// A task eligible to run now (dependencies satisfied).
-struct ReadyTask {
-  workload::JobId job = 0;
-  std::size_t task_index = 0;
-  double work_seconds = 1.0;
-  infra::ResourceVector demand;
-  sim::SimTime job_submit = 0;
-  sim::SimTime became_ready = 0;
-  /// Interned submitter id (dense index into SchedulerView::user_usage);
-  /// the engine resolves the user string once at submit, never per round.
-  std::uint32_t user_id = 0;
-  /// Engine-internal job slot (stable for the job's lifetime; policies
-  /// should treat it as opaque).
-  std::uint32_t job_slot = 0;
-  /// HEFT upward rank (critical-path distance to the job's exit, in
-  /// reference seconds); 0 for bag tasks.
-  double rank = 0.0;
-  /// Absolute deadline derived from the job's latency SLO (C3: NFRs reach
-  /// the scheduler); kTimeInfinity when the job has none.
-  sim::SimTime deadline = sim::kTimeInfinity;
-  /// Zone label filter: bitset over machine ids this task may run on
-  /// (borrowed from the engine's LabelFilterCache; valid for the round).
-  /// Null = unconstrained.
-  const std::uint64_t* zone_mask = nullptr;
-  std::size_t zone_words = 0;
-  /// Anti-affinity: max concurrently-running tasks of this job per machine;
-  /// 0 = unlimited.
-  std::uint32_t spread_limit = 0;
-};
-
 /// What an allocation policy sees each scheduling round. The engine lends
 /// its live usable-machine list and planned capacity instead of rebuilding
 /// them per round (DESIGN.md §12): `machines` is moved in and out of the
 /// view, and `planned` mirrors exactly those machines' live free capacity.
 /// A policy takes from `*planned` while it plans and restore()s it before
 /// decide() returns, so the engine finds the mirror as it lent it. The
-/// running set is the engine's own, read in place.
+/// ready queue and the running set are the engine's own, read in place.
 struct SchedulerView {
   sim::SimTime now = 0;
-  const std::vector<ReadyTask>* ready = nullptr;
+  /// The engine's ready queue; its ordered index and floor persist across
+  /// rounds (sched/ready_queue.hpp).
+  const ReadyQueue* ready = nullptr;
   std::vector<const infra::Machine*> machines;  ///< usable, non-draining
   /// Planned free capacity of `machines`, one row per machine id, equal to
   /// each machine's live available(). Required by decide(), which throws
@@ -99,9 +72,9 @@ struct SchedulerView {
   const PlacementContext* placement = nullptr;
 };
 
-/// One placement decision: ready-queue index -> machine.
+/// One placement decision: ready task (by its queue handle) -> machine.
 struct Assignment {
-  std::size_t ready_index = 0;
+  ReadyQueue::Handle task = 0;
   infra::MachineId machine = 0;
 };
 
@@ -124,18 +97,20 @@ enum class Fit {
   kFastest,  ///< highest speed factor with room
 };
 
-/// Queue orders: the strict weak orders the ordered policies stable-sort the
-/// ready queue by (ties keep queue order). Each is defined once and shared
-/// by its policy's factory and the portfolio's surrogate (sched/portfolio.hpp).
+/// Queue orders: the strict weak orders the ordered policies walk the ready
+/// queue's index in (ties keep enqueue order). Each is defined once and
+/// shared by its policy's factory and, for the first three, the portfolio's
+/// surrogate (sched/portfolio.hpp).
 /// FCFS: job submit time, then job id, then task index.
-[[nodiscard]] bool order_fcfs(const ReadyTask& a, const ReadyTask& b,
-                              const SchedulerView& view);
+[[nodiscard]] bool order_fcfs(const ReadyTask& a, const ReadyTask& b);
 /// SJF: less work first.
-[[nodiscard]] bool order_sjf(const ReadyTask& a, const ReadyTask& b,
-                             const SchedulerView& view);
+[[nodiscard]] bool order_sjf(const ReadyTask& a, const ReadyTask& b);
 /// LJF: more work first.
-[[nodiscard]] bool order_ljf(const ReadyTask& a, const ReadyTask& b,
-                             const SchedulerView& view);
+[[nodiscard]] bool order_ljf(const ReadyTask& a, const ReadyTask& b);
+/// EDF: earliest deadline first, then FCFS.
+[[nodiscard]] bool order_edf(const ReadyTask& a, const ReadyTask& b);
+/// HEFT: highest upward rank first.
+[[nodiscard]] bool order_rank(const ReadyTask& a, const ReadyTask& b);
 
 /// FCFS: tasks in job-arrival order (then task index).
 [[nodiscard]] std::unique_ptr<AllocationPolicy> make_fcfs(Fit fit = Fit::kFirst);

@@ -262,11 +262,7 @@ void ExecutionEngine::arrive(std::uint32_t job_slot) {
 // mcs-lint: hot
 void ExecutionEngine::enqueue_ready(JobSlot& jr, std::uint32_t job_slot,
                                     std::size_t task_index, double rank) {
-  if (ready_.size() == ready_.capacity()) {
-    ready_.reserve(ready_.empty() ? 16 : ready_.size() * 2);
-  }
-  ready_.push_back(ReadyTask{});
-  ReadyTask& rt = ready_.back();
+  ReadyTask rt;
   rt.job = jr.job.id;
   rt.task_index = task_index;
   rt.work_seconds = jr.job.tasks[task_index].work_seconds;
@@ -286,6 +282,7 @@ void ExecutionEngine::enqueue_ready(JobSlot& jr, std::uint32_t job_slot,
   if (const auto slo = jr.job.sla.objective(core::NfrDimension::kLatency)) {
     rt.deadline = jr.job.submit_time + sim::from_seconds(slo->target);
   }
+  (void)ready_.push(rt);
 }
 
 void ExecutionEngine::drain(infra::MachineId id) {
@@ -343,27 +340,44 @@ void ExecutionEngine::try_schedule() {
     machines_ = std::move(view.machines);
     rebuild_pending_ = false;
 
-    // Apply in descending ready-index order so indices stay valid while
-    // erasing; re-validate each against live machine state.
-    sorted_scratch_.assign(assignments.begin(), assignments.end());
-    std::sort(sorted_scratch_.begin(), sorted_scratch_.end(),
-              [](const Assignment& a, const Assignment& b) {
-                return a.ready_index > b.ready_index;
-              });
-    std::size_t last = ready_.size();  // guard against duplicate indices
-    for (const Assignment& a : sorted_scratch_) {
-      if (a.ready_index >= last) continue;
-      last = a.ready_index;
-      if (start_task(a.ready_index, a.machine)) progress = true;
+    // Start newest first: descending enqueue sequence is descending queue
+    // position, the order that set the event sequence numbers the digests
+    // pin. Each start is re-validated against live machine state; a handle
+    // the queue does not hold is dropped and a repeated one skipped.
+    starts_scratch_.clear();
+    starts_scratch_.reserve(assignments.size());
+    for (const Assignment& a : assignments) {
+      if (ready_.contains(a.task)) {
+        starts_scratch_.push_back(Start{ready_.seq(a.task), a});
+      }
+    }
+    // A walk of the enqueue order (FCFS arrivals) proposes ascending
+    // sequences: those are read backwards instead of sorted.
+    const auto oldest_first = [](const Start& x, const Start& y) {
+      return x.seq < y.seq;
+    };
+    if (std::is_sorted(starts_scratch_.begin(), starts_scratch_.end(),
+                       oldest_first)) {
+      std::reverse(starts_scratch_.begin(), starts_scratch_.end());
+    } else {
+      std::sort(starts_scratch_.rbegin(), starts_scratch_.rend(),
+                oldest_first);
+    }
+    for (std::size_t i = 0; i < starts_scratch_.size(); ++i) {
+      const Start& s = starts_scratch_[i];
+      if (i > 0 && s.seq == starts_scratch_[i - 1].seq) continue;
+      if (start_task(s.assignment.task, s.assignment.machine)) progress = true;
     }
 
     // Scavenging fallback (C7, [118]): policies only propose placements
     // that fit whole; when nothing fits and scavenging is on, try each
-    // ready task directly — start_task itself knows how to borrow memory.
+    // ready task directly, newest first — start_task itself knows how to
+    // borrow memory.
     if (!progress && config_.scavenging.enabled) {
-      for (std::size_t i = ready_.size(); i-- > 0 && !progress;) {
+      const std::vector<ReadyQueue::Handle>& queued = ready_.handles();
+      for (std::size_t i = queued.size(); i-- > 0 && !progress;) {
         for (const infra::Machine* m : machines_) {
-          if (start_task(i, m->id())) {
+          if (start_task(queued[i], m->id())) {
             progress = true;
             break;
           }
@@ -374,10 +388,9 @@ void ExecutionEngine::try_schedule() {
 }
 
 // mcs-lint: hot
-bool ExecutionEngine::start_task(std::size_t ready_index,
+bool ExecutionEngine::start_task(ReadyQueue::Handle task,
                                  infra::MachineId machine_id) {
-  if (ready_index >= ready_.size()) return false;
-  const ReadyTask rt = ready_[ready_index];
+  const ReadyTask rt = ready_[task];
   infra::Machine& m = dc_.machine(machine_id);
   if (!m.usable() || is_draining(machine_id)) return false;
   // Zone and anti-affinity against the live set: a round's own proposals
@@ -414,7 +427,7 @@ bool ExecutionEngine::start_task(std::size_t ready_index,
 
   m.allocate(held);
   own_change(machine_id);
-  ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(ready_index));
+  ready_.erase(task);
 
   JobSlot& jr = jobs_[rt.job_slot];
   if (!jr.started) {
@@ -610,11 +623,7 @@ void ExecutionEngine::complete_job(std::uint32_t job_slot, bool abandoned) {
 
   if (abandoned) {
     // Drop any still-queued/running work of this job.
-    ready_.erase(std::remove_if(ready_.begin(), ready_.end(),
-                                [&](const ReadyTask& t) {
-                                  return t.job_slot == job_slot;
-                                }),
-                 ready_.end());
+    ready_.erase_job(job_slot);
     for (std::uint32_t key = 0; key < running_.size(); ++key) {
       if (!running_.live(key) || running_[key].job_slot != job_slot) continue;
       const RunningTask rt = running_[key];
@@ -641,7 +650,9 @@ bool ExecutionEngine::all_done() const {
 
 double ExecutionEngine::demand_cores() const {
   double cores = 0.0;
-  for (const ReadyTask& t : ready_) cores += t.demand.cpu();
+  for (const ReadyQueue::Handle h : ready_.handles()) {
+    cores += ready_[h].demand.cpu();
+  }
   running_.for_each([&](std::uint32_t, const RunningTask& rt) {
     cores += rt.held.cpu();
   });

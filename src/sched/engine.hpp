@@ -10,9 +10,11 @@
 // ProvisionedPool::supply_series() (sched/provisioning.hpp).
 //
 // Storage discipline (DESIGN.md §9): jobs live in a core::SlotPool arena
-// addressed by dense uint32 slot indices, running tasks in a RunningSet (the
-// same keys, plus a list per machine) that policies read in place, draining
-// is a machine-id bitset, and user names are interned to dense ids at submit.
+// addressed by dense uint32 slot indices, ready tasks in a ReadyQueue (stable
+// handles, plus an ordered index and a floor kept live across rounds) and
+// running tasks in a RunningSet (the same keys, plus a list per machine),
+// both of which policies read in place; draining is a machine-id bitset, and
+// user names are interned to dense ids at submit.
 // The usable-machine list and the PlannedCapacity policies plan against
 // are a live view kept across rounds (DESIGN.md §12): each allocate or
 // release the engine makes refreshes one planned row, and the view is
@@ -38,6 +40,7 @@
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
 #include "sched/allocation.hpp"
+#include "sched/ready_queue.hpp"
 #include "sched/running_set.hpp"
 #include "sched/scoring.hpp"
 #include "sim/simulator.hpp"
@@ -317,7 +320,7 @@ class ExecutionEngine {
   /// Books an allocate or release this engine just made on machine `id`:
   /// one expected mutation, and its planned row re-read.
   void own_change(infra::MachineId id);
-  bool start_task(std::size_t ready_index, infra::MachineId machine);
+  bool start_task(ReadyQueue::Handle task, infra::MachineId machine);
   void finish_task(std::uint32_t key, std::uint32_t gen);
   void complete_job(std::uint32_t job_slot, bool abandoned);
   [[nodiscard]] std::uint32_t intern_user(const std::string& name);
@@ -336,7 +339,7 @@ class ExecutionEngine {
   /// JobId -> slot, touched only at submit (duplicate detection) and job
   /// completion — never in the per-task loop.
   std::map<workload::JobId, std::uint32_t> id_to_slot_;
-  std::vector<ReadyTask> ready_;
+  ReadyQueue ready_;
   RunningSet running_;
   /// Draining machines as a bitset over dense machine ids.
   std::vector<std::uint64_t> draining_bits_;
@@ -407,7 +410,13 @@ class ExecutionEngine {
 
   // Scratch buffers reused across scheduling rounds (capacity persists, so
   // refilling the per-round view allocates nothing once warmed up).
-  std::vector<Assignment> sorted_scratch_;
+  /// A proposed start with its task's enqueue sequence, the sort key of
+  /// try_schedule's apply loop.
+  struct Start {
+    std::uint64_t seq;
+    Assignment assignment;
+  };
+  std::vector<Start> starts_scratch_;
   std::vector<double> rank_scratch_;
   std::vector<std::uint32_t> succ_cursor_;
 };

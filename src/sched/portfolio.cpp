@@ -5,9 +5,7 @@
 
 namespace mcs::sched {
 
-double estimate_queue_makespan(
-    const SchedulerView& view,
-    bool (*order)(const ReadyTask&, const ReadyTask&, const SchedulerView&)) {
+double estimate_queue_makespan(const SchedulerView& view, QueueOrder order) {
   if (view.ready->empty()) return 0.0;
   // Machine model: per machine, the time (seconds from now) when each of
   // its cores frees up, approximated at whole-machine granularity by a
@@ -34,12 +32,16 @@ double estimate_queue_makespan(
   }
   if (machines.empty()) return std::numeric_limits<double>::max();
 
+  // The surrogate sorts a copy of its own: it runs once per tick, and asking
+  // the queue for each candidate's order would rebuild the engine's index.
   std::vector<const ReadyTask*> tasks;
   tasks.reserve(view.ready->size());
-  for (const ReadyTask& t : *view.ready) tasks.push_back(&t);
+  for (const ReadyQueue::Handle h : view.ready->handles()) {
+    tasks.push_back(&(*view.ready)[h]);
+  }
   std::stable_sort(tasks.begin(), tasks.end(),
                    [&](const ReadyTask* a, const ReadyTask* b) {
-                     return order(*a, *b, view);
+                     return order(*a, *b);
                    });
 
   double makespan = 0.0;

@@ -5,8 +5,8 @@
 // scores each against the current queue state with a fast surrogate
 // simulation (greedy list-scheduling makespan estimate), and switches the
 // live engine to the winner. Each candidate ranks the queue by the queue
-// order its policy's factory sorts by (sched/allocation.hpp), so an order
-// has one definition. exp_scheduling reproduces the published shape: the
+// order its policy walks (sched/allocation.hpp), so an order has one
+// definition. exp_scheduling reproduces the published shape: the
 // portfolio tracks whichever fixed policy is best per regime.
 #pragma once
 
@@ -22,15 +22,13 @@ namespace mcs::sched {
 /// Estimates the makespan (seconds from now) of running the current ready
 /// queue to completion in queue order `order`, using greedy list scheduling
 /// onto the machines' free capacity. Pure function: no events, no state.
-[[nodiscard]] double estimate_queue_makespan(
-    const SchedulerView& view,
-    bool (*order)(const ReadyTask&, const ReadyTask&, const SchedulerView&));
+[[nodiscard]] double estimate_queue_makespan(const SchedulerView& view,
+                                             QueueOrder order);
 
-/// A candidate policy and the queue order its factory sorts by.
+/// A candidate policy and the queue order its policy walks.
 struct PortfolioCandidate {
   std::string policy_name;  ///< passed to make_policy() when chosen
-  bool (*order)(const ReadyTask&, const ReadyTask&,
-                const SchedulerView&) = nullptr;
+  QueueOrder order = nullptr;
 };
 
 /// "fcfs", "sjf" and "ljf", each with its policy's own queue order.

@@ -6,16 +6,6 @@
 
 namespace mcs::sim {
 
-// mcs-lint: allow(R1) — only RngTest.ForkedStreamsDiffer (tests/sim_test.cpp)
-// calls it; it goes with that test in a later change, since one change may
-// take at most three tests out of the suite.
-Rng Rng::fork() {
-  // Mix two draws so sibling forks are decorrelated.
-  const std::uint64_t a = engine_();
-  const std::uint64_t b = engine_();
-  return Rng(a ^ (b * 0x9E3779B97F4A7C15ULL));
-}
-
 double Rng::uniform() {
   return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
 }

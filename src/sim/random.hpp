@@ -20,10 +20,6 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
 
-  /// Derives an independent child stream; used to decouple subsystems so
-  /// adding draws in one does not perturb another.
-  [[nodiscard]] Rng fork();
-
   /// Uniform in [0, 1).
   double uniform();
   /// Uniform in [lo, hi).

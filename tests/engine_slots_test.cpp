@@ -2,16 +2,19 @@
 // failure with slot reuse, drain-while-running, scavenging penalty
 // accounting, abandoned-job accounting, and per-user usage under job
 // churn. These pin the behaviors that the dense storage (core::SlotPool
-// jobs, the RunningSet of running tasks with its per-machine lists,
+// jobs, the ReadyQueue of ready tasks with its ordered index and floor, the
+// RunningSet of running tasks with its per-machine lists,
 // generation-guarded completions, interned users) must preserve.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "core/slot_pool.hpp"
 #include "sched/engine.hpp"
+#include "sched/ready_queue.hpp"
 #include "sched/running_set.hpp"
 #include "sim/random.hpp"
 #include "workload/task.hpp"
@@ -258,6 +261,113 @@ TEST(RunningSetTest, RandomChurnMatchesNaiveScan) {
   // The phases reach both recycling and idle machines often.
   EXPECT_GT(recycled, 500u);
   EXPECT_GT(idle_seen, 3000u);
+}
+
+// ---- the ready queue's enqueue order, index and floor -------------------------
+
+TEST(ReadyQueueTest, RandomChurnMatchesNaiveQueue) {
+  // Random pushes, erases (often the newest, as the engine starts tasks)
+  // and erase-by-job, in phases that fill and drain the queue so handles
+  // are recycled. Five queues see the same churn, each keeping its index
+  // live in one of the five queue orders, and every 400 steps each switches
+  // to the next order. After every step each queue's enqueue order,
+  // ordered() and floor are diffed against a plain vector kept in enqueue
+  // order, that vector stable-sorted by the order, and its naive minimum.
+  // Keys and demands come from small sets, so ties are everywhere.
+  const QueueOrder orders[] = {order_fcfs, order_sjf, order_ljf, order_edf,
+                               order_rank};
+  constexpr std::size_t kOrders = 5;
+  sim::Rng rng(23);
+  std::vector<ReadyQueue> queues(kOrders);
+  struct Entry {
+    ReadyQueue::Handle handle;
+    ReadyTask task;
+  };
+  std::vector<Entry> naive;  // enqueue order
+  const auto quarters = [&rng](std::int64_t most) {
+    return 0.25 * static_cast<double>(rng.uniform_int(0, most));
+  };
+  ReadyQueue::Handle fresh = 0;  // one past the largest handle handed out
+  std::size_t recycled = 0;
+  std::size_t by_job = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const double add_chance = (step / 300) % 2 == 0 ? 0.7 : 0.3;
+    if (naive.empty() || rng.chance(add_chance)) {
+      ReadyTask t;
+      t.job = static_cast<workload::JobId>(rng.uniform_int(1, 6));
+      t.job_slot = static_cast<std::uint32_t>(t.job);
+      t.task_index = static_cast<std::size_t>(rng.uniform_int(0, 3));
+      t.job_submit = static_cast<sim::SimTime>(t.job % 3) * sim::kSecond;
+      t.work_seconds = 0.25 + quarters(7);
+      t.rank = static_cast<double>(rng.uniform_int(0, 3));
+      t.deadline = rng.chance(0.3) ? sim::kTimeInfinity
+                                   : rng.uniform_int(1, 3) * sim::kSecond;
+      t.demand = infra::ResourceVector{
+          quarters(8), quarters(8), static_cast<double>(rng.uniform_int(0, 1))};
+      const ReadyQueue::Handle h = queues[0].push(t);
+      for (std::size_t k = 1; k < kOrders; ++k) {
+        ASSERT_EQ(queues[k].push(t), h) << "step " << step;
+      }
+      if (h < fresh) {
+        ++recycled;
+      } else {
+        fresh = h + 1;
+      }
+      naive.push_back({h, t});
+    } else if (rng.chance(0.1)) {
+      const auto pick = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(naive.size()) - 1));
+      const std::uint32_t job_slot = naive[pick].task.job_slot;
+      for (ReadyQueue& q : queues) q.erase_job(job_slot);
+      naive.erase(std::remove_if(naive.begin(), naive.end(),
+                                 [&](const Entry& e) {
+                                   return e.task.job_slot == job_slot;
+                                 }),
+                  naive.end());
+      ++by_job;
+    } else {
+      const auto pick =
+          rng.chance(0.3)
+              ? naive.size() - 1
+              : static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(naive.size()) - 1));
+      for (ReadyQueue& q : queues) q.erase(naive[pick].handle);
+      naive.erase(naive.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    infra::ResourceVector floor{kInf, kInf, kInf, kInf};
+    std::vector<ReadyQueue::Handle> fifo;
+    for (const Entry& e : naive) {
+      fifo.push_back(e.handle);
+      for (std::size_t d = 0; d < core::kResourceDims; ++d) {
+        floor[d] = std::min(floor[d], e.task.demand[d]);
+      }
+    }
+    for (std::size_t k = 0; k < kOrders; ++k) {
+      const ReadyQueue& q = queues[k];
+      ASSERT_EQ(q.size(), naive.size()) << "step " << step;
+      ASSERT_EQ(q.handles(), fifo) << "step " << step;
+      for (const Entry& e : naive) {
+        ASSERT_EQ(q[e.handle].job, e.task.job) << "step " << step;
+        ASSERT_EQ(q[e.handle].task_index, e.task.task_index);
+      }
+      const QueueOrder order = orders[(k + step / 400) % kOrders];
+      std::vector<Entry> sorted = naive;
+      std::stable_sort(sorted.begin(), sorted.end(),
+                       [order](const Entry& a, const Entry& b) {
+                         return order(a.task, b.task);
+                       });
+      std::vector<ReadyQueue::Handle> want;
+      for (const Entry& e : sorted) want.push_back(e.handle);
+      ASSERT_EQ(q.ordered(order), want)
+          << "order " << (k + step / 400) % kOrders << " step " << step;
+      ASSERT_EQ(q.floor(), floor) << "step " << step;
+    }
+  }
+  // The phases reach recycling and whole-job erasure often.
+  EXPECT_GT(recycled, 500u);
+  EXPECT_GT(by_job, 100u);
 }
 
 }  // namespace

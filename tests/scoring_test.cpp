@@ -2,11 +2,13 @@
 // hand fixtures, deterministic tie-breaking, pick_machine against the
 // legacy Fit loop, zone label filtering, the anti-affinity table,
 // LabelFilterCache memoization, the backfilling release profile and both
-// backfilling policies against their naive references, and engine-level
+// backfilling policies against their naive references, every index-walking
+// policy against the per-round sort it replaced, and engine-level
 // zone/spread enforcement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -516,24 +518,30 @@ struct RandomView {
     return t;
   }
 
-  /// Replaces the ready queue: up to 16 tasks of up to 6 jobs whose submit
-  /// times tie across jobs, with up to 8 cores and 0.25-8 s of work.
+  /// Up to 8 cores and 0.25-8 s of work, for one of up to 6 jobs whose
+  /// submit times tie across jobs; `task_index` is the caller's.
+  ReadyTask queued_task() {
+    ReadyTask t = random_task(31);
+    t.job = static_cast<workload::JobId>(rng.uniform_int(1, 6));
+    t.job_submit = static_cast<sim::SimTime>(t.job % 3) * sim::kSecond;
+    t.work_seconds = 0.25 + quarters(rng, 31);
+    return t;
+  }
+
+  /// Replaces the ready queue with up to 16 queued_task()s.
   void refill_ready() {
-    ready.clear();
+    ready = ReadyQueue{};
     for (std::int64_t k = rng.uniform_int(0, 16); k > 0; --k) {
-      ReadyTask t = random_task(31);
-      t.job = static_cast<workload::JobId>(rng.uniform_int(1, 6));
-      t.job_submit = static_cast<sim::SimTime>(t.job % 3) * sim::kSecond;
+      ReadyTask t = queued_task();
       t.task_index = ready.size();
-      t.work_seconds = 0.25 + quarters(rng, 31);
-      ready.push_back(t);
+      (void)ready.push(t);
     }
   }
 
   sim::Rng rng;
   infra::Datacenter dc{"rv", "sim"};
   RunningSet running;
-  std::vector<ReadyTask> ready;
+  ReadyQueue ready;
   std::uint64_t mask[1] = {0};
   PlannedCapacity planned;
   SchedulerView view;
@@ -564,13 +572,12 @@ TEST(ReleaseProfileTest, MatchesNaiveReservationOnRandomViews) {
 
 // ---- backfilling against the pre-merge policies ---------------------------------
 
-/// Ready-queue indices in FCFS order (submit time, job, task index; ties
-/// keep queue order).
-std::vector<std::size_t> fcfs_order(const std::vector<ReadyTask>& ready) {
-  std::vector<std::size_t> order(ready.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+/// Queued handles in FCFS order (submit time, job, task index; ties keep
+/// enqueue order).
+std::vector<ReadyQueue::Handle> fcfs_order(const ReadyQueue& ready) {
+  std::vector<ReadyQueue::Handle> order = ready.handles();
   std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
+                   [&](ReadyQueue::Handle a, ReadyQueue::Handle b) {
                      const ReadyTask& x = ready[a];
                      const ReadyTask& y = ready[b];
                      if (x.job_submit != y.job_submit) {
@@ -595,7 +602,7 @@ sim::SimTime expected_end(const SchedulerView& view,
 std::vector<Assignment> reference_easy(const SchedulerView& view,
                                        std::size_t& turned_away) {
   PlannedCapacity planned(view.machines);
-  const std::vector<std::size_t> order = fcfs_order(*view.ready);
+  const std::vector<ReadyQueue::Handle> order = fcfs_order(*view.ready);
   std::vector<Assignment> out;
   std::size_t head_pos = 0;
   // Greedily start the FCFS prefix.
@@ -635,14 +642,14 @@ std::vector<Assignment> reference_conservative(const SchedulerView& view,
   PlannedCapacity planned(view.machines);
   std::map<infra::MachineId, sim::SimTime> reservation_at;
   std::vector<Assignment> out;
-  for (std::size_t idx : fcfs_order(*view.ready)) {
-    const ReadyTask& t = (*view.ready)[idx];
+  for (const ReadyQueue::Handle h : fcfs_order(*view.ready)) {
+    const ReadyTask& t = (*view.ready)[h];
     if (auto m = pick_machine(view.machines, planned, t, Fit::kFirst, view)) {
       const auto r = reservation_at.find(*m);
       if (r == reservation_at.end() ||
           expected_end(view, planned, t, *m) <= r->second) {
         planned.take(*m, t.demand);
-        out.push_back(Assignment{idx, *m});
+        out.push_back(Assignment{h, *m});
         continue;
       }
       ++turned_away;
@@ -654,13 +661,11 @@ std::vector<Assignment> reference_conservative(const SchedulerView& view,
   return out;
 }
 
-std::vector<std::pair<std::size_t, infra::MachineId>> as_pairs(
+std::vector<std::pair<ReadyQueue::Handle, infra::MachineId>> as_pairs(
     const std::vector<Assignment>& assignments) {
-  std::vector<std::pair<std::size_t, infra::MachineId>> out;
+  std::vector<std::pair<ReadyQueue::Handle, infra::MachineId>> out;
   out.reserve(assignments.size());
-  for (const Assignment& a : assignments) {
-    out.emplace_back(a.ready_index, a.machine);
-  }
+  for (const Assignment& a : assignments) out.emplace_back(a.task, a.machine);
   return out;
 }
 
@@ -692,6 +697,209 @@ TEST(BackfillDiffTest, MatchesPreMergePoliciesOnRandomQueues) {
   EXPECT_GT(placed, 4000u);
 }
 
+// ---- the live ready index against the per-round sort ----------------------------
+
+/// A queue order as the skeleton took it before the queue kept an index: it
+/// may read the view (fair-share reads per-user usage).
+using ViewOrder = bool (*)(const ReadyTask&, const ReadyTask&,
+                           const SchedulerView&);
+
+template <QueueOrder Order>
+bool ignoring_view(const ReadyTask& a, const ReadyTask& b,
+                   const SchedulerView&) {
+  return Order(a, b);
+}
+
+/// Fair-share's comparator before it walked the FCFS index: least-served
+/// user (consumed core-seconds) first, then FCFS.
+bool order_fair_share(const ReadyTask& a, const ReadyTask& b,
+                      const SchedulerView& view) {
+  double ua = 0.0, ub = 0.0;
+  if (view.user_usage != nullptr) {
+    const std::vector<double>& usage = *view.user_usage;
+    if (a.user_id < usage.size()) ua = usage[a.user_id];
+    if (b.user_id < usage.size()) ub = usage[b.user_id];
+  }
+  if (ua != ub) return ua < ub;
+  return order_fcfs(a, b);
+}
+
+/// The queue stable-sorted by `order` (ties keep enqueue order), as every
+/// ordered policy and HEFT computed it once per round.
+std::vector<ReadyQueue::Handle> sorted_order(const SchedulerView& view,
+                                             ViewOrder order) {
+  std::vector<ReadyQueue::Handle> out = view.ready->handles();
+  std::stable_sort(out.begin(), out.end(),
+                   [&](ReadyQueue::Handle a, ReadyQueue::Handle b) {
+                     return order((*view.ready)[a], (*view.ready)[b], view);
+                   });
+  return out;
+}
+
+/// The queue's componentwise minimum demand, recomputed in O(Q).
+infra::ResourceVector min_demand(const ReadyQueue& ready) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  infra::ResourceVector floor{kInf, kInf, kInf, kInf};
+  for (const ReadyQueue::Handle h : ready.handles()) {
+    for (std::size_t d = 0; d < core::kResourceDims; ++d) {
+      floor[d] = std::min(floor[d], ready[h].demand[d]);
+    }
+  }
+  return floor;
+}
+
+/// The ordered skeleton as it ran on a per-round sort and a fresh floor:
+/// the reference every index walk is diffed against.
+std::vector<Assignment> reference_ordered(const SchedulerView& view,
+                                          ViewOrder order, Fit fit,
+                                          std::size_t depth) {
+  PlannedCapacity planned(view.machines);
+  const infra::ResourceVector floor = min_demand(*view.ready);
+  if (!planned.may_fit_anywhere(floor)) return {};
+  std::optional<ReleaseProfile> profile;
+  std::vector<sim::SimTime> reservation_at;
+  std::size_t granted = 0;
+  std::vector<Assignment> out;
+  for (const ReadyQueue::Handle h : sorted_order(view, order)) {
+    if (!planned.may_fit_anywhere(floor)) break;
+    const ReadyTask& t = (*view.ready)[h];
+    const auto m = pick_machine(view.machines, planned, t, fit, view);
+    if (m && (granted == 0 ||
+              expected_end(view, planned, t, *m) <= reservation_at[*m])) {
+      planned.take(*m, t.demand);
+      out.push_back(Assignment{h, *m});
+      continue;
+    }
+    if (granted >= depth) continue;
+    if (!profile) {
+      profile.emplace(view);
+      reservation_at.assign(planned.id_bound(), sim::kTimeInfinity);
+    }
+    const auto [when, machine] = profile->reservation_for(t, view);
+    reservation_at[machine] = std::min(reservation_at[machine], when);
+    ++granted;
+  }
+  return out;
+}
+
+/// HEFT as it ran on a per-round sort: highest upward rank first, each task
+/// on the admitting machine that finishes it first (ties to the lowest id).
+std::vector<Assignment> reference_heft(const SchedulerView& view) {
+  PlannedCapacity planned(view.machines);
+  const infra::ResourceVector floor = min_demand(*view.ready);
+  if (!planned.may_fit_anywhere(floor)) return {};
+  std::vector<Assignment> out;
+  for (const ReadyQueue::Handle h :
+       sorted_order(view, ignoring_view<order_rank>)) {
+    if (!planned.may_fit_anywhere(floor)) break;
+    const ReadyTask& t = (*view.ready)[h];
+    if (!planned.may_fit_anywhere(t.demand)) continue;
+    std::optional<infra::MachineId> best;
+    double best_finish = std::numeric_limits<double>::max();
+    for (const infra::Machine* m : view.machines) {
+      if (!planned.fits(m->id(), t.demand)) continue;
+      if (!placement_allows(view.running, t, m->id())) continue;
+      const double finish = t.work_seconds / m->speed_factor();
+      if (finish < best_finish) {
+        best_finish = finish;
+        best = m->id();
+      }
+    }
+    if (best) {
+      planned.take(*best, t.demand);
+      out.push_back(Assignment{h, *best});
+    }
+  }
+  return out;
+}
+
+TEST(ReadyIndexDiffTest, PoliciesMatchTheSortingReferenceAcrossRounds) {
+  // Each policy plans on its own queue, so its index stays live across
+  // eight rounds of churn: the round's starts leave newest first, as the
+  // engine applies them, a few tasks are killed or their job abandoned, and
+  // new tasks arrive with ties on every key. Per-user usage moves between
+  // rounds, ties included, and user 4 is past the usage table.
+  struct Case {
+    std::string name;
+    ViewOrder order;  // null: HEFT
+    Fit fit;
+    std::size_t depth;
+  };
+  const std::vector<Case> cases = {
+      {"fcfs", ignoring_view<order_fcfs>, Fit::kFirst, 0},
+      {"fcfs-bestfit", ignoring_view<order_fcfs>, Fit::kBest, 0},
+      {"sjf", ignoring_view<order_sjf>, Fit::kFirst, 0},
+      {"ljf", ignoring_view<order_ljf>, Fit::kFirst, 0},
+      {"fair-share", order_fair_share, Fit::kFirst, 0},
+      {"edf", ignoring_view<order_edf>, Fit::kFirst, 0},
+      {"easy-backfill", ignoring_view<order_fcfs>, Fit::kFirst, 1},
+      {"conservative-backfill", ignoring_view<order_fcfs>, Fit::kFirst,
+       SIZE_MAX},
+      {"heft", nullptr, Fit::kFirst, 0},
+  };
+  std::size_t placed = 0;
+  std::size_t rounds_with_starts = 0;
+  std::size_t compared = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    RandomView rv(seed);
+    for (const Case& c : cases) {
+      const auto policy = make_policy(c.name);
+      ReadyQueue queue;
+      std::vector<double> usage(4, 0.0);
+      SchedulerView view = rv.view;
+      view.ready = &queue;
+      view.user_usage = &usage;
+      std::size_t next_task = 0;
+      for (int round = 0; round < 8; ++round) {
+        for (std::int64_t k = rv.rng.uniform_int(0, 10); k > 0; --k) {
+          ReadyTask t = rv.queued_task();
+          t.task_index = next_task++;
+          t.user_id = static_cast<std::uint32_t>(rv.rng.uniform_int(0, 4));
+          t.rank = static_cast<double>(rv.rng.uniform_int(0, 3));
+          t.deadline = rv.rng.chance(0.3)
+                           ? sim::kTimeInfinity
+                           : rv.rng.uniform_int(1, 4) * sim::kSecond;
+          (void)queue.push(t);
+        }
+        if (!queue.empty() && rv.rng.chance(0.3)) {
+          const auto pick = static_cast<std::size_t>(rv.rng.uniform_int(
+              0, static_cast<std::int64_t>(queue.size()) - 1));
+          const ReadyQueue::Handle victim = queue.handles()[pick];
+          if (rv.rng.chance(0.5)) {
+            queue.erase_job(queue[victim].job_slot);
+          } else {
+            queue.erase(victim);
+          }
+        }
+        for (double& u : usage) {
+          u = static_cast<double>(rv.rng.uniform_int(0, 3));
+        }
+        const auto got = policy->decide(view);
+        const auto want = c.order == nullptr
+                              ? reference_heft(view)
+                              : reference_ordered(view, c.order, c.fit,
+                                                  c.depth);
+        ASSERT_EQ(as_pairs(got), as_pairs(want))
+            << c.name << " seed " << seed << " round " << round;
+        ++compared;
+        // The engine starts the proposals newest first.
+        std::vector<ReadyQueue::Handle> started;
+        for (const Assignment& a : got) started.push_back(a.task);
+        std::sort(started.begin(), started.end(),
+                  [&](ReadyQueue::Handle a, ReadyQueue::Handle b) {
+                    return queue.seq(a) > queue.seq(b);
+                  });
+        for (const ReadyQueue::Handle h : started) queue.erase(h);
+        placed += got.size();
+        if (!got.empty()) ++rounds_with_starts;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 60u * 8u * cases.size());
+  EXPECT_GT(placed, 3000u);
+  EXPECT_GT(rounds_with_starts, 1500u);
+}
+
 TEST(ReleaseProfileTest, SaturatedFloorProposesNothingUnderEveryPolicy) {
   // Two 8-core machines with one core free each; the smallest queued cpu
   // demand is 2 cores, so the queue's floor fits nowhere.
@@ -702,13 +910,13 @@ TEST(ReleaseProfileTest, SaturatedFloorProposesNothingUnderEveryPolicy) {
     dc.machine(id).allocate(held);
     (void)running.add(running_task(0, id, 60 * sim::kSecond, held));
   }
-  std::vector<ReadyTask> ready;
+  ReadyQueue ready;
   for (std::size_t i = 0; i < 6; ++i) {
     ReadyTask t = ready_task(
         infra::ResourceVector{2.0 + static_cast<double>(i % 3), 1.0, 0.0},
         i + 1);
     t.work_seconds = 10.0 * static_cast<double>(i + 1);
-    ready.push_back(t);
+    (void)ready.push(t);
   }
   SchedulerView view;
   view.ready = &ready;
@@ -759,7 +967,8 @@ TEST(BorrowedPlanTest, DecideLeavesThePlannedCapacityAsItFoundIt) {
 
 TEST(BorrowedPlanTest, DecideRejectsAViewWithoutPlannedCapacity) {
   auto dc = make_zoned_dc(2, 0);
-  std::vector<ReadyTask> ready{ready_task(infra::ResourceVector{1.0, 1.0, 0.0})};
+  ReadyQueue ready;
+  (void)ready.push(ready_task(infra::ResourceVector{1.0, 1.0, 0.0}));
   const RunningSet running;
   SchedulerView view;
   view.ready = &ready;

@@ -374,17 +374,6 @@ TEST(RngTest, SameSeedSameStream) {
   }
 }
 
-TEST(RngTest, ForkedStreamsDiffer) {
-  Rng a(99);
-  Rng child1 = a.fork();
-  Rng child2 = a.fork();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (child1.uniform() == child2.uniform()) ++same;
-  }
-  EXPECT_LT(same, 5);
-}
-
 // ---- arrival processes ---------------------------------------------------------
 
 TEST(ArrivalTest, PoissonRateIsRespected) {

@@ -19,6 +19,7 @@
 // (`build/tools/mcs_lint src bench tests tools examples perfbench`); the
 // `lint.tree` ctest and the `lint` CMake target do exactly that.
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -113,13 +114,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--sarif" && i + 1 < argc) {
       sarif_path = argv[++i];
     } else if (arg == "--jobs" && i + 1 < argc) {
-      try {
-        jobs = std::stoi(argv[++i]);
-      } catch (...) {
-        jobs = 0;
-      }
-      if (jobs < 1) {
-        std::cerr << "mcs_lint: --jobs needs a positive integer\n";
+      // Digits only, over the whole value: a sign, a space or trailing
+      // text is a usage error, never a job count.
+      const std::string value = argv[++i];
+      const char* end = value.data() + value.size();
+      const auto [ptr, ec] = std::from_chars(value.data(), end, jobs);
+      if (ec != std::errc() || ptr != end || jobs < 1) {
+        std::cerr << "mcs_lint: --jobs needs a positive integer, got '"
+                  << value << "'\n";
         return 2;
       }
     } else if (arg == "--explain" && i + 1 < argc) {
