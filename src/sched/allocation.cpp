@@ -263,6 +263,13 @@ class Heft final : public AllocationPolicy {
 
 // ---- min-min / max-min -----------------------------------------------------------
 
+/// Min-min (max-min): each step places the unplaced task whose earliest
+/// finish is smallest (largest), ties to the oldest, on its earliest-finish
+/// machine, until no task fits. A step walks the queue's SJF (LJF) index.
+/// On any machine a task finishes no sooner than work / fastest (no later
+/// than work / slowest), a bound that only grows (shrinks) along the walk,
+/// so the walk stops at the first task whose bound ranks after the
+/// incumbent: no later task can beat or tie it (DESIGN.md §9).
 class MinMin final : public AllocationPolicy {
  public:
   explicit MinMin(bool max_first)
@@ -276,37 +283,72 @@ class MinMin final : public AllocationPolicy {
     const BorrowedPlan plan(view);
     PlannedCapacity& planned = *plan;
     const ReadyQueue& queue = *view.ready;
-    const std::vector<Handle>& queued = queue.handles();
-    std::vector<bool> taken(queued.size(), false);
+    const infra::ResourceVector floor = queue.floor();
+    if (!planned.may_fit_anywhere(floor)) return {};
+    const std::vector<Handle>& walk =
+        queue.ordered(max_first_ ? order_ljf : order_sjf);
+    // The speed that bounds every finish: the fastest machine for min-min,
+    // the slowest for max-min.
+    double speed = max_first_ ? std::numeric_limits<double>::infinity() : 0.0;
+    for (const infra::Machine* m : view.machines) {
+      speed = max_first_ ? std::min(speed, m->speed_factor())
+                         : std::max(speed, m->speed_factor());
+    }
+    // A task is settled once placed or once it fits nowhere: take() only
+    // shrinks capacity and admission reads the fixed running set, so a task
+    // with no machine has none for the rest of the call.
+    settled_.assign(queue.handle_bound(), false);
+    std::size_t first = 0;  // walk[0, first) is settled
     std::vector<Assignment> out;
-    out.reserve(queued.size());
-    for (;;) {
-      // For each unassigned task, its minimum completion time and argmin
-      // machine under planned capacity; ties go to the oldest task.
-      std::optional<std::size_t> chosen;
+    out.reserve(queue.size());
+    while (planned.may_fit_anywhere(floor)) {
+      while (first < walk.size() && settled_[walk[first]]) ++first;
+      // The incumbent ranks by (finish, sequence).
+      std::optional<Handle> chosen;
       std::pair<infra::MachineId, double> chosen_finish;
-      for (std::size_t i = 0; i < queued.size(); ++i) {
-        if (taken[i]) continue;
-        const auto f = earliest_finish(view, planned, queue[queued[i]]);
-        if (!f) continue;
-        const bool better =
-            !chosen || (max_first_ ? f->second > chosen_finish.second
-                                   : f->second < chosen_finish.second);
-        if (better) {
-          chosen = i;
+      for (std::size_t p = first; p < walk.size(); ++p) {
+        const Handle h = walk[p];
+        if (settled_[h]) continue;
+        const ReadyTask& t = queue[h];
+        if (chosen) {
+          const double bound = t.work_seconds / speed;
+          if (ranks_after(bound, chosen_finish.second)) break;
+          // A bound equal to the incumbent's finish can at best tie it, and
+          // a tie goes to the older task.
+          if (bound == chosen_finish.second &&
+              queue.seq(h) > queue.seq(*chosen)) {
+            continue;
+          }
+        }
+        const auto f = earliest_finish(view, planned, t);
+        if (!f) {
+          settled_[h] = true;
+          continue;
+        }
+        if (!chosen || ranks_after(chosen_finish.second, f->second) ||
+            (f->second == chosen_finish.second &&
+             queue.seq(h) < queue.seq(*chosen))) {
+          chosen = h;
           chosen_finish = *f;
         }
       }
       if (!chosen) break;
-      taken[*chosen] = true;
-      planned.take(chosen_finish.first, queue[queued[*chosen]].demand);
-      out.push_back(Assignment{queued[*chosen], chosen_finish.first});
+      settled_[*chosen] = true;
+      planned.take(chosen_finish.first, queue[*chosen].demand);
+      out.push_back(Assignment{*chosen, chosen_finish.first});
     }
     return out;
   }
 
  private:
+  /// True when finish `a` ranks after finish `b`: later for min-min,
+  /// earlier for max-min.
+  [[nodiscard]] bool ranks_after(double a, double b) const {
+    return max_first_ ? a < b : a > b;
+  }
+
   bool max_first_;
+  std::vector<bool> settled_;  ///< by handle, for the current call
 };
 
 // ---- random ------------------------------------------------------------------------
@@ -322,34 +364,40 @@ class RandomPolicy final : public AllocationPolicy {
     PlannedCapacity& planned = *plan;
     const ReadyQueue& queue = *view.ready;
     // The shuffle permutes enqueue positions 0..Q-1: the digests pin the
-    // RNG stream it draws, which depends on Q only.
-    std::vector<Handle> order = queue.handles();
-    rng_.shuffle(order);
+    // RNG stream it draws, which depends on Q only, so it runs even when
+    // nothing can be placed.
+    order_.assign(queue.handles().begin(), queue.handles().end());
+    rng_.shuffle(order_);
+    const infra::ResourceVector floor = queue.floor();
     std::vector<Assignment> out;
-    out.reserve(order.size());
-    for (const Handle h : order) {
+    out.reserve(order_.size());
+    options_.reserve(view.machines.size());
+    for (const Handle h : order_) {
+      // Once the floor fits nowhere, no later task has a machine to draw.
+      if (!planned.may_fit_anywhere(floor)) break;
       const ReadyTask& t = queue[h];
       if (!planned.may_fit_anywhere(t.demand)) continue;
       // Collect fitting machines, pick one uniformly.
-      std::vector<infra::MachineId> options;
-      options.reserve(view.machines.size());
+      options_.clear();
       for (const infra::Machine* m : view.machines) {
         if (planned.fits(m->id(), t.demand) &&
             placement_allows(view.running, t, m->id())) {
-          options.push_back(m->id());
+          options_.push_back(m->id());
         }
       }
-      if (options.empty()) continue;
+      if (options_.empty()) continue;
       const auto pick = static_cast<std::size_t>(rng_.uniform_int(
-          0, static_cast<std::int64_t>(options.size()) - 1));
-      planned.take(options[pick], t.demand);
-      out.push_back(Assignment{h, options[pick]});
+          0, static_cast<std::int64_t>(options_.size()) - 1));
+      planned.take(options_[pick], t.demand);
+      out.push_back(Assignment{h, options_[pick]});
     }
     return out;
   }
 
  private:
   sim::Rng rng_;
+  std::vector<Handle> order_;               ///< this call's shuffled queue
+  std::vector<infra::MachineId> options_;   ///< one task's fitting machines
 };
 
 }  // namespace

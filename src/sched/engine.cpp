@@ -413,8 +413,11 @@ bool ExecutionEngine::start_task(ReadyQueue::Handle task,
           held.mem() <= 0.0
               ? 0.0
               : (held.mem() - local) / held.mem();
-      if (borrowed_fraction <= config_.scavenging.max_borrow_fraction) {
-        held.mem() = local;
+      held.mem() = local;
+      // Only memory is borrowed: every other dimension, net included, must
+      // fit as allocate() checks it.
+      if (borrowed_fraction <= config_.scavenging.max_borrow_fraction &&
+          m.can_fit(held)) {
         runtime_multiplier = 1.0 + config_.scavenging.penalty * borrowed_fraction;
         ctr_tasks_scavenged_->add();
       } else {

@@ -54,33 +54,6 @@ double Rng::weibull(double shape, double scale) {
   return std::weibull_distribution<double>(shape, scale)(engine_);
 }
 
-// mcs-lint: allow(R1) — only RngDistributionTest.ParetoRespectsMinimum and
-// InvalidParametersThrow (tests/sim_test.cpp) call it; deferred as fork().
-double Rng::pareto(double xm, double alpha) {
-  if (xm <= 0.0 || alpha <= 0.0) {
-    throw std::invalid_argument("Rng::pareto: non-positive parameter");
-  }
-  const double u = 1.0 - uniform();  // in (0, 1]
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
-// mcs-lint: allow(R1) — only RngGapTest.GammaMeanMatches
-// (tests/coverage_gaps_test.cpp) calls it; deferred as fork().
-double Rng::gamma(double shape, double scale) {
-  if (shape <= 0.0 || scale <= 0.0) {
-    throw std::invalid_argument("Rng::gamma: non-positive parameter");
-  }
-  return std::gamma_distribution<double>(shape, scale)(engine_);
-}
-
-// mcs-lint: allow(R1) — only RngDistributionTest.PoissonMean
-// (tests/sim_test.cpp) calls it; deferred as fork().
-std::int64_t Rng::poisson(double mean) {
-  if (mean < 0.0) throw std::invalid_argument("Rng::poisson: mean < 0");
-  if (mean == 0.0) return 0;
-  return std::poisson_distribution<std::int64_t>(mean)(engine_);
-}
-
 std::size_t Rng::zipf(std::size_t n, double exponent) {
   if (n == 0) throw std::invalid_argument("Rng::zipf: n == 0");
   if (n == 1) return 0;

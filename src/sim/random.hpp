@@ -4,7 +4,7 @@
 // statistically sound workload and failure modelling; the distributions here
 // are the ones the cited characterization studies use: exponential/Poisson
 // arrivals, lognormal task sizes [39], Weibull inter-failure times [26][27],
-// Pareto heavy tails, and Zipf popularity.
+// and Zipf popularity.
 #pragma once
 
 #include <cstdint>
@@ -39,12 +39,6 @@ class Rng {
   double lognormal_mean_cv(double mean, double cv);
   /// Weibull with shape k and scale lambda.
   double weibull(double shape, double scale);
-  /// Pareto with minimum xm and tail index alpha (> 0).
-  double pareto(double xm, double alpha);
-  /// Gamma with shape k, scale theta.
-  double gamma(double shape, double scale);
-  /// Poisson-distributed count with given mean.
-  std::int64_t poisson(double mean);
 
   /// Zipf-distributed rank in [0, n). O(1) per draw after O(n) setup is not
   /// kept; uses rejection-inversion (Hörmann) so it is allocation free.

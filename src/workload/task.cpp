@@ -34,7 +34,9 @@ bool Job::valid() const {
     for (std::size_t d : tasks[i].deps) {
       if (d >= i) return false;  // must point strictly backwards
     }
-    if (tasks[i].work_seconds < 0.0 || !tasks[i].demand.nonnegative()) {
+    // Negated so NaN fails too: the SJF/LJF queue index needs work to be
+    // a strict weak order.
+    if (!(tasks[i].work_seconds >= 0.0) || !tasks[i].demand.nonnegative()) {
       return false;
     }
   }

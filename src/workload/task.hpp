@@ -61,7 +61,9 @@ struct Job {
   /// denominator for workflows.
   [[nodiscard]] double critical_path_seconds() const;
 
-  /// Validates the dependency structure (deps point backwards & in range).
+  /// Validates the dependency structure (deps point backwards & in range)
+  /// and each task's work (not negative, not NaN) and demand (not
+  /// negative).
   [[nodiscard]] bool valid() const;
 };
 

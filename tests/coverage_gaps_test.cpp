@@ -42,14 +42,6 @@ TEST(CatalogGapTest, AddRejectsBadTypes) {
 
 // ---- RNG samplers not covered elsewhere --------------------------------------------
 
-TEST(RngGapTest, GammaMeanMatches) {
-  sim::Rng rng(5);
-  double sum = 0.0;
-  for (int i = 0; i < 20000; ++i) sum += rng.gamma(2.0, 3.0);  // mean 6
-  EXPECT_NEAR(sum / 20000.0, 6.0, 0.2);
-  EXPECT_THROW((void)rng.gamma(0.0, 1.0), std::invalid_argument);
-}
-
 TEST(RngGapTest, NormalMoments) {
   sim::Rng rng(5);
   metrics::Accumulator acc;

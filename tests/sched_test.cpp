@@ -388,6 +388,29 @@ TEST(ScavengingTest, PenaltySlowsScavengedTasks) {
   EXPECT_NEAR(cmp.on.makespan_seconds, 120.0, 1.0);
 }
 
+TEST(ScavengingTest, NeverBorrowsWhenNetIsShort) {
+  // Job 2 is short of memory (4 GiB wanted, 2 free) and of net (1 wanted,
+  // 0.5 free): scavenging borrows memory only, so job 2 waits for job 1.
+  infra::Datacenter dc("dc", "eu");
+  dc.add_machine("m0", infra::ResourceVector{8.0, 32.0, 0.0, 4.0}, 1.0, 0);
+  sim::Simulator sim;
+  EngineConfig config;
+  config.scavenging.enabled = true;
+  ExecutionEngine engine(sim, dc, make_fcfs(), config);
+  engine.submit(workload::make_bag_of_tasks(
+      1, 1, 100.0, infra::ResourceVector{1.0, 30.0, 0.0, 3.5}));
+  workload::Job second = workload::make_bag_of_tasks(
+      2, 1, 10.0, infra::ResourceVector{1.0, 4.0, 0.0, 1.0});
+  second.submit_time = sim::kSecond;
+  engine.submit(std::move(second));
+  sim.run_until();
+  ASSERT_TRUE(engine.all_done());
+  ASSERT_EQ(engine.completed().size(), 2u);
+  EXPECT_EQ(engine.completed()[1].id, 2u);
+  EXPECT_EQ(engine.completed()[1].first_start, 100 * sim::kSecond);
+  EXPECT_EQ(engine.tasks_scavenged(), 0u);
+}
+
 // ---- provisioning ----------------------------------------------------------------------
 
 TEST(ProvisioningTest, BootDelayDefersCapacity) {

@@ -3,11 +3,13 @@
 // legacy Fit loop, zone label filtering, the anti-affinity table,
 // LabelFilterCache memoization, the backfilling release profile and both
 // backfilling policies against their naive references, every index-walking
-// policy against the per-round sort it replaced, and engine-level
-// zone/spread enforcement.
+// policy against the per-round sort it replaced, min-min, max-min and
+// random against their unbounded loops, and engine-level zone/spread
+// enforcement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <optional>
@@ -461,21 +463,25 @@ std::pair<sim::SimTime, infra::MachineId> naive_reservation_for(
   return {best_time, best_machine};
 }
 
-/// A random scheduling view over 1-10 machines (2-16 cores, 0-2 gpus,
-/// speeds 0.5-2). Every fifth seed runs nothing; elsewhere end times come
-/// from five values, so ties are common, and ends at 1 s are already
-/// overdue. Draining machines leave the view while their tasks keep
+/// A random scheduling view over 1-10 machines (2-16 cores, 0-2 gpus, each
+/// speed drawn from `speeds`). Every fifth seed runs nothing; elsewhere end
+/// times come from five values, so ties are common, and ends at 1 s are
+/// already overdue. Draining machines leave the view while their tasks keep
 /// running. Demands are quarters: release sums are exact in any order, so a
 /// reservation cannot depend on how ties on expected_end are ordered.
 /// Pinned in place: the view points into its own members, its planned
 /// capacity included.
 struct RandomView {
-  explicit RandomView(std::uint64_t seed) : rng(seed) {
+  explicit RandomView(std::uint64_t seed,
+                      const std::vector<double>& speeds = {0.5, 1.0, 1.5,
+                                                           2.0})
+      : rng(seed) {
     const auto n = static_cast<std::size_t>(rng.uniform_int(1, 10));
     for (std::size_t i = 0; i < n; ++i) {
       const double cores = static_cast<double>(rng.uniform_int(2, 16));
       const double gpus = static_cast<double>(rng.uniform_int(0, 2));
-      const double speed = 0.5 * static_cast<double>(rng.uniform_int(1, 4));
+      const double speed = speeds[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(speeds.size()) - 1))];
       dc.add_machine("m" + std::to_string(i),
                      infra::ResourceVector{cores, cores * 4.0, gpus}, speed, 0);
     }
@@ -782,6 +788,27 @@ std::vector<Assignment> reference_ordered(const SchedulerView& view,
   return out;
 }
 
+/// The admitting machine with room that finishes `t` first (strictly
+/// smaller work / speed wins, so ties go to the lowest id), with that
+/// finish; nullopt when none.
+std::optional<std::pair<infra::MachineId, double>> reference_earliest_finish(
+    const SchedulerView& view, const PlannedCapacity& planned,
+    const ReadyTask& t) {
+  if (!planned.may_fit_anywhere(t.demand)) return std::nullopt;
+  std::optional<std::pair<infra::MachineId, double>> best;
+  double best_finish = std::numeric_limits<double>::max();
+  for (const infra::Machine* m : view.machines) {
+    if (!planned.fits(m->id(), t.demand)) continue;
+    if (!placement_allows(view.running, t, m->id())) continue;
+    const double finish = t.work_seconds / m->speed_factor();
+    if (finish < best_finish) {
+      best_finish = finish;
+      best = {m->id(), finish};
+    }
+  }
+  return best;
+}
+
 /// HEFT as it ran on a per-round sort: highest upward rank first, each task
 /// on the admitting machine that finishes it first (ties to the lowest id).
 std::vector<Assignment> reference_heft(const SchedulerView& view) {
@@ -793,22 +820,75 @@ std::vector<Assignment> reference_heft(const SchedulerView& view) {
        sorted_order(view, ignoring_view<order_rank>)) {
     if (!planned.may_fit_anywhere(floor)) break;
     const ReadyTask& t = (*view.ready)[h];
-    if (!planned.may_fit_anywhere(t.demand)) continue;
-    std::optional<infra::MachineId> best;
-    double best_finish = std::numeric_limits<double>::max();
-    for (const infra::Machine* m : view.machines) {
-      if (!planned.fits(m->id(), t.demand)) continue;
-      if (!placement_allows(view.running, t, m->id())) continue;
-      const double finish = t.work_seconds / m->speed_factor();
-      if (finish < best_finish) {
-        best_finish = finish;
-        best = m->id();
+    if (const auto best = reference_earliest_finish(view, planned, t)) {
+      planned.take(best->first, t.demand);
+      out.push_back(Assignment{h, best->first});
+    }
+  }
+  return out;
+}
+
+/// Min-min (max-min) as it ran before it walked the SJF (LJF) index: every
+/// step computes the earliest finish of every unplaced task in enqueue
+/// order and takes the strictly smallest (largest), so ties go to the
+/// oldest task.
+std::vector<Assignment> reference_min_min(const SchedulerView& view,
+                                          bool max_first) {
+  PlannedCapacity planned(view.machines);
+  const ReadyQueue& queue = *view.ready;
+  const std::vector<ReadyQueue::Handle>& queued = queue.handles();
+  std::vector<bool> taken(queued.size(), false);
+  std::vector<Assignment> out;
+  for (;;) {
+    std::optional<std::size_t> chosen;
+    std::pair<infra::MachineId, double> chosen_finish;
+    for (std::size_t i = 0; i < queued.size(); ++i) {
+      if (taken[i]) continue;
+      const auto f =
+          reference_earliest_finish(view, planned, queue[queued[i]]);
+      if (!f) continue;
+      const bool better =
+          !chosen || (max_first ? f->second > chosen_finish.second
+                                : f->second < chosen_finish.second);
+      if (better) {
+        chosen = i;
+        chosen_finish = *f;
       }
     }
-    if (best) {
-      planned.take(*best, t.demand);
-      out.push_back(Assignment{h, *best});
+    if (!chosen) break;
+    taken[*chosen] = true;
+    planned.take(chosen_finish.first, queue[queued[*chosen]].demand);
+    out.push_back(Assignment{queued[*chosen], chosen_finish.first});
+  }
+  return out;
+}
+
+/// Random as it ran before it stopped at the queue floor: shuffle the
+/// enqueue order, then give each task a machine drawn uniformly from those
+/// that fit and admit it. `rng` is the policy's stream, drawn in the same
+/// order, so a missing or extra draw shows in a later round.
+std::vector<Assignment> reference_random(const SchedulerView& view,
+                                         sim::Rng& rng) {
+  PlannedCapacity planned(view.machines);
+  const ReadyQueue& queue = *view.ready;
+  std::vector<ReadyQueue::Handle> order = queue.handles();
+  rng.shuffle(order);
+  std::vector<Assignment> out;
+  for (const ReadyQueue::Handle h : order) {
+    const ReadyTask& t = queue[h];
+    if (!planned.may_fit_anywhere(t.demand)) continue;
+    std::vector<infra::MachineId> options;
+    for (const infra::Machine* m : view.machines) {
+      if (planned.fits(m->id(), t.demand) &&
+          placement_allows(view.running, t, m->id())) {
+        options.push_back(m->id());
+      }
     }
+    if (options.empty()) continue;
+    const auto pick = static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(options.size()) - 1));
+    planned.take(options[pick], t.demand);
+    out.push_back(Assignment{h, options[pick]});
   }
   return out;
 }
@@ -821,7 +901,7 @@ TEST(ReadyIndexDiffTest, PoliciesMatchTheSortingReferenceAcrossRounds) {
   // rounds, ties included, and user 4 is past the usage table.
   struct Case {
     std::string name;
-    ViewOrder order;  // null: HEFT
+    ViewOrder order;  // null: HEFT, min-min, max-min or random, by name
     Fit fit;
     std::size_t depth;
   };
@@ -836,68 +916,95 @@ TEST(ReadyIndexDiffTest, PoliciesMatchTheSortingReferenceAcrossRounds) {
       {"conservative-backfill", ignoring_view<order_fcfs>, Fit::kFirst,
        SIZE_MAX},
       {"heft", nullptr, Fit::kFirst, 0},
+      {"min-min", nullptr, Fit::kFirst, 0},
+      {"max-min", nullptr, Fit::kFirst, 0},
+      {"random", nullptr, Fit::kFirst, 0},
   };
+  // Seeds 1-60 draw speeds 0.5-2. The other fleets make finishes tie
+  // across machines and tasks (work 1 on speed 1 against work 2 on speed
+  // 2), or leave speeds one ulp apart, so min-min's and max-min's bound
+  // exits and sequence tie-breaks decide.
+  const double one_up = std::nextafter(1.0, 2.0);
+  const double two_down = std::nextafter(2.0, 1.0);
+  struct Fleet {
+    std::uint64_t first_seed;
+    std::uint64_t last_seed;
+    std::vector<double> speeds;
+  };
+  const std::vector<Fleet> fleets = {
+      {1, 60, {0.5, 1.0, 1.5, 2.0}},
+      {61, 100, {1.0, 2.0}},
+      {101, 140, {1.0, one_up, two_down, 2.0}},
+  };
+  constexpr std::uint64_t kRandomSeed = 42;  // make_policy("random")'s seed
   std::size_t placed = 0;
   std::size_t rounds_with_starts = 0;
   std::size_t compared = 0;
-  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
-    RandomView rv(seed);
-    for (const Case& c : cases) {
-      const auto policy = make_policy(c.name);
-      ReadyQueue queue;
-      std::vector<double> usage(4, 0.0);
-      SchedulerView view = rv.view;
-      view.ready = &queue;
-      view.user_usage = &usage;
-      std::size_t next_task = 0;
-      for (int round = 0; round < 8; ++round) {
-        for (std::int64_t k = rv.rng.uniform_int(0, 10); k > 0; --k) {
-          ReadyTask t = rv.queued_task();
-          t.task_index = next_task++;
-          t.user_id = static_cast<std::uint32_t>(rv.rng.uniform_int(0, 4));
-          t.rank = static_cast<double>(rv.rng.uniform_int(0, 3));
-          t.deadline = rv.rng.chance(0.3)
-                           ? sim::kTimeInfinity
-                           : rv.rng.uniform_int(1, 4) * sim::kSecond;
-          (void)queue.push(t);
-        }
-        if (!queue.empty() && rv.rng.chance(0.3)) {
-          const auto pick = static_cast<std::size_t>(rv.rng.uniform_int(
-              0, static_cast<std::int64_t>(queue.size()) - 1));
-          const ReadyQueue::Handle victim = queue.handles()[pick];
-          if (rv.rng.chance(0.5)) {
-            queue.erase_job(queue[victim].job_slot);
-          } else {
-            queue.erase(victim);
+  for (const Fleet& fleet : fleets) {
+    for (std::uint64_t seed = fleet.first_seed; seed <= fleet.last_seed;
+         ++seed) {
+      RandomView rv(seed, fleet.speeds);
+      for (const Case& c : cases) {
+        const auto policy = make_policy(c.name);
+        sim::Rng reference_rng(kRandomSeed);
+        ReadyQueue queue;
+        std::vector<double> usage(4, 0.0);
+        SchedulerView view = rv.view;
+        view.ready = &queue;
+        view.user_usage = &usage;
+        std::size_t next_task = 0;
+        for (int round = 0; round < 8; ++round) {
+          for (std::int64_t k = rv.rng.uniform_int(0, 10); k > 0; --k) {
+            ReadyTask t = rv.queued_task();
+            t.task_index = next_task++;
+            t.user_id = static_cast<std::uint32_t>(rv.rng.uniform_int(0, 4));
+            t.rank = static_cast<double>(rv.rng.uniform_int(0, 3));
+            t.deadline = rv.rng.chance(0.3)
+                             ? sim::kTimeInfinity
+                             : rv.rng.uniform_int(1, 4) * sim::kSecond;
+            (void)queue.push(t);
           }
+          if (!queue.empty() && rv.rng.chance(0.3)) {
+            const auto pick = static_cast<std::size_t>(rv.rng.uniform_int(
+                0, static_cast<std::int64_t>(queue.size()) - 1));
+            const ReadyQueue::Handle victim = queue.handles()[pick];
+            if (rv.rng.chance(0.5)) {
+              queue.erase_job(queue[victim].job_slot);
+            } else {
+              queue.erase(victim);
+            }
+          }
+          for (double& u : usage) {
+            u = static_cast<double>(rv.rng.uniform_int(0, 3));
+          }
+          const auto got = policy->decide(view);
+          const auto want =
+              c.order != nullptr ? reference_ordered(view, c.order, c.fit,
+                                                     c.depth)
+              : c.name == "heft"   ? reference_heft(view)
+              : c.name == "random" ? reference_random(view, reference_rng)
+                                   : reference_min_min(view,
+                                                       c.name == "max-min");
+          ASSERT_EQ(as_pairs(got), as_pairs(want))
+              << c.name << " seed " << seed << " round " << round;
+          ++compared;
+          // The engine starts the proposals newest first.
+          std::vector<ReadyQueue::Handle> started;
+          for (const Assignment& a : got) started.push_back(a.task);
+          std::sort(started.begin(), started.end(),
+                    [&](ReadyQueue::Handle a, ReadyQueue::Handle b) {
+                      return queue.seq(a) > queue.seq(b);
+                    });
+          for (const ReadyQueue::Handle h : started) queue.erase(h);
+          placed += got.size();
+          if (!got.empty()) ++rounds_with_starts;
         }
-        for (double& u : usage) {
-          u = static_cast<double>(rv.rng.uniform_int(0, 3));
-        }
-        const auto got = policy->decide(view);
-        const auto want = c.order == nullptr
-                              ? reference_heft(view)
-                              : reference_ordered(view, c.order, c.fit,
-                                                  c.depth);
-        ASSERT_EQ(as_pairs(got), as_pairs(want))
-            << c.name << " seed " << seed << " round " << round;
-        ++compared;
-        // The engine starts the proposals newest first.
-        std::vector<ReadyQueue::Handle> started;
-        for (const Assignment& a : got) started.push_back(a.task);
-        std::sort(started.begin(), started.end(),
-                  [&](ReadyQueue::Handle a, ReadyQueue::Handle b) {
-                    return queue.seq(a) > queue.seq(b);
-                  });
-        for (const ReadyQueue::Handle h : started) queue.erase(h);
-        placed += got.size();
-        if (!got.empty()) ++rounds_with_starts;
       }
     }
   }
-  EXPECT_EQ(compared, 60u * 8u * cases.size());
-  EXPECT_GT(placed, 3000u);
-  EXPECT_GT(rounds_with_starts, 1500u);
+  EXPECT_EQ(compared, 140u * 8u * cases.size());
+  EXPECT_GT(placed, 12000u);
+  EXPECT_GT(rounds_with_starts, 6000u);
 }
 
 TEST(ReleaseProfileTest, SaturatedFloorProposesNothingUnderEveryPolicy) {

@@ -1,6 +1,8 @@
 // Tests for tasks, workflow generators, and trace generation (src/workload).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "fixtures.hpp"
 #include "workload/trace.hpp"
 #include "workload/workflow.hpp"
@@ -52,6 +54,9 @@ TEST(JobTest, NegativeWorkDetected) {
   Job j;
   j.tasks.resize(1);
   j.tasks[0].work_seconds = -5.0;
+  EXPECT_FALSE(j.valid());
+  // NaN fails too: it would break the SJF/LJF queue order.
+  j.tasks[0].work_seconds = std::nan("");
   EXPECT_FALSE(j.valid());
 }
 
