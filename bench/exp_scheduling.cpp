@@ -96,11 +96,9 @@ std::vector<Regime> make_regimes() {
   return regimes;
 }
 
+/// The library's policy list, built once: a policy added there joins E5.
 const std::vector<std::string>& policy_names() {
-  static const std::vector<std::string> kPolicies = {
-      "fcfs", "fcfs-bestfit", "sjf",      "ljf",
-      "fair-share", "edf",    "easy-backfill", "conservative-backfill",
-      "heft", "min-min",      "max-min",  "random"};
+  static const std::vector<std::string> kPolicies = sched::all_policy_names();
   return kPolicies;
 }
 

@@ -1,4 +1,3 @@
-#include <functional>
 #include "autoscale/autoscaler.hpp"
 
 #include <algorithm>
@@ -298,8 +297,9 @@ AutoscaleRunResult run_autoscaled(infra::Datacenter& dc,
   metrics::StepSeries demand_machines_series;
   std::vector<double> demand_history;
 
-  auto tick_holder = std::make_shared<std::function<void()>>();
-  *tick_holder = [&, tick_holder] {
+  // The tick lives on this frame, which outlives sim.run_until(); each
+  // scheduled tick holds only a reference to it.
+  const auto tick = [&](const auto& self) -> void {
     pool.reap_drained();
     const double demand_m = engine.demand_cores() / cores_per_machine;
     demand_machines_series.append(sim.now(), demand_m);
@@ -343,10 +343,10 @@ AutoscaleRunResult run_autoscaled(infra::Datacenter& dc,
     }
     ++result.ticks;
     if (!engine.all_done()) {
-      sim.schedule_after(config.interval, *tick_holder);
+      sim.schedule_after(config.interval, [&self] { self(self); });
     }
   };
-  sim.schedule_after(0, *tick_holder);
+  sim.schedule_after(0, [&tick] { tick(tick); });
 
   sim.run_until();
 

@@ -320,8 +320,7 @@ SeedRunResult run_spec(const ScenarioSpec& spec, bool capture_registry) {
   infra::Datacenter dc = materialize_dc(spec);
 
   sched::EngineConfig config;
-  config.retry_failed_tasks = spec.retry;
-  config.max_retries = spec.max_retries;
+  config.max_retries = spec.retry ? spec.max_retries : 0;
   config.scavenging.enabled = spec.scavenging;
   config.placement.score = sched::score_policy_from_string(spec.score_policy);
   config.placement.salt = spec.score_salt;

@@ -13,11 +13,16 @@
 //
 // K = 4: cpu (cores), mem (GiB), gpu (accelerator count), net (Gbps).
 // Legacy three-resource call sites simply leave net at zero.
+//
+// `CountedExtreme` keeps the exact componentwise maximum or minimum of a
+// changing set of quantities: PlannedCapacity's free-capacity bound and
+// ReadyQueue's floor.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 namespace mcs::core {
 
@@ -62,25 +67,14 @@ constexpr ResourceCapacities operator-(ResourceCapacities a,
 
 /// True when `a` covers `b` in every component (the fit predicate).
 // mcs-lint: allow(R1) — only ResourceCapacitiesTest (tests/resources_test.cpp)
-// calls it, max_of() and quantize_ceil(); they go with those tests in a
-// later change, since one change may take at most three tests out of the
-// suite.
+// calls it; it goes with DominatesIsAPartialOrder in a later change, since
+// one change may take at most three tests out of the suite.
 [[nodiscard]] constexpr bool dominates(const ResourceCapacities& a,
                                        const ResourceCapacities& b) {
   for (std::size_t d = 0; d < kResourceDims; ++d) {
     if (a[d] < b[d]) return false;
   }
   return true;
-}
-
-// mcs-lint: allow(R1) — as dominates().
-[[nodiscard]] constexpr ResourceCapacities max_of(const ResourceCapacities& a,
-                                                  const ResourceCapacities& b) {
-  ResourceCapacities out{};
-  for (std::size_t d = 0; d < kResourceDims; ++d) {
-    out[d] = a[d] > b[d] ? a[d] : b[d];
-  }
-  return out;
 }
 
 /// Runtime resource amounts. Array-backed so allocators and oracles can loop
@@ -166,19 +160,87 @@ class ResourceQuantities {
   return q;
 }
 
-/// Runtime amounts -> declared shape, rounding up (a shape that *covers* the
-/// quantity); negative components clamp to zero.
-// mcs-lint: allow(R1) — as dominates().
-[[nodiscard]] constexpr ResourceCapacities quantize_ceil(
-    const ResourceQuantities& q) {
-  ResourceCapacities c{};
-  for (std::size_t d = 0; d < kResourceDims; ++d) {
-    const double x = q[d];
-    if (x <= 0.0) continue;
-    auto whole = static_cast<std::uint64_t>(x);
-    c[d] = static_cast<double>(whole) < x ? whole + 1 : whole;
+/// Which end of its members a CountedExtreme keeps.
+enum class Extreme : std::uint8_t { kMax, kMin };
+
+/// The componentwise maximum (or minimum) of a multiset of resource
+/// vectors, exact at every read for O(K) per change. PlannedCapacity's
+/// free-capacity bound (a maximum over machine rows) and ReadyQueue's floor
+/// (a minimum over queued demands) are each one (DESIGN.md §12). Per
+/// dimension it keeps the extreme, how many members sit at it, and a stale
+/// bit, set when the last of them leaves; read() rescans the stale
+/// dimensions only, over the members its caller feeds it. A member that
+/// enters beyond the extreme replaces it and one that enters at it joins
+/// the count, so on a uniform fleet, where first fit shrinks a fresh
+/// machine per placement, the bound stays put without a rescan.
+///
+/// Quantities are non-negative, so the extreme of no members is 0 for a
+/// maximum and +inf for a minimum; read() returns the extreme of the
+/// members and that value, and a member equal to it counts as at it.
+template <Extreme E>
+class CountedExtreme {
+ public:
+  /// A member with value `v` joins. A member at the extreme makes a stale
+  /// dimension exact again: the extreme still bounds every member, and the
+  /// count of members at it is exact at all times.
+  // mcs-lint: hot
+  void enter(const ResourceQuantities& v) {
+    for (std::size_t d = 0; d < kResourceDims; ++d) {
+      if (count(extreme_[d], at_[d], v[d])) stale_ &= ~(1u << d);
+    }
   }
-  return c;
-}
+
+  /// A member with value `v` (the value it entered with) leaves.
+  // mcs-lint: hot
+  void leave(const ResourceQuantities& v) {
+    for (std::size_t d = 0; d < kResourceDims; ++d) {
+      if (v[d] == extreme_[d] && --at_[d] == 0) stale_ |= 1u << d;
+    }
+  }
+
+  /// The extreme. Each stale dimension is first rescanned in a pass of its
+  /// own, O(members): `for_each_member(visit)` calls `visit(v)` once per
+  /// member value.
+  // mcs-lint: hot
+  template <typename ForEachMember>
+  const ResourceQuantities& read(ForEachMember&& for_each_member) {
+    for (std::size_t d = 0; stale_ != 0; ++d) {
+      if ((stale_ & (1u << d)) == 0) continue;
+      stale_ &= ~(1u << d);
+      double extreme = kNone;
+      std::size_t at = 0;
+      for_each_member([&extreme, &at, d](const ResourceQuantities& v) {
+        (void)count(extreme, at, v[d]);
+      });
+      extreme_[d] = extreme;
+      at_[d] = at;
+    }
+    return extreme_;
+  }
+
+ private:
+  /// Counts `x` into an `extreme` with `at` members at it: beyond it, `x`
+  /// becomes the extreme with one member at it; at it, `x` joins the count.
+  /// True when `x` is at the extreme afterwards.
+  // mcs-lint: hot
+  static bool count(double& extreme, std::size_t& at, double x) {
+    if (E == Extreme::kMax ? x > extreme : x < extreme) {
+      extreme = x;
+      at = 1;
+      return true;
+    }
+    if (x != extreme) return false;
+    ++at;
+    return true;
+  }
+
+  static constexpr double kNone = E == Extreme::kMax
+                                      ? 0.0
+                                      : std::numeric_limits<double>::infinity();
+
+  ResourceQuantities extreme_{kNone, kNone, kNone, kNone};
+  std::array<std::size_t, kResourceDims> at_{};  ///< members at the extreme
+  unsigned stale_ = 0;  ///< bit d: dimension d awaits a rescan
+};
 
 }  // namespace mcs::core

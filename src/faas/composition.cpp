@@ -67,23 +67,9 @@ void CompositionEngine::run_node(const Composition& node,
           });
       break;
     }
-    case Composition::Kind::kSequence: {
-      // Chain children through shared state (children() outlives the
-      // callbacks because compositions are passed by caller reference).
-      auto advance = std::make_shared<std::function<void(std::size_t)>>();
-      const Composition* node_ptr = &node;
-      *advance = [this, node_ptr, acc, done = std::move(done),
-                  advance](std::size_t i) {
-        if (i >= node_ptr->children().size()) {
-          done();
-          return;
-        }
-        run_node(node_ptr->children()[i], acc,
-                 [advance, i] { (*advance)(i + 1); });
-      };
-      (*advance)(0);
+    case Composition::Kind::kSequence:
+      run_steps(node, 0, std::move(acc), std::move(done));
       break;
-    }
     case Composition::Kind::kParallel: {
       auto remaining = std::make_shared<std::size_t>(node.children().size());
       auto shared_done =
@@ -96,6 +82,22 @@ void CompositionEngine::run_node(const Composition& node,
       break;
     }
   }
+}
+
+void CompositionEngine::run_steps(const Composition& node, std::size_t i,
+                                  std::shared_ptr<WorkflowResult> acc,
+                                  std::function<void()> done) {
+  if (i == node.children().size()) {
+    done();
+    return;
+  }
+  // The pending child's callback owns the rest of the sequence: `done` and
+  // the next position. `node` outlives it, as compositions are passed by
+  // caller reference.
+  run_node(node.children()[i], acc,
+           [this, &node, i, acc, done = std::move(done)]() mutable {
+             run_steps(node, i + 1, std::move(acc), std::move(done));
+           });
 }
 
 }  // namespace mcs::faas

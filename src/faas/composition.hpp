@@ -69,6 +69,10 @@ class CompositionEngine {
   void run_node(const Composition& node,
                 std::shared_ptr<WorkflowResult> acc,
                 std::function<void()> done);
+  /// Runs `node`'s children from the `i`-th on, one after another.
+  void run_steps(const Composition& node, std::size_t i,
+                 std::shared_ptr<WorkflowResult> acc,
+                 std::function<void()> done);
 
   sim::Simulator& sim_;
   FaasPlatform& platform_;

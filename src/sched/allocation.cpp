@@ -35,13 +35,14 @@ bool order_rank(const ReadyTask& a, const ReadyTask& b) {
 
 namespace {
 
-// Every queue-ordering policy (FCFS, SJF, LJF, fair-share, EDF, EASY and
-// conservative backfilling) is one OrderedPolicy skeleton that differs only
-// in its queue walk, Fit heuristic and reservation depth; HEFT and MinMin
-// share one earliest-finish scan. PlannedCapacity, ReleaseProfile and
-// pick_machine live in sched/scoring.hpp: the placement pass (K=4 planned
-// capacity, node scoring, zone/anti-affinity admission) is shared with the
-// engine, the fuzzer, and the benches.
+// Every queue-ordering policy (FCFS, SJF, LJF, fair-share, EDF, HEFT, EASY
+// and conservative backfilling) is one OrderedPolicy skeleton that differs
+// only in its queue walk, Fit and reservation depth; min-min and max-min
+// choose machines through the same pick_machine, with HEFT's
+// Fit::kEarliestFinish. PlannedCapacity, ReleaseProfile and pick_machine
+// live in sched/scoring.hpp: the placement pass (K=4 planned capacity,
+// node scoring, zone/anti-affinity admission) is shared with the engine,
+// the fuzzer, and the benches.
 
 using Handle = ReadyQueue::Handle;
 
@@ -132,12 +133,13 @@ const std::vector<Handle>& fair_share(const SchedulerView& view,
 /// expected to end by the earliest reservation on that machine. A task that
 /// cannot start takes a reservation at the earliest time some machine could
 /// hold it (ReleaseProfile), while fewer than `depth` were granted this
-/// round. Depth 0 is greedy list scheduling (FCFS/SJF/LJF/fair-share/EDF),
-/// depth 1 is EASY backfilling (only the blocked head is protected) and
-/// SIZE_MAX is conservative backfilling (every blocked task is) — Mu'alem &
-/// Feitelson's reservation depth. The queue's floor bounds every queued
-/// demand from below and `take` only shrinks the planned bound, so where the
-/// floor fits nowhere the walk stops, bit-identically (DESIGN.md §9).
+/// round. Depth 0 is greedy list scheduling (FCFS, SJF, LJF, fair-share,
+/// EDF, HEFT), depth 1 is EASY backfilling (only the blocked head is
+/// protected) and SIZE_MAX is conservative backfilling (every blocked task
+/// is) — Mu'alem & Feitelson's reservation depth. The queue's floor bounds
+/// every queued demand from below and `take` only shrinks the planned
+/// bound, so where the floor fits nowhere the walk stops, bit-identically
+/// (DESIGN.md §9).
 class OrderedPolicy final : public AllocationPolicy {
  public:
   OrderedPolicy(std::string name, QueueWalk walk, Fit fit, std::size_t depth)
@@ -167,8 +169,9 @@ class OrderedPolicy final : public AllocationPolicy {
       // Once a reservation exists, a start must be expected to end by the
       // earliest reservation on its machine.
       if (m && (granted == 0 ||
-                view.now + sim::from_seconds(t.work_seconds /
-                                             planned.speed(*m)) <=
+                sim::saturating_add(view.now,
+                                    sim::from_seconds(t.work_seconds /
+                                                      planned.speed(*m))) <=
                     reservation_at[*m])) {
         planned.take(*m, t.demand);
         out.push_back(Assignment{h, *m});
@@ -206,66 +209,17 @@ std::string fit_suffix(Fit fit) {
   switch (fit) {
     case Fit::kFirst: return "";
     case Fit::kBest: return "-bestfit";
-    case Fit::kWorst: return "-worstfit";
-    case Fit::kFastest: return "-fastest";
+    case Fit::kEarliestFinish: return "-earliest-finish";
   }
   return "";
 }
-
-/// The machine with room that admits `t` and finishes it first (run time
-/// work / speed, strictly smaller wins, so ties go to the lowest id), with
-/// that run time; nullopt when none. Speed alone decides: the node-scoring
-/// policy does not apply to HEFT and MinMin.
-std::optional<std::pair<infra::MachineId, double>> earliest_finish(
-    const SchedulerView& view, const PlannedCapacity& planned,
-    const ReadyTask& t) {
-  if (!planned.may_fit_anywhere(t.demand)) return std::nullopt;
-  std::optional<std::pair<infra::MachineId, double>> best;
-  double best_finish = std::numeric_limits<double>::max();
-  for (const infra::Machine* m : view.machines) {
-    if (!planned.fits(m->id(), t.demand)) continue;
-    if (!placement_allows(view.running, t, m->id())) continue;
-    const double finish = t.work_seconds / m->speed_factor();
-    if (finish < best_finish) {
-      best_finish = finish;
-      best = {m->id(), finish};
-    }
-  }
-  return best;
-}
-
-// ---- HEFT ---------------------------------------------------------------------
-
-class Heft final : public AllocationPolicy {
- public:
-  [[nodiscard]] std::string name() const override { return "heft"; }
-
-  std::vector<Assignment> decide(const SchedulerView& view) override {
-    const BorrowedPlan plan(view);
-    PlannedCapacity& planned = *plan;
-    const ReadyQueue& queue = *view.ready;
-    const infra::ResourceVector floor = queue.floor();
-    if (!planned.may_fit_anywhere(floor)) return {};
-    std::vector<Assignment> out;
-    out.reserve(queue.size());
-    // Highest upward rank first; ties keep enqueue order.
-    for (const Handle h : queue.ordered(order_rank)) {
-      if (!planned.may_fit_anywhere(floor)) break;
-      const ReadyTask& t = queue[h];
-      if (const auto best = earliest_finish(view, planned, t)) {
-        planned.take(best->first, t.demand);
-        out.push_back(Assignment{h, best->first});
-      }
-    }
-    return out;
-  }
-};
 
 // ---- min-min / max-min -----------------------------------------------------------
 
 /// Min-min (max-min): each step places the unplaced task whose earliest
 /// finish is smallest (largest), ties to the oldest, on its earliest-finish
-/// machine, until no task fits. A step walks the queue's SJF (LJF) index.
+/// machine (pick_machine with Fit::kEarliestFinish), until no task fits. A
+/// step walks the queue's SJF (LJF) index.
 /// On any machine a task finishes no sooner than work / fastest (no later
 /// than work / slowest), a bound that only grows (shrinks) along the walk,
 /// so the walk stops at the first task whose bound ranks after the
@@ -305,37 +259,39 @@ class MinMin final : public AllocationPolicy {
       while (first < walk.size() && settled_[walk[first]]) ++first;
       // The incumbent ranks by (finish, sequence).
       std::optional<Handle> chosen;
-      std::pair<infra::MachineId, double> chosen_finish;
+      infra::MachineId chosen_machine = 0;
+      double chosen_finish = 0.0;
       for (std::size_t p = first; p < walk.size(); ++p) {
         const Handle h = walk[p];
         if (settled_[h]) continue;
         const ReadyTask& t = queue[h];
         if (chosen) {
           const double bound = t.work_seconds / speed;
-          if (ranks_after(bound, chosen_finish.second)) break;
+          if (ranks_after(bound, chosen_finish)) break;
           // A bound equal to the incumbent's finish can at best tie it, and
           // a tie goes to the older task.
-          if (bound == chosen_finish.second &&
-              queue.seq(h) > queue.seq(*chosen)) {
+          if (bound == chosen_finish && queue.seq(h) > queue.seq(*chosen)) {
             continue;
           }
         }
-        const auto f = earliest_finish(view, planned, t);
-        if (!f) {
+        const auto m = pick_machine(view.machines, planned, t,
+                                    Fit::kEarliestFinish, view);
+        if (!m) {
           settled_[h] = true;
           continue;
         }
-        if (!chosen || ranks_after(chosen_finish.second, f->second) ||
-            (f->second == chosen_finish.second &&
-             queue.seq(h) < queue.seq(*chosen))) {
+        const double finish = t.work_seconds / planned.speed(*m);
+        if (!chosen || ranks_after(chosen_finish, finish) ||
+            (finish == chosen_finish && queue.seq(h) < queue.seq(*chosen))) {
           chosen = h;
-          chosen_finish = *f;
+          chosen_machine = *m;
+          chosen_finish = finish;
         }
       }
       if (!chosen) break;
       settled_[*chosen] = true;
-      planned.take(chosen_finish.first, queue[*chosen].demand);
-      out.push_back(Assignment{*chosen, chosen_finish.first});
+      planned.take(chosen_machine, queue[*chosen].demand);
+      out.push_back(Assignment{*chosen, chosen_machine});
     }
     return out;
   }
@@ -405,17 +361,17 @@ class RandomPolicy final : public AllocationPolicy {
 std::unique_ptr<AllocationPolicy> make_fcfs(Fit fit) {
   return ordered_policy("fcfs" + fit_suffix(fit), indexed<order_fcfs>, fit);
 }
-std::unique_ptr<AllocationPolicy> make_sjf(Fit fit) {
-  return ordered_policy("sjf" + fit_suffix(fit), indexed<order_sjf>, fit);
+std::unique_ptr<AllocationPolicy> make_sjf() {
+  return ordered_policy("sjf", indexed<order_sjf>, Fit::kFirst);
 }
-std::unique_ptr<AllocationPolicy> make_ljf(Fit fit) {
-  return ordered_policy("ljf" + fit_suffix(fit), indexed<order_ljf>, fit);
+std::unique_ptr<AllocationPolicy> make_ljf() {
+  return ordered_policy("ljf", indexed<order_ljf>, Fit::kFirst);
 }
-std::unique_ptr<AllocationPolicy> make_fair_share(Fit fit) {
-  return ordered_policy("fair-share" + fit_suffix(fit), fair_share, fit);
+std::unique_ptr<AllocationPolicy> make_fair_share() {
+  return ordered_policy("fair-share", fair_share, Fit::kFirst);
 }
-std::unique_ptr<AllocationPolicy> make_edf(Fit fit) {
-  return ordered_policy("edf" + fit_suffix(fit), indexed<order_edf>, fit);
+std::unique_ptr<AllocationPolicy> make_edf() {
+  return ordered_policy("edf", indexed<order_edf>, Fit::kFirst);
 }
 std::unique_ptr<AllocationPolicy> make_easy_backfilling() {
   return ordered_policy("easy-backfill", indexed<order_fcfs>, Fit::kFirst, 1);
@@ -425,7 +381,8 @@ std::unique_ptr<AllocationPolicy> make_conservative_backfilling() {
                         Fit::kFirst, SIZE_MAX);
 }
 std::unique_ptr<AllocationPolicy> make_heft() {
-  return std::make_unique<Heft>();
+  // Highest upward rank first; ties keep enqueue order.
+  return ordered_policy("heft", indexed<order_rank>, Fit::kEarliestFinish);
 }
 std::unique_ptr<AllocationPolicy> make_min_min() {
   return std::make_unique<MinMin>(false);

@@ -89,12 +89,13 @@ class AllocationPolicy {
   [[nodiscard]] virtual std::vector<Assignment> decide(const SchedulerView& view) = 0;
 };
 
-/// Machine-choice heuristic shared by the ordering policies.
+/// Machine choice among the machines with room that admit a task
+/// (pick_machine in sched/scoring.hpp). A NodeScorePolicy replaces the two
+/// capacity Fits, never kEarliestFinish.
 enum class Fit {
-  kFirst,    ///< first machine with room
-  kBest,     ///< least leftover cores (packs tightly)
-  kWorst,    ///< most leftover cores (spreads)
-  kFastest,  ///< highest speed factor with room
+  kFirst,           ///< first machine with room
+  kBest,            ///< least leftover cores (packs tightly)
+  kEarliestFinish,  ///< least run time work / speed (HEFT, min-min, max-min)
 };
 
 /// Queue orders: the strict weak orders the ordered policies walk the ready
@@ -112,24 +113,24 @@ enum class Fit {
 /// HEFT: highest upward rank first.
 [[nodiscard]] bool order_rank(const ReadyTask& a, const ReadyTask& b);
 
-/// FCFS: tasks in job-arrival order (then task index).
+/// FCFS: tasks in job-arrival order (then task index), on the `fit`
+/// machine ("fcfs-bestfit" is Fit::kBest).
 [[nodiscard]] std::unique_ptr<AllocationPolicy> make_fcfs(Fit fit = Fit::kFirst);
 
 /// SJF: shortest task first (work_seconds ascending).
-[[nodiscard]] std::unique_ptr<AllocationPolicy> make_sjf(Fit fit = Fit::kFirst);
+[[nodiscard]] std::unique_ptr<AllocationPolicy> make_sjf();
 
 /// LJF: longest task first.
-[[nodiscard]] std::unique_ptr<AllocationPolicy> make_ljf(Fit fit = Fit::kFirst);
+[[nodiscard]] std::unique_ptr<AllocationPolicy> make_ljf();
 
 /// Fair-share: tasks of the least-served user first (by consumed
 /// core-seconds), FCFS within a user.
-[[nodiscard]] std::unique_ptr<AllocationPolicy> make_fair_share(
-    Fit fit = Fit::kFirst);
+[[nodiscard]] std::unique_ptr<AllocationPolicy> make_fair_share();
 
 /// EDF: earliest job deadline first (jobs without a latency SLO sort
 /// last); the deadline-aware policy of the paper's fine-grained-NFR vision
 /// (C3 — "expressing detailed NFRs for each unit of work").
-[[nodiscard]] std::unique_ptr<AllocationPolicy> make_edf(Fit fit = Fit::kFirst);
+[[nodiscard]] std::unique_ptr<AllocationPolicy> make_edf();
 
 /// EASY backfilling: FCFS head gets a reservation at the earliest time
 /// enough capacity frees up; later tasks may jump the queue iff their
@@ -146,7 +147,8 @@ enum class Fit {
 
 /// HEFT-style list scheduling: highest upward-rank first, placed on the
 /// machine with the earliest estimated finish time (speed-aware — the
-/// heterogeneity-honouring policy).
+/// heterogeneity-honouring policy). The skeleton at depth 0 with
+/// Fit::kEarliestFinish.
 [[nodiscard]] std::unique_ptr<AllocationPolicy> make_heft();
 
 /// Min-min: repeatedly assign the task with the smallest minimum estimated

@@ -280,7 +280,8 @@ void ExecutionEngine::enqueue_ready(JobSlot& jr, std::uint32_t job_slot,
   // C3: the job's latency SLO becomes an absolute deadline the EDF policy
   // can schedule against.
   if (const auto slo = jr.job.sla.objective(core::NfrDimension::kLatency)) {
-    rt.deadline = jr.job.submit_time + sim::from_seconds(slo->target);
+    rt.deadline =
+        sim::saturating_add(jr.job.submit_time, sim::from_seconds(slo->target));
   }
   (void)ready_.push(rt);
 }
@@ -463,8 +464,8 @@ bool ExecutionEngine::start_task(ReadyQueue::Handle task,
 
   const double runtime_s =
       rt.work_seconds * runtime_multiplier / m.speed_factor();
-  const sim::SimTime end =
-      sim_.now() + std::max<sim::SimTime>(sim::from_seconds(runtime_s), 1);
+  const sim::SimTime end = sim::saturating_add(
+      sim_.now(), std::max<sim::SimTime>(sim::from_seconds(runtime_s), 1));
 
   const std::uint32_t key = running_.add(
       RunningTask{rt.job_slot, static_cast<std::uint32_t>(rt.task_index),
@@ -552,8 +553,7 @@ void ExecutionEngine::on_machine_failed(infra::MachineId id) {
     if (!jobs_.live(rt.job_slot)) continue;  // job already completed/abandoned
     JobSlot& jr = jobs_[rt.job_slot];
     ++jr.failures;
-    if (config_.retry_failed_tasks &&
-        jr.retries[rt.task_index] < config_.max_retries) {
+    if (jr.retries[rt.task_index] < config_.max_retries) {
       ++jr.retries[rt.task_index];
       enqueue_ready(jr, rt.job_slot, rt.task_index, 0.0);
     } else {

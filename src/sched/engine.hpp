@@ -101,8 +101,9 @@ struct ScavengingConfig {
 
 struct EngineConfig {
   bool record_series = true;      ///< ignored: the engine records no series
-  bool retry_failed_tasks = true; ///< resubmit tasks killed by failures
-  std::size_t max_retries = 16;   ///< per task, before the job is abandoned
+  /// Times a task killed by a failure is resubmitted before its job is
+  /// abandoned; 0 abandons on the first kill.
+  std::size_t max_retries = 16;
   ScavengingConfig scavenging;
   /// Node-scoring configuration for the placement pass (sched/scoring.hpp).
   /// The default (kNone) reproduces the legacy Fit-heuristic engine

@@ -7,10 +7,9 @@
 //    order the last request named. An ordered policy walks it instead of
 //    stable-sorting the queue every round; a stable sort of the enqueue
 //    order gives exactly this order, so no decision can move;
-//  - the componentwise minimum demand, its "floor", kept with a
-//    multiplicity count per dimension and rescanned lazily, only when its
-//    last holder leaves (the trick PlannedCapacity uses for its maximum,
-//    DESIGN.md §12).
+//  - the componentwise minimum demand, its "floor": a core::CountedExtreme,
+//    the same bound PlannedCapacity keeps of its free capacity (DESIGN.md
+//    §12), rescanned only when the last task at it leaves.
 //
 // Policies read the queue through SchedulerView::ready. The index lives
 // here rather than in a policy because policies are wrapped, swapped
@@ -20,9 +19,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
+#include "core/resources.hpp"
 #include "core/slot_pool.hpp"
 #include "infra/machine.hpp"
 #include "sim/simulator.hpp"
@@ -100,15 +99,7 @@ class ReadyQueue {
                                             }),
                     h);
     }
-    for (std::size_t d = 0; d < core::kResourceDims; ++d) {
-      const double v = task.demand[d];
-      if (v < floor_[d]) {
-        floor_[d] = v;  // below every queued demand: the sole holder
-        floor_n_[d] = 1;
-      } else if (v == floor_[d]) {
-        ++floor_n_[d];
-      }
-    }
+    floor_.enter(task.demand);
     return h;
   }
 
@@ -117,13 +108,12 @@ class ReadyQueue {
   /// the two orders.
   // mcs-lint: hot
   void erase(Handle h) {
-    unfloor(slots_[h].task.demand);
+    floor_.leave(slots_[h].task.demand);
     fifo_.erase(fifo_.back() == h ? fifo_.end() - 1 : fifo_position(h));
     if (order_ != nullptr) {
       index_.erase(index_.back() == h ? index_.end() - 1 : index_position(h));
     }
     slots_.release(h);
-    if (fifo_.empty()) reset_floor();  // exact without a rescan
   }
 
   /// Removes every task of the job in `job_slot`: one pass over each order.
@@ -141,11 +131,10 @@ class ReadyQueue {
         *kept++ = h;
         continue;
       }
-      unfloor(slots_[h].task.demand);
+      floor_.leave(slots_[h].task.demand);
       slots_.release(h);
     }
     fifo_.erase(kept, fifo_.end());
-    if (fifo_.empty()) reset_floor();
   }
 
   [[nodiscard]] const ReadyTask& operator[](Handle h) const {
@@ -180,13 +169,12 @@ class ReadyQueue {
   /// machine, no queued task fits any.
   // mcs-lint: hot
   [[nodiscard]] const infra::ResourceVector& floor() const {
-    if (stale_ != 0) refresh_floor();
-    return floor_;
+    return floor_.read([this](const auto& visit) {
+      for (const Handle h : fifo_) visit(slots_[h].task.demand);
+    });
   }
 
  private:
-  static constexpr double kInf = std::numeric_limits<double>::infinity();
-
   struct Entry {
     ReadyTask task;
     std::uint64_t seq = 0;
@@ -211,47 +199,6 @@ class ReadyQueue {
         [this](Handle a, Handle b) { return before(a, b); });
   }
 
-  /// Drops one holder of each floor component `demand` sits at; the last
-  /// holder's exit marks the component stale until the next floor() read.
-  // mcs-lint: hot
-  void unfloor(const infra::ResourceVector& demand) {
-    for (std::size_t d = 0; d < core::kResourceDims; ++d) {
-      if (demand[d] == floor_[d] && --floor_n_[d] == 0) stale_ |= 1u << d;
-    }
-  }
-
-  /// The floor of an empty queue: +inf with no holders, and nothing stale.
-  // mcs-lint: hot
-  void reset_floor() {
-    for (std::size_t d = 0; d < core::kResourceDims; ++d) {
-      floor_[d] = kInf;
-      floor_n_[d] = 0;
-    }
-    stale_ = 0;
-  }
-
-  /// Re-scans the stale components (minimum and multiplicity), O(Q) each.
-  /// Called from const floor(), hence the mutable floor state.
-  void refresh_floor() const {
-    for (std::size_t d = 0; d < core::kResourceDims; ++d) {
-      if ((stale_ & (1u << d)) == 0) continue;
-      double v = kInf;
-      std::size_t n = 0;
-      for (const Handle h : fifo_) {
-        const double x = slots_[h].task.demand[d];
-        if (x < v) {
-          v = x;
-          n = 1;
-        } else if (x == v) {
-          ++n;
-        }
-      }
-      floor_[d] = v;
-      floor_n_[d] = n;
-    }
-    stale_ = 0;
-  }
-
   // mcs-lint: allow(H3) — runs only when a policy asks for an order other
   // than the index's: once per engine, and once per portfolio switch.
   void build_index(QueueOrder order) const {
@@ -269,9 +216,8 @@ class ReadyQueue {
   /// function of the queue, kept live by push and erase.
   mutable std::vector<Handle> index_;
   mutable QueueOrder order_ = nullptr;
-  mutable infra::ResourceVector floor_{kInf, kInf, kInf, kInf};
-  mutable std::size_t floor_n_[core::kResourceDims] = {0, 0, 0, 0};
-  mutable unsigned stale_ = 0;
+  /// The floor, kept by push and erase and rescanned by const floor().
+  mutable core::CountedExtreme<core::Extreme::kMin> floor_;
 };
 
 }  // namespace mcs::sched

@@ -1,6 +1,7 @@
 #include "sched/scoring.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace mcs::sched {
 
@@ -97,17 +98,23 @@ std::optional<infra::MachineId> pick_machine(
     const PlannedCapacity& planned, const ReadyTask& t, Fit fit,
     const SchedulerView& view) {
   if (!planned.may_fit_anywhere(t.demand)) return std::nullopt;
+  // A node score replaces the capacity Fits only: HEFT, min-min and
+  // max-min choose by run time under every scoring policy.
   const NodeScorePolicy sp =
-      view.placement != nullptr ? view.placement->score : NodeScorePolicy::kNone;
+      view.placement != nullptr && fit != Fit::kEarliestFinish
+          ? view.placement->score
+          : NodeScorePolicy::kNone;
   const std::uint64_t salt =
       sp != NodeScorePolicy::kNone ? view.placement->salt : 0;
   const bool constrained = t.zone_mask != nullptr || t.spread_limit > 0;
   // Minimum score wins. Machines arrive in ascending id order and only a
   // strictly smaller score displaces the incumbent, so ties break to the
-  // lowest machine id — deterministic under any thread count. A Fit
-  // heuristic maximizes, so its score is negated; negation is exact.
+  // lowest machine id — deterministic under any thread count. kBest scores
+  // the cores left over, kEarliestFinish the run time. A run time must be
+  // below DBL_MAX to win (a task that would never finish is not placed);
+  // any other score takes the first machine with room.
   std::optional<infra::MachineId> best;
-  double best_score = 0.0;
+  double best_score = std::numeric_limits<double>::max();
   for (const infra::Machine* m : machines) {
     const infra::MachineId id = m->id();
     if (!planned.fits(id, t.demand)) continue;
@@ -122,15 +129,12 @@ std::optional<infra::MachineId> pick_machine(
         case Fit::kBest:
           score = planned.free_on(id).cpu() - t.demand.cpu();
           break;
-        case Fit::kWorst:
-          score = -(planned.free_on(id).cpu() - t.demand.cpu());
-          break;
-        case Fit::kFastest:
-          score = -m->speed_factor();
+        case Fit::kEarliestFinish:
+          score = t.work_seconds / m->speed_factor();
           break;
       }
     }
-    if (!best || score < best_score) {
+    if ((!best && fit != Fit::kEarliestFinish) || score < best_score) {
       best = id;
       best_score = score;
     }

@@ -7,9 +7,9 @@
 // capacity — pure arithmetic, allocation-free, lint-hot — and the minimum
 // score wins (ties break to the lowest machine id, keeping decisions
 // deterministic and thread-count invariant). pick_machine is one loop over
-// (fits, admissible, score): under `NodeScorePolicy::kNone` the score is the
-// negated Fit heuristic, which makes the same choices as the legacy
-// maximizing loop; the digest goldens (tests/goldens/) pin that equivalence.
+// (fits, admissible, score) for every policy: under `NodeScorePolicy::kNone`
+// the score is the Fit's (leftover cores, or HEFT's run time), and the
+// digest goldens (tests/goldens/) pin the choices it makes.
 #pragma once
 
 #include <algorithm>
@@ -38,13 +38,11 @@ namespace mcs::sched {
 /// Planned free capacity per machine: the engine keeps one across rounds
 /// as a live mirror of its usable, non-draining machines, and a policy's
 /// decide() takes from it, then restore()s it. Dense vectors indexed by
-/// machine id (machine ids are dense per datacenter), plus a componentwise
-/// free-capacity upper bound that lets pick_machine reject
-/// can't-fit-anywhere demands in O(1) — the difference between
-/// O(placements * machines) and O(queue * machines) per round on a
-/// saturated floor. Generalized over all K=4 resource dimensions; the
-/// incremental dominant-component bound survives the move to vectors
-/// (DESIGN.md §12, §13).
+/// machine id (machine ids are dense per datacenter), plus the
+/// componentwise maximum of the rows, a core::CountedExtreme, that lets
+/// pick_machine reject can't-fit-anywhere demands in O(1) — the difference
+/// between O(placements * machines) and O(queue * machines) per round on a
+/// saturated floor (DESIGN.md §12, §13).
 class PlannedCapacity {
  public:
   PlannedCapacity() = default;
@@ -59,8 +57,8 @@ class PlannedCapacity {
     for (const infra::Machine* m : machines) {
       free_[m->id()] = m->available();
       machine_[m->id()] = m;
+      max_free_.enter(free_[m->id()]);
     }
-    stale_ = kAllStale;  // first may_fit_anywhere() computes the real bound
   }
 
   [[nodiscard]] bool fits(infra::MachineId id,
@@ -70,14 +68,8 @@ class PlannedCapacity {
   }
 
   /// Plans `r` on machine `id`: O(K), and logged for restore().
-  /// `max_free_` stays an exact componentwise maximum as long as at least
-  /// one machine still sits at it (`argmax_n_` counts them — crucial on
-  /// uniform fleets, where first-fit opens a fresh argmax machine per
-  /// placement and a naive "argmax shrank → re-scan" rule would trigger an
-  /// O(machines) pass each time). Only when the *last* machine at the
-  /// bound shrinks does the component go stale and get lazily re-scanned
-  /// on the next may_fit_anywhere(). Allocation-free: the log was sized at
-  /// construction. Reachable from the engine's hot scheduling loop (H3).
+  /// Allocation-free: the log was sized at construction. Reachable from
+  /// the engine's hot scheduling loop (H3).
   // mcs-lint: hot
   void take(infra::MachineId id, const infra::ResourceVector& r) {
     if (logged_[id] == 0) {
@@ -85,9 +77,9 @@ class PlannedCapacity {
       log_[logged_n_++] = id;
     }
     infra::ResourceVector& f = free_[id];
-    for (std::size_t d = 0; d < core::kResourceDims; ++d) {
-      set_component(f[d], f[d] - r[d], d);
-    }
+    max_free_.leave(f);
+    f -= r;
+    max_free_.enter(f);
   }
 
   /// Re-reads machine `id`'s live available() into its row, moving the
@@ -98,11 +90,9 @@ class PlannedCapacity {
   // mcs-lint: hot
   void refresh(infra::MachineId id) {
     if (id >= machine_.size() || machine_[id] == nullptr) return;
-    const infra::ResourceVector live = machine_[id]->available();
-    infra::ResourceVector& f = free_[id];
-    for (std::size_t d = 0; d < core::kResourceDims; ++d) {
-      set_component(f[d], live[d], d);
-    }
+    max_free_.leave(free_[id]);
+    free_[id] = machine_[id]->available();
+    max_free_.enter(free_[id]);
   }
 
   /// Refreshes every machine take() touched since the last restore(): the
@@ -133,65 +123,18 @@ class PlannedCapacity {
   }
 
   /// Necessary condition for `r` to fit on *some* machine: each component
-  /// must fit within the componentwise max of free capacity. O(1) reject
-  /// unless an argmax machine shrank since the last call (see take()).
+  /// must fit within the componentwise max of free capacity. O(1) unless
+  /// the last row at the max shrank since the last call.
   // mcs-lint: hot
   [[nodiscard]] bool may_fit_anywhere(const infra::ResourceVector& r) const {
-    if (stale_ != 0) refresh_bound();
-    return r.fits_within(max_free_);
+    return r.fits_within(max_free_.read([this](const auto& visit) {
+      for (infra::MachineId id = 0; id < machine_.size(); ++id) {
+        if (machine_[id] != nullptr) visit(free_[id]);
+      }
+    }));
   }
 
  private:
-  static constexpr unsigned kAllStale = (1u << core::kResourceDims) - 1;
-
-  // The bound is *exact* at every read: while `count > 0` some machine's
-  // free capacity equals it (and none exceeds it), and when the count hits
-  // zero the component is re-scanned before the next read. Decisions are
-  // therefore bit-identical to an eager per-change recompute.
-  // mcs-lint: hot
-  void set_component(double& free, double value, std::size_t d) {
-    if (value == free) return;
-    const double old = free;
-    free = value;
-    double& bound = max_free_[d];
-    std::size_t& count = argmax_n_[d];
-    if (free > bound) {
-      bound = free;  // raised past the bound: this machine is the sole argmax
-      count = 1;
-    } else if (free == bound) {
-      ++count;  // raised back to exactly the bound: joins the argmax set
-    } else if (old == bound) {
-      if (--count == 0) stale_ |= 1u << d;  // last argmax shrank; re-scan
-    }
-  }
-
-  /// Re-scans only the stale components (each an O(machines) pass finding
-  /// the max *and* its multiplicity). Called from const may_fit_anywhere(),
-  /// hence the mutable bound state.
-  void refresh_bound() const {
-    for (std::size_t d = 0; d < core::kResourceDims; ++d) {
-      if ((stale_ & (1u << d)) != 0) refresh_component(d);
-    }
-    stale_ = 0;
-  }
-
-  void refresh_component(std::size_t d) const {
-    double v = 0.0;
-    std::size_t n = 0;
-    for (infra::MachineId id = 0; id < machine_.size(); ++id) {
-      if (machine_[id] == nullptr) continue;
-      const double f = free_[id][d];
-      if (f > v) {
-        v = f;
-        n = 1;
-      } else if (f == v) {
-        ++n;
-      }
-    }
-    max_free_[d] = v;
-    argmax_n_[d] = n;
-  }
-
   std::vector<infra::ResourceVector> free_;
   /// id -> the machine whose row this is; null when absent.
   std::vector<const infra::Machine*> machine_;
@@ -199,9 +142,9 @@ class PlannedCapacity {
   std::vector<infra::MachineId> log_;
   std::vector<std::uint8_t> logged_;
   std::size_t logged_n_ = 0;
-  mutable infra::ResourceVector max_free_;
-  mutable std::size_t argmax_n_[core::kResourceDims] = {0, 0, 0, 0};
-  mutable unsigned stale_ = kAllStale;
+  /// The componentwise max of the rows (and of 0), kept by take() and
+  /// refresh() and rescanned by the const may_fit_anywhere().
+  mutable core::CountedExtreme<core::Extreme::kMax> max_free_;
 };
 
 /// True when `t`'s zone label filter (if any) admits machine `id`. Machines
@@ -298,8 +241,10 @@ class ReleaseProfile {
 
 /// Machine choice for one task: the minimum score over machines with
 /// planned room that admit `t` (zone and anti-affinity), ties to the lowest
-/// machine id. The score is the view's NodeScorePolicy, or without one the
-/// negated `fit` heuristic; unscored kFirst takes the first such machine.
+/// machine id. Fit::kEarliestFinish scores the run time work / speed, and
+/// only a score below DBL_MAX wins. The capacity Fits score by the view's
+/// NodeScorePolicy, or without one by `fit`: kBest the cores left over,
+/// kFirst the first such machine.
 [[nodiscard]] std::optional<infra::MachineId> pick_machine(
     const std::vector<const infra::Machine*>& machines,
     const PlannedCapacity& planned, const ReadyTask& t, Fit fit,

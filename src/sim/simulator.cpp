@@ -37,7 +37,7 @@ EventHandle Simulator::schedule_at(SimTime at, Callback fn) {
 
 EventHandle Simulator::schedule_after(SimTime delay, Callback fn) {
   if (delay < 0) delay = 0;
-  return schedule_at(now_ + delay, std::move(fn));
+  return schedule_at(saturating_add(now_, delay), std::move(fn));
 }
 
 void Simulator::reserve_events(std::size_t extra) {

@@ -66,6 +66,12 @@ SimTime from_seconds(double seconds);
 /// Converts SimTime to floating point seconds (for reporting only).
 double to_seconds(SimTime t);
 
+/// `at + delay` for non-negative operands, saturating at kTimeInfinity
+/// instead of overflowing: a time past the clock's range is never.
+[[nodiscard]] constexpr SimTime saturating_add(SimTime at, SimTime delay) {
+  return delay > kTimeInfinity - at ? kTimeInfinity : at + delay;
+}
+
 /// The event callback: core::UniqueFunction<void()>, a small-buffer-
 /// optimized move-only callable. Closures up to kInlineSize bytes (the
 /// common case: a few captured pointers/values) are stored inline; larger
@@ -152,7 +158,7 @@ class Simulator {
                 std::is_invocable_v<std::decay_t<F>&>>>
   EventHandle schedule_after(SimTime delay, F&& fn) {
     if (delay < 0) delay = 0;
-    return schedule_at(now_ + delay, std::forward<F>(fn));
+    return schedule_at(saturating_add(now_, delay), std::forward<F>(fn));
   }
   EventHandle schedule_after(SimTime delay, Callback fn);
 

@@ -67,7 +67,7 @@ TEST(EngineFaultTest, CrashPastRetryBudgetAbandonsWithoutLeaks) {
   auto dc = make_dc(2, 2.0, 8.0);
   sim::Simulator sim;
   EngineConfig config;
-  config.retry_failed_tasks = false;
+  config.max_retries = 0;
   ExecutionEngine engine(sim, dc, make_fcfs(), config);
   check::InvariantChecker oracle(sim, dc, exclusive());
   oracle.attach(engine);
@@ -365,7 +365,7 @@ TEST(EngineFaultTest, AbandonedJobRecordsOnlyTheAbandonHistogram) {
   auto dc = make_dc(2, 2.0, 8.0);
   sim::Simulator sim;
   EngineConfig config;
-  config.retry_failed_tasks = false;
+  config.max_retries = 0;
   config.lifecycle_spans = true;
   ExecutionEngine engine(sim, dc, make_fcfs(), config);
   obs::Registry slo_registry;

@@ -2,7 +2,6 @@
 // that exercise several subsystems together, end-to-end determinism, and
 // parameterized invariant sweeps (the "macro-level" testing of challenge
 // C17, complementing the per-module "micro-level" suites).
-#include <functional>
 #include <gtest/gtest.h>
 
 #include "autoscale/autoscaler.hpp"
@@ -154,15 +153,18 @@ TEST(AutoscaleFailureTest, ElasticPoolSurvivesFailureStorm) {
   injector.arm([&](infra::MachineId id) { engine.on_machine_failed(id); },
                [&](infra::MachineId) { engine.kick(); });
 
-  // A React-style control loop resizes the pool every 30 s.
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&, tick] {
+  // A React-style control loop resizes the pool every 30 s. The tick lives
+  // on this frame, which outlives sim.run_until(); each scheduled tick holds
+  // only a reference to it.
+  const auto tick = [&](const auto& self) -> void {
     pool.reap_drained();
     const double demand_machines = engine.demand_cores() / 4.0;
     pool.set_target(static_cast<std::size_t>(demand_machines) + 1);
-    if (!engine.all_done()) sim.schedule_after(30 * sim::kSecond, *tick);
+    if (!engine.all_done()) {
+      sim.schedule_after(30 * sim::kSecond, [&self] { self(self); });
+    }
   };
-  sim.schedule_after(0, *tick);
+  sim.schedule_after(0, [&tick] { tick(tick); });
   sim.run_until();
 
   EXPECT_TRUE(engine.all_done());

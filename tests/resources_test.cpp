@@ -1,12 +1,14 @@
 // Property tests for the fixed-K resource vector types (core/resources.hpp)
 // and the planned-capacity dominant-component bound (sched/scoring.hpp):
-// randomized algebraic laws for ResourceCapacities/ResourceQuantities, the
-// incremental bound checked against a naive O(M*K) recompute under mixed
-// take/release sequences, and the per-dimension FP-residue regression.
+// randomized algebraic laws for ResourceCapacities/ResourceQuantities,
+// CountedExtreme and the planned-capacity bound built on it, each checked
+// against a naive recompute under random churn, and the per-dimension
+// FP-residue regression.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/resources.hpp"
@@ -105,45 +107,19 @@ TEST(ResourceCapacitiesTest, DominatesIsAPartialOrder) {
   }
 }
 
-TEST(ResourceCapacitiesTest, MaxOfIsLeastUpperBoundOfThePair) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    sim::Rng rng(seed);
-    const ResourceCapacities a = random_caps(rng);
-    const ResourceCapacities b = random_caps(rng);
-    const ResourceCapacities m = core::max_of(a, b);
-    EXPECT_TRUE(core::dominates(m, a));
-    EXPECT_TRUE(core::dominates(m, b));
-    EXPECT_EQ(m, core::max_of(b, a));
-    for (std::size_t d = 0; d < kResourceDims; ++d) {
-      EXPECT_TRUE(m[d] == a[d] || m[d] == b[d]);  // no slack above the pair
-    }
-  }
-}
-
 TEST(ResourceCapacitiesTest, QuantityRoundTripIsExactForShapes) {
+  // Every integer up to 2^53 is a double, so each component converts
+  // exactly and converts back to the same count.
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     sim::Rng rng(seed);
-    const ResourceCapacities c = random_caps(rng);
-    EXPECT_EQ(core::quantize_ceil(core::to_quantities(c)), c);
-  }
-}
-
-TEST(ResourceCapacitiesTest, QuantizeCeilCoversTheQuantity) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    sim::Rng rng(seed);
-    const ResourceQuantities q = random_quants(rng);
-    const ResourceQuantities cover = core::to_quantities(core::quantize_ceil(q));
-    EXPECT_TRUE(q.fits_within(cover));
+    const ResourceCapacities c =
+        random_caps(rng, seed % 2 == 0 ? 64 : std::uint64_t{1} << 53);
+    const ResourceQuantities q = core::to_quantities(c);
     for (std::size_t d = 0; d < kResourceDims; ++d) {
-      EXPECT_LT(cover[d] - q[d], 1.0);  // ceil, not some looser cover
+      EXPECT_EQ(q[d], static_cast<double>(c[d]));
+      EXPECT_EQ(static_cast<std::uint64_t>(q[d]), c[d]);
     }
   }
-}
-
-TEST(ResourceCapacitiesTest, QuantizeCeilClampsNegativeToZero) {
-  const ResourceQuantities q{-3.0, -0.5, 0.0, 2.25};
-  const ResourceCapacities c = core::quantize_ceil(q);
-  EXPECT_EQ(c, (ResourceCapacities{0, 0, 0, 3}));
 }
 
 // ---- ResourceQuantities --------------------------------------------------------
@@ -209,6 +185,87 @@ TEST(ResourceQuantitiesTest, NonnegativeDetectsEachDimension) {
     q[d] = -1e-12;
     EXPECT_FALSE(q.nonnegative());
   }
+}
+
+// ---- CountedExtreme vs naive recompute ------------------------------------------
+
+/// The extreme of `members`, recomputed from scratch: of no members, 0 for
+/// a maximum and +inf for a minimum.
+template <core::Extreme E>
+ResourceQuantities naive_extreme(
+    const std::vector<ResourceQuantities>& members) {
+  const double none = E == core::Extreme::kMax
+                          ? 0.0
+                          : std::numeric_limits<double>::infinity();
+  ResourceQuantities out{none, none, none, none};
+  for (const ResourceQuantities& m : members) {
+    for (std::size_t d = 0; d < kResourceDims; ++d) {
+      out[d] = E == core::Extreme::kMax ? std::max(out[d], m[d])
+                                        : std::min(out[d], m[d]);
+    }
+  }
+  return out;
+}
+
+/// Random enter/leave churn over values in {0, 0.25, ..., 1.5}, so members
+/// tie at the extreme all the time, with reads at random points between
+/// steps. When a leave takes the last member at the extreme of some
+/// dimension (which goes stale), the same value re-enters half the time
+/// before the next read; `reentries` counts those.
+template <core::Extreme E>
+void churn_against_naive(std::size_t& reentries) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    sim::Rng rng(seed);
+    core::CountedExtreme<E> extreme;
+    std::vector<ResourceQuantities> members;
+    const auto feed = [&members](const auto& visit) {
+      for (const ResourceQuantities& m : members) visit(m);
+    };
+    for (int step = 0; step < 400; ++step) {
+      if (members.empty() || rng.chance(0.55)) {
+        ResourceQuantities v;
+        for (std::size_t d = 0; d < kResourceDims; ++d) {
+          v[d] = 0.25 * static_cast<double>(rng.uniform_int(0, 6));
+        }
+        members.push_back(v);
+        extreme.enter(v);
+      } else {
+        const auto k = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(members.size()) - 1));
+        const ResourceQuantities v = members[k];
+        const ResourceQuantities before = naive_extreme<E>(members);
+        bool stales = false;
+        for (std::size_t d = 0; d < kResourceDims; ++d) {
+          const auto at = std::count_if(
+              members.begin(), members.end(),
+              [&](const ResourceQuantities& m) { return m[d] == before[d]; });
+          stales |= members.size() > 1 && v[d] == before[d] && at == 1;
+        }
+        members.erase(members.begin() + static_cast<std::ptrdiff_t>(k));
+        extreme.leave(v);
+        if (stales && rng.chance(0.5)) {
+          members.push_back(v);
+          extreme.enter(v);
+          ++reentries;
+        }
+      }
+      if (rng.chance(0.4)) {
+        ASSERT_EQ(extreme.read(feed), naive_extreme<E>(members))
+            << "seed " << seed << " step " << step;
+      }
+    }
+    EXPECT_EQ(extreme.read(feed), naive_extreme<E>(members))
+        << "seed " << seed;
+  }
+}
+
+TEST(CountedExtremeTest, MaxAndMinMatchNaiveRecomputeUnderChurnWithTies) {
+  std::size_t max_reentries = 0;
+  churn_against_naive<core::Extreme::kMax>(max_reentries);
+  std::size_t min_reentries = 0;
+  churn_against_naive<core::Extreme::kMin>(min_reentries);
+  EXPECT_GT(max_reentries, 100u);
+  EXPECT_GT(min_reentries, 100u);
 }
 
 // ---- PlannedCapacity vs naive reference ----------------------------------------

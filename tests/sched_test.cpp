@@ -132,6 +132,29 @@ TEST(EngineTest, TaskTooBigForAnyMachineIsAbandoned) {
   EXPECT_TRUE(engine.completed()[0].abandoned);
 }
 
+TEST(EngineTest, EndPastTheClockSaturatesAtTimeInfinity) {
+  // Job 2 starts at 5 s with a 1e300 s run time and a 1e300 s deadline:
+  // its end and its deadline saturate at kTimeInfinity instead of
+  // overflowing, and job 1 keeps its finite finish.
+  infra::Datacenter dc("dc", "eu");
+  dc.add_machine("m0", infra::ResourceVector{8.0, 32.0, 0.0}, 1.0, 0);
+  sim::Simulator sim;
+  ExecutionEngine engine(sim, dc, make_fcfs());
+  engine.submit(workload::make_bag_of_tasks(1, 1, 10.0));
+  workload::Job late = workload::make_bag_of_tasks(2, 1, 1e300);
+  late.submit_time = 5 * sim::kSecond;
+  late.sla.add(core::deadline_slo(1e300));
+  engine.submit(late);
+  ASSERT_NO_THROW(sim.run_until());
+  EXPECT_TRUE(engine.all_done());
+  ASSERT_EQ(engine.completed().size(), 2u);
+  EXPECT_EQ(engine.completed()[0].id, 1u);
+  EXPECT_EQ(engine.completed()[0].finish, 10 * sim::kSecond);
+  EXPECT_EQ(engine.completed()[1].id, 2u);
+  EXPECT_EQ(engine.completed()[1].first_start, 5 * sim::kSecond);
+  EXPECT_EQ(engine.completed()[1].finish, sim::kTimeInfinity);
+}
+
 // ---- policy comparisons -----------------------------------------------------------
 
 workload::Job two_user_burst(workload::JobId id, const std::string& user,
@@ -480,14 +503,16 @@ TEST(ProvisioningTest, TargetClampedToFloorAndMachineCount) {
 // Each stage of a Schopf-style scheduling pipeline is a parameter of the one
 // list-scheduling skeleton: task order is the comparator, the capability and
 // availability filters are PlannedCapacity::fits, and speed scoring is
-// Fit::kFastest. These run the skeleton policies the stock pipelines
+// Fit::kEarliestFinish. These run the skeleton policies the stock pipelines
 // mirrored.
 
 TEST(PipelineTest, StockPipelinesCompleteWork) {
-  // FCFS first fit, SJF on the fastest machine, FCFS best fit (consolidating).
+  // FCFS first fit, SJF, FCFS on the earliest-finish machine, FCFS best fit
+  // (consolidating).
   std::vector<std::unique_ptr<AllocationPolicy>> mirrors;
   mirrors.push_back(make_fcfs());
-  mirrors.push_back(make_sjf(Fit::kFastest));
+  mirrors.push_back(make_sjf());
+  mirrors.push_back(make_fcfs(Fit::kEarliestFinish));
   mirrors.push_back(make_fcfs(Fit::kBest));
   for (auto& policy : mirrors) {
     auto dc = make_dc(3, 4.0);
@@ -515,7 +540,7 @@ TEST(PipelineTest, SpeedScoringEquivalentToHeftChoice) {
   dc.add_machine("slow", infra::ResourceVector{8, 32, 0}, 1.0, 0);
   dc.add_machine("fast", infra::ResourceVector{8, 32, 0}, 2.5, 0);
   sim::Simulator sim;
-  ExecutionEngine engine(sim, dc, make_sjf(Fit::kFastest));
+  ExecutionEngine engine(sim, dc, make_fcfs(Fit::kEarliestFinish));
   engine.submit(workload::make_bag_of_tasks(1, 4, 50.0));
   sim.run_until();
   // All tasks fit the fast machine: ~20s.

@@ -150,9 +150,9 @@ ReadyTask ready_task(infra::ResourceVector demand, workload::JobId job = 1) {
   return t;
 }
 
-/// The pre-merge unconstrained, unscored machine choice: a Fit heuristic
-/// that maximizes, kept verbatim as the reference the one pick_machine loop
-/// is diffed against.
+/// The pre-merge unconstrained, unscored machine choice: a capacity Fit
+/// heuristic that maximizes, kept verbatim as the reference the one
+/// pick_machine loop is diffed against.
 std::optional<infra::MachineId> legacy_pick_machine(
     const std::vector<const infra::Machine*>& machines,
     const PlannedCapacity& planned, const infra::ResourceVector& demand,
@@ -162,23 +162,32 @@ std::optional<infra::MachineId> legacy_pick_machine(
   double best_score = 0.0;
   for (const infra::Machine* m : machines) {
     if (!planned.fits(m->id(), demand)) continue;
-    double score = 0.0;
-    switch (fit) {
-      case Fit::kFirst:
-        return m->id();
-      case Fit::kBest:
-        score = -(planned.free_on(m->id()).cpu() - demand.cpu());
-        break;
-      case Fit::kWorst:
-        score = planned.free_on(m->id()).cpu() - demand.cpu();
-        break;
-      case Fit::kFastest:
-        score = m->speed_factor();
-        break;
-    }
+    if (fit == Fit::kFirst) return m->id();
+    const double score = -(planned.free_on(m->id()).cpu() - demand.cpu());
     if (!best || score > best_score) {
       best = m->id();
       best_score = score;
+    }
+  }
+  return best;
+}
+
+/// The admitting machine with room that finishes `t` first (strictly
+/// smaller work / speed wins, so ties go to the lowest id), with that
+/// finish; nullopt when none.
+std::optional<std::pair<infra::MachineId, double>> reference_earliest_finish(
+    const SchedulerView& view, const PlannedCapacity& planned,
+    const ReadyTask& t) {
+  if (!planned.may_fit_anywhere(t.demand)) return std::nullopt;
+  std::optional<std::pair<infra::MachineId, double>> best;
+  double best_finish = std::numeric_limits<double>::max();
+  for (const infra::Machine* m : view.machines) {
+    if (!planned.fits(m->id(), t.demand)) continue;
+    if (!placement_allows(view.running, t, m->id())) continue;
+    const double finish = t.work_seconds / m->speed_factor();
+    if (finish < best_finish) {
+      best_finish = finish;
+      best = {m->id(), finish};
     }
   }
   return best;
@@ -193,6 +202,8 @@ double quarters(sim::Rng& rng, std::int64_t max_quarters) {
 TEST(PickMachineTest, ScoringFastPathMatchesLegacyOverload) {
   // Random planned states on mixed-speed fleets: free capacity and speed
   // tie often, so every Fit's tie-break is exercised as well as its choice.
+  // The capacity Fits are diffed against the legacy loop, kEarliestFinish
+  // against the earliest-finish scan HEFT and min-min ran before it.
   std::size_t placed = 0;
   std::size_t rejected = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
@@ -214,21 +225,48 @@ TEST(PickMachineTest, ScoringFastPathMatchesLegacyOverload) {
       if (planned.fits(id, d)) planned.take(id, d);
     }
     SchedulerView view;
+    view.machines = machines;
     PlacementContext ctx;  // kNone
     view.placement = &ctx;
     for (int q = 0; q < 8; ++q) {
       const ReadyTask t = ready_task(infra::ResourceVector{
           0.25 + quarters(rng, 40), quarters(rng, 64), 0.0});
-      for (Fit fit : {Fit::kFirst, Fit::kBest, Fit::kWorst, Fit::kFastest}) {
+      for (Fit fit : {Fit::kFirst, Fit::kBest, Fit::kEarliestFinish}) {
         const auto got = pick_machine(machines, planned, t, fit, view);
-        EXPECT_EQ(got, legacy_pick_machine(machines, planned, t.demand, fit))
-            << "seed " << seed << " query " << q;
+        if (fit == Fit::kEarliestFinish) {
+          const auto want = reference_earliest_finish(view, planned, t);
+          EXPECT_EQ(got, want ? std::optional(want->first) : std::nullopt)
+              << "seed " << seed << " query " << q;
+        } else {
+          EXPECT_EQ(got, legacy_pick_machine(machines, planned, t.demand, fit))
+              << "seed " << seed << " query " << q;
+        }
         ++(got ? placed : rejected);
       }
     }
   }
   EXPECT_GT(placed, 2000u);
-  EXPECT_GT(rejected, 300u);
+  // Rejection does not depend on the Fit: 75 rejected queries, as before,
+  // count once per Fit.
+  EXPECT_GT(rejected, 75u * 3u);
+}
+
+TEST(PickMachineTest, EarliestFinishNeedsARunTimeBelowDblMax) {
+  // A run time that overflows to +inf never wins, so the task is not
+  // placed, while a capacity Fit takes the first machine with room.
+  auto dc = make_zoned_dc(2, 0);
+  const auto machines = static_cast<const infra::Datacenter&>(dc).machines();
+  const PlannedCapacity planned(machines);
+  SchedulerView view;
+  ReadyTask t = ready_task(infra::ResourceVector{1.0, 1.0, 0.0});
+  t.work_seconds = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(
+      pick_machine(machines, planned, t, Fit::kEarliestFinish, view));
+  EXPECT_EQ(pick_machine(machines, planned, t, Fit::kFirst, view), 0u);
+  EXPECT_EQ(pick_machine(machines, planned, t, Fit::kBest, view), 0u);
+  t.work_seconds = 1e300;
+  EXPECT_EQ(pick_machine(machines, planned, t, Fit::kEarliestFinish, view),
+            0u);
 }
 
 TEST(PickMachineTest, TieBreaksToLowestMachineId) {
@@ -788,27 +826,6 @@ std::vector<Assignment> reference_ordered(const SchedulerView& view,
   return out;
 }
 
-/// The admitting machine with room that finishes `t` first (strictly
-/// smaller work / speed wins, so ties go to the lowest id), with that
-/// finish; nullopt when none.
-std::optional<std::pair<infra::MachineId, double>> reference_earliest_finish(
-    const SchedulerView& view, const PlannedCapacity& planned,
-    const ReadyTask& t) {
-  if (!planned.may_fit_anywhere(t.demand)) return std::nullopt;
-  std::optional<std::pair<infra::MachineId, double>> best;
-  double best_finish = std::numeric_limits<double>::max();
-  for (const infra::Machine* m : view.machines) {
-    if (!planned.fits(m->id(), t.demand)) continue;
-    if (!placement_allows(view.running, t, m->id())) continue;
-    const double finish = t.work_seconds / m->speed_factor();
-    if (finish < best_finish) {
-      best_finish = finish;
-      best = {m->id(), finish};
-    }
-  }
-  return best;
-}
-
 /// HEFT as it ran on a per-round sort: highest upward rank first, each task
 /// on the admitting machine that finishes it first (ties to the lowest id).
 std::vector<Assignment> reference_heft(const SchedulerView& view) {
@@ -1005,6 +1022,41 @@ TEST(ReadyIndexDiffTest, PoliciesMatchTheSortingReferenceAcrossRounds) {
   EXPECT_EQ(compared, 140u * 8u * cases.size());
   EXPECT_GT(placed, 12000u);
   EXPECT_GT(rounds_with_starts, 6000u);
+}
+
+TEST(EarliestFinishTest, PoliciesIgnoreEveryNodeScore) {
+  // A node score replaces only the capacity Fits: HEFT, min-min and max-min
+  // place as their unscored references do under every scoring policy.
+  // Ranks tie, and the second fleet ties finishes across machines.
+  const std::vector<std::vector<double>> fleets = {{0.5, 1.0, 1.5, 2.0},
+                                                   {1.0, 2.0}};
+  std::size_t placed = 0;
+  for (std::uint64_t seed = 1; seed <= 160; ++seed) {
+    RandomView rv(seed, fleets[seed % 2]);
+    for (std::int64_t k = rv.rng.uniform_int(0, 16); k > 0; --k) {
+      ReadyTask t = rv.queued_task();
+      t.task_index = rv.ready.size();
+      t.rank = static_cast<double>(rv.rng.uniform_int(0, 3));
+      (void)rv.ready.push(t);
+    }
+    for (NodeScorePolicy score : all_score_policies()) {
+      PlacementContext ctx;
+      ctx.score = score;
+      ctx.salt = seed;
+      SchedulerView view = rv.view;
+      view.placement = &ctx;
+      for (const std::string name : {"heft", "min-min", "max-min"}) {
+        const auto got = make_policy(name)->decide(view);
+        const auto want = name == "heft"
+                              ? reference_heft(view)
+                              : reference_min_min(view, name == "max-min");
+        ASSERT_EQ(as_pairs(got), as_pairs(want))
+            << name << " under " << to_string(score) << " seed " << seed;
+        placed += got.size();
+      }
+    }
+  }
+  EXPECT_GT(placed, 2500u);
 }
 
 TEST(ReleaseProfileTest, SaturatedFloorProposesNothingUnderEveryPolicy) {
