@@ -3,8 +3,8 @@
 // the classic trade-off curve — short windows minimize resident memory but
 // pay cold starts on every burst; long windows amortize cold starts at the
 // price of idle memory-hours.
-#include <functional>
 #include <iostream>
+#include <optional>
 
 #include "faas/platform.hpp"
 #include "metrics/report.hpp"
@@ -42,25 +42,19 @@ int main() {
     // Bursty invocations: MMPP with ~10-minute quiet periods.
     sim::Rng arrival_rng(seed + 1);
     sim::MmppProcess arrivals(0.01, 2.0, 600.0, 30.0);
-    auto submit = std::make_shared<std::function<void()>>();
-    *submit = [&, submit] {
+    sim.schedule_recurring(0, [&]() -> std::optional<sim::SimTime> {
       platform.invoke("f", {});
-      if (sim.now() < 3 * sim::kHour) {
-        sim.schedule_after(arrivals.next_gap(arrival_rng), *submit);
-      }
-    };
-    sim.schedule_after(0, *submit);
+      if (sim.now() >= 3 * sim::kHour) return std::nullopt;
+      return arrivals.next_gap(arrival_rng);
+    });
 
     // Sample resident memory every 30 s.
     metrics::Accumulator resident;
-    auto sample = std::make_shared<std::function<void()>>();
-    *sample = [&, sample] {
+    sim.schedule_recurring(0, [&]() -> std::optional<sim::SimTime> {
       resident.add(platform.memory_in_use_mb());
-      if (sim.now() < 3 * sim::kHour) {
-        sim.schedule_after(30 * sim::kSecond, *sample);
-      }
-    };
-    sim.schedule_after(0, *sample);
+      if (sim.now() >= 3 * sim::kHour) return std::nullopt;
+      return 30 * sim::kSecond;
+    });
     sim.run_until();
 
     const auto& st = platform.stats("f");

@@ -8,8 +8,8 @@
 // its own signal — the portfolio re-orders the queue, the autoscaler
 // resizes the pool the portfolio's surrogate is estimating against — so
 // their composition is where emergent behaviour (P9) can appear.
-#include <functional>
 #include <iostream>
+#include <optional>
 
 #include "autoscale/autoscaler.hpp"
 #include "metrics/report.hpp"
@@ -58,17 +58,16 @@ Cell run_cell(bool portfolio_on, bool autoscale_on, std::uint64_t seed) {
 
   std::size_t adaptations = 0;
   if (autoscale_on) {
-    auto tick = std::make_shared<std::function<void()>>();
-    *tick = [&sim, &pool, &engine, &adaptations, tick] {
+    sim.schedule_recurring(0, [&]() -> std::optional<sim::SimTime> {
       pool.reap_drained();
       const std::size_t before = pool.target();
       const double demand_machines = engine.demand_cores() / 4.0;
       pool.set_target(
           static_cast<std::size_t>(demand_machines * 1.1) + 1);
       if (pool.target() != before) ++adaptations;
-      if (!engine.all_done()) sim.schedule_after(30 * sim::kSecond, *tick);
-    };
-    sim.schedule_after(0, *tick);
+      if (engine.all_done()) return std::nullopt;
+      return 30 * sim::kSecond;
+    });
   }
   sim.run_until();
 

@@ -5,8 +5,8 @@
 // cold starts tax latency relative to a monolith. Measured: the same
 // 5-stage pipeline as (a) one monolithic function, (b) a sequence of 5
 // functions, (c) a partially parallel composition — across request rates.
-#include <functional>
 #include <iostream>
+#include <optional>
 
 #include "faas/composition.hpp"
 #include "metrics/report.hpp"
@@ -57,17 +57,14 @@ Outcome run_variant(const faas::Composition& wf, double rate_per_second,
   std::size_t cold_total = 0;
   sim::Rng arrival_rng(seed + 1);
   sim::PoissonProcess arrivals(rate_per_second);
-  auto submit = std::make_shared<std::function<void()>>();
-  *submit = [&, submit] {
+  sim.schedule_recurring(0, [&]() -> std::optional<sim::SimTime> {
     engine.run(wf, [&](const faas::WorkflowResult& r) {
       latency.add(r.latency_seconds);
       cold_total += r.cold_starts;
     });
-    if (sim.now() < 20 * sim::kMinute) {
-      sim.schedule_after(arrivals.next_gap(arrival_rng), *submit);
-    }
-  };
-  sim.schedule_after(0, *submit);
+    if (sim.now() >= 20 * sim::kMinute) return std::nullopt;
+    return arrivals.next_gap(arrival_rng);
+  });
   sim.run_until();
 
   Outcome out;

@@ -4,9 +4,9 @@
 // the social meta-gaming layer mining co-play communities.
 //
 //   $ ./examples/gaming_world [seed]
-#include <functional>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "gaming/analytics.hpp"
 #include "gaming/pcg.hpp"
@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
   gaming::AnalyticsPipeline analytics(5 * sim::kMinute);
   sim::Rng event_rng(seed + 1);
   const char* kActions[] = {"kill", "trade", "chat", "quest", "craft"};
-  auto emit_events = std::make_shared<std::function<void()>>();
-  *emit_events = [&, emit_events] {
+  const sim::SimTime emit_every = 10 * sim::kSecond;
+  sim.schedule_recurring(emit_every, [&]() -> std::optional<sim::SimTime> {
     const std::size_t population = world.population();
     const auto burst = static_cast<std::size_t>(population / 10 + 1);
     for (std::size_t i = 0; i < burst; ++i) {
@@ -49,11 +49,9 @@ int main(int argc, char** argv) {
           static_cast<std::uint32_t>(event_rng.uniform_int(0, 2399)),
           kActions[event_rng.zipf(5, 1.3)]});
     }
-    if (sim.now() < 2 * sim::kHour) {
-      sim.schedule_after(10 * sim::kSecond, *emit_events);
-    }
-  };
-  sim.schedule_after(10 * sim::kSecond, *emit_events);
+    if (sim.now() >= 2 * sim::kHour) return std::nullopt;
+    return emit_every;
+  });
 
   sim.run_until();
 

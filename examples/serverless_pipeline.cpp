@@ -5,9 +5,9 @@
 // latency, and the platform's memory footprint over time.
 //
 //   $ ./examples/serverless_pipeline [seed]
-#include <functional>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "faas/composition.hpp"
 #include "metrics/report.hpp"
@@ -58,18 +58,15 @@ int main(int argc, char** argv) {
   std::size_t cold_workflows = 0, completed = 0;
   sim::Rng arrival_rng(seed + 1);
   sim::DiurnalProcess arrivals(0.5, 0.9, 2 * sim::kHour);  // fast "day"
-  auto submit = std::make_shared<std::function<void()>>();
-  *submit = [&, submit] {
+  sim.schedule_recurring(0, [&]() -> std::optional<sim::SimTime> {
     engine.run(pipeline, [&](const faas::WorkflowResult& r) {
       latency.add(r.latency_seconds);
       ++completed;
       if (r.cold_starts > 0) ++cold_workflows;
     });
-    if (sim.now() < 6 * sim::kHour) {
-      sim.schedule_after(arrivals.next_gap(arrival_rng), *submit);
-    }
-  };
-  sim.schedule_after(0, *submit);
+    if (sim.now() >= 6 * sim::kHour) return std::nullopt;
+    return arrivals.next_gap(arrival_rng);
+  });
   sim.run_until();
 
   metrics::Table table({"metric", "value"});

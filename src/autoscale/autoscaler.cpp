@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "metrics/stats.hpp"
@@ -297,9 +298,7 @@ AutoscaleRunResult run_autoscaled(infra::Datacenter& dc,
   metrics::StepSeries demand_machines_series;
   std::vector<double> demand_history;
 
-  // The tick lives on this frame, which outlives sim.run_until(); each
-  // scheduled tick holds only a reference to it.
-  const auto tick = [&](const auto& self) -> void {
+  sim.schedule_recurring(0, [&]() -> std::optional<sim::SimTime> {
     pool.reap_drained();
     const double demand_m = engine.demand_cores() / cores_per_machine;
     demand_machines_series.append(sim.now(), demand_m);
@@ -342,11 +341,9 @@ AutoscaleRunResult run_autoscaled(infra::Datacenter& dc,
       g_target->set(static_cast<double>(target));
     }
     ++result.ticks;
-    if (!engine.all_done()) {
-      sim.schedule_after(config.interval, [&self] { self(self); });
-    }
-  };
-  sim.schedule_after(0, [&tick] { tick(tick); });
+    if (engine.all_done()) return std::nullopt;
+    return config.interval;
+  });
 
   sim.run_until();
 

@@ -229,8 +229,6 @@ bool parse_value(const std::string& text, T& out) {
 
 }  // namespace
 
-ScenarioSpec make_spec(std::uint64_t seed) { return make_spec(seed, false); }
-
 ScenarioSpec make_spec(std::uint64_t seed, bool het) {
   ScenarioSpec spec;
   spec.seed = seed;
@@ -355,20 +353,23 @@ SeedRunResult run_spec(const ScenarioSpec& spec, bool capture_registry) {
     engine.set_slo(slo.get());
   }
 
-  // The injector outlives run_until (its events capture `this`).
-  std::vector<failures::FailureEvent> failure_trace;
-  if (spec.failures_enabled) {
-    sim::Rng rng(exp::substream_seed(spec.seed, kFailureStream));
-    failure_trace =
-        failures::generate_failure_trace(dc, spec.failure, spec.horizon, rng);
-    if (spec.failure_limit < failure_trace.size()) {
-      failure_trace.resize(spec.failure_limit);
-    }
-  }
-  failures::FailureInjector injector(sim, dc, failure_trace);
-  injector.attach_observability(&recorder, &engine.registry());
-
   try {
+    // A bad failure parameter throws here and is reported like any other
+    // run error. The injector outlives run_until (its events capture
+    // `this`) and registers its counter after the SLO tracker's, as the
+    // registry digest expects.
+    std::vector<failures::FailureEvent> failure_trace;
+    if (spec.failures_enabled) {
+      sim::Rng rng(exp::substream_seed(spec.seed, kFailureStream));
+      failure_trace = failures::generate_failure_trace(dc, spec.failure,
+                                                       spec.horizon, rng);
+      if (spec.failure_limit < failure_trace.size()) {
+        failure_trace.resize(spec.failure_limit);
+      }
+    }
+    failures::FailureInjector injector(sim, dc, failure_trace);
+    injector.attach_observability(&recorder, &engine.registry());
+
     engine.submit_all(materialize_jobs(spec));
     injector.arm(
         [&engine](infra::MachineId id) { engine.on_machine_failed(id); },
@@ -552,6 +553,11 @@ ScenarioSpec from_text(const std::string& text) {
       if (ok && key == "slo") (void)sched::parse_engine_slo_specs(value);
     } catch (const std::invalid_argument&) {
       ok = false;
+    }
+    if (ok && key == "policy") {
+      const std::vector<std::string> policies = sched::all_policy_names();
+      ok = std::find(policies.begin(), policies.end(), value) !=
+           policies.end();
     }
     if (!ok) {
       throw std::invalid_argument("repro line " + std::to_string(line_no) +

@@ -88,13 +88,13 @@ struct ScenarioSpec {
 /// `het` the vector/placement knobs above are drawn from their own
 /// substream on top of the legacy draws, which stay untouched.
 [[nodiscard]] ScenarioSpec make_spec(std::uint64_t seed, bool het);
-[[nodiscard]] ScenarioSpec make_spec(std::uint64_t seed);
 
 /// Lossless text round-trip (key=value lines; doubles at full precision).
 [[nodiscard]] std::string to_text(const ScenarioSpec& spec);
 /// Parses `to_text` output (unknown keys ignored, '#' comments skipped).
 /// Throws std::invalid_argument on malformed input, including an `slo=`
-/// line sched::parse_engine_slo_specs rejects.
+/// line sched::parse_engine_slo_specs rejects and a `policy=` that
+/// sched::all_policy_names() does not list.
 [[nodiscard]] ScenarioSpec from_text(const std::string& text);
 
 /// Outcome of one scenario run under the oracle.

@@ -3,8 +3,8 @@
 // Two types, mirroring the YT/YP scheduler split the ROADMAP points at:
 //
 //  - `ResourceCapacities` — declared machine/pod *shapes* as integral units
-//    (`std::array<uint64_t, K>`), the type catalogs and fleet profiles
-//    trade in. Exact arithmetic, YT-style free-function operators.
+//    (`std::array<uint64_t, K>`) with exact YT-style free-function
+//    operators. Nothing outside its unit tests uses it yet.
 //  - `ResourceQuantities` — runtime *bookkeeping* as doubles, because live
 //    demands are fractional (memory per core is a continuous knob, FaaS
 //    functions hold fractions of a GiB). `infra::ResourceVector` is an
@@ -63,18 +63,6 @@ constexpr ResourceCapacities& operator-=(ResourceCapacities& a,
 constexpr ResourceCapacities operator-(ResourceCapacities a,
                                        const ResourceCapacities& b) {
   return a -= b;
-}
-
-/// True when `a` covers `b` in every component (the fit predicate).
-// mcs-lint: allow(R1) — only ResourceCapacitiesTest (tests/resources_test.cpp)
-// calls it; it goes with DominatesIsAPartialOrder in a later change, since
-// one change may take at most three tests out of the suite.
-[[nodiscard]] constexpr bool dominates(const ResourceCapacities& a,
-                                       const ResourceCapacities& b) {
-  for (std::size_t d = 0; d < kResourceDims; ++d) {
-    if (a[d] < b[d]) return false;
-  }
-  return true;
 }
 
 /// Runtime resource amounts. Array-backed so allocators and oracles can loop
@@ -148,17 +136,6 @@ class ResourceQuantities {
  private:
   std::array<double, kResourceDims> v_{};
 };
-
-/// Declared shape -> runtime amounts (whole units become exact doubles; every
-/// integer up to 2^53 is representable, far beyond any fleet shape).
-[[nodiscard]] constexpr ResourceQuantities to_quantities(
-    const ResourceCapacities& c) {
-  ResourceQuantities q;
-  for (std::size_t d = 0; d < kResourceDims; ++d) {
-    q[d] = static_cast<double>(c[d]);
-  }
-  return q;
-}
 
 /// Which end of its members a CountedExtreme keeps.
 enum class Extreme : std::uint8_t { kMax, kMin };

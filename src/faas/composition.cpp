@@ -71,12 +71,16 @@ void CompositionEngine::run_node(const Composition& node,
       run_steps(node, 0, std::move(acc), std::move(done));
       break;
     case Composition::Kind::kParallel: {
-      auto remaining = std::make_shared<std::size_t>(node.children().size());
-      auto shared_done =
-          std::make_shared<std::function<void()>>(std::move(done));
+      // The branches share one join: the last to finish calls `done`.
+      struct Join {
+        std::size_t remaining;
+        std::function<void()> done;
+      };
+      auto join = std::make_shared<Join>(
+          Join{node.children().size(), std::move(done)});
       for (const Composition& child : node.children()) {
-        run_node(child, acc, [remaining, shared_done] {
-          if (--*remaining == 0) (*shared_done)();
+        run_node(child, acc, [join] {
+          if (--join->remaining == 0) join->done();
         });
       }
       break;

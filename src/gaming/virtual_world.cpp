@@ -1,6 +1,7 @@
 #include "gaming/virtual_world.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 namespace mcs::gaming {
@@ -16,7 +17,14 @@ VirtualWorld::VirtualWorld(sim::Simulator& sim, WorldConfig config,
 }
 
 void VirtualWorld::start(sim::SimTime until) {
-  sim_.schedule_after(config_.tick_interval, [this, until] { tick(until); });
+  sim_.schedule_recurring(
+      config_.tick_interval, [this, until]() -> std::optional<sim::SimTime> {
+        tick();
+        if (sim::saturating_add(sim_.now(), config_.tick_interval) > until) {
+          return std::nullopt;
+        }
+        return config_.tick_interval;
+      });
 }
 
 void VirtualWorld::join(std::size_t count) {
@@ -104,7 +112,7 @@ void VirtualWorld::move_players() {
   }
 }
 
-void VirtualWorld::tick(sim::SimTime until) {
+void VirtualWorld::tick() {
   move_players();
   ++stats_.ticks;
   stats_.population.add(static_cast<double>(population()));
@@ -118,10 +126,6 @@ void VirtualWorld::tick(sim::SimTime until) {
   }
   stats_.max_zone_population.add(static_cast<double>(max_pop));
   if (overloaded) ++stats_.overloaded_ticks;
-
-  if (sim_.now() + config_.tick_interval <= until) {
-    sim_.schedule_after(config_.tick_interval, [this, until] { tick(until); });
-  }
 }
 
 }  // namespace mcs::gaming

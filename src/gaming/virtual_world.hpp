@@ -64,7 +64,7 @@ class VirtualWorld {
   [[nodiscard]] const WorldStats& stats() const { return stats_; }
 
  private:
-  void tick(sim::SimTime until);
+  void tick();
   void move_players();
 
   sim::Simulator& sim_;

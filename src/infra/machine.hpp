@@ -45,11 +45,6 @@ class Machine {
  public:
   Machine(MachineId id, std::string name, ResourceVector capacity,
           double speed_factor, PowerModel power = {});
-  /// Declared-shape convenience: whole-unit capacities from a fleet profile.
-  Machine(MachineId id, std::string name, core::ResourceCapacities capacity,
-          double speed_factor, PowerModel power = {})
-      : Machine(id, std::move(name), core::to_quantities(capacity),
-                speed_factor, power) {}
 
   [[nodiscard]] MachineId id() const { return id_; }
   [[nodiscard]] const std::string& name() const { return name_; }

@@ -27,13 +27,6 @@ class Datacenter {
   Machine& add_machine(std::string name, ResourceVector capacity,
                        double speed_factor, std::size_t rack,
                        PowerModel power = {});
-  /// Declared-shape convenience (whole-unit capacities, C4 fleet profiles).
-  Machine& add_machine(std::string name, core::ResourceCapacities capacity,
-                       double speed_factor, std::size_t rack,
-                       PowerModel power = {}) {
-    return add_machine(std::move(name), core::to_quantities(capacity),
-                       speed_factor, rack, power);
-  }
 
   /// Convenience: builds `racks x per_rack` homogeneous machines.
   void add_uniform_racks(std::size_t racks, std::size_t per_rack,

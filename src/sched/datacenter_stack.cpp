@@ -1,39 +1,25 @@
 #include "sched/datacenter_stack.hpp"
 
-namespace mcs::sched {
+#include <optional>
 
-/// Shared state of one sampling loop. The probe lives here exactly once;
-/// each scheduled tick captures only a shared_ptr to this block (two
-/// words, always inline in the kernel's core::UniqueFunction<void()>)
-/// instead of copying the closure.
-struct OperationsService::MonitorLoop {
-  std::string gauge;
-  core::UniqueFunction<double()> probe;
-  sim::SimTime interval = 0;
-  sim::SimTime until = 0;
-};
+namespace mcs::sched {
 
 void OperationsService::monitor(const std::string& gauge,
                                 core::UniqueFunction<double()> probe,
                                 sim::SimTime interval, sim::SimTime until) {
   if (interval <= 0) throw std::invalid_argument("monitor: interval <= 0");
-  series_[gauge];  // create the series up front
-  auto loop = std::make_shared<MonitorLoop>();
-  loop->gauge = gauge;
-  loop->probe = std::move(probe);
-  loop->interval = interval;
-  loop->until = until;
-  sim_.schedule_after(0, [this, loop] { monitor_tick(loop); });
-}
-
-void OperationsService::monitor_tick(const std::shared_ptr<MonitorLoop>& loop) {
-  auto it = series_.find(loop->gauge);
-  if (it == series_.end()) return;
-  it->second.append(sim_.now(), loop->probe());
-  ++samples_;
-  if (sim_.now() + loop->interval <= loop->until) {
-    sim_.schedule_after(loop->interval, [this, loop] { monitor_tick(loop); });
-  }
+  metrics::StepSeries* series = &series_[gauge];  // map nodes never move
+  sim_.schedule_recurring(
+      0,
+      [this, series, probe = std::move(probe), interval,
+       until]() -> std::optional<sim::SimTime> {
+        series->append(sim_.now(), probe());
+        ++samples_;
+        if (sim::saturating_add(sim_.now(), interval) > until) {
+          return std::nullopt;
+        }
+        return interval;
+      });
 }
 
 void OperationsService::log(const std::string& line) {

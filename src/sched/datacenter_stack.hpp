@@ -31,9 +31,9 @@ class OperationsService {
  public:
   explicit OperationsService(sim::Simulator& sim) : sim_(sim) {}
 
-  /// Periodically samples a gauge into a named series. The probe is a
-  /// move-only core::UniqueFunction: it is stored once in the sampling
-  /// loop's shared state instead of being copied into every event.
+  /// Samples a gauge into a named series now and every `interval` after,
+  /// while the next sample falls at or before `until`. The sampling loop
+  /// owns the move-only probe.
   void monitor(const std::string& gauge, core::UniqueFunction<double()> probe,
                sim::SimTime interval, sim::SimTime until);
 
@@ -44,9 +44,6 @@ class OperationsService {
   [[nodiscard]] std::size_t samples_taken() const { return samples_; }
 
  private:
-  struct MonitorLoop;
-  void monitor_tick(const std::shared_ptr<MonitorLoop>& loop);
-
   sim::Simulator& sim_;
   std::map<std::string, metrics::StepSeries> series_;
   std::size_t log_count_ = 0;
@@ -73,9 +70,6 @@ class DatacenterStack {
 
   DatacenterStack(sim::Simulator& sim, infra::Datacenter& dc,
                   std::unique_ptr<AllocationPolicy> policy, Config config);
-  DatacenterStack(sim::Simulator& sim, infra::Datacenter& dc,
-                  std::unique_ptr<AllocationPolicy> policy)
-      : DatacenterStack(sim, dc, std::move(policy), Config{}) {}
 
   /// Front-end entry point: accepts an application job. Counts as one
   /// front-end operation; hands to the back-end.

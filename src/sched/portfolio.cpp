@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 namespace mcs::sched {
 
@@ -87,12 +88,14 @@ PortfolioScheduler::PortfolioScheduler(sim::Simulator& sim,
 }
 
 void PortfolioScheduler::start() {
-  sim_.schedule_after(interval_, [this] { tick(); });
+  sim_.schedule_recurring(interval_, [this]() -> std::optional<sim::SimTime> {
+    if (engine_.all_done()) return std::nullopt;
+    tick();
+    return interval_;
+  });
 }
 
 void PortfolioScheduler::tick() {
-  if (engine_.all_done()) return;
-
   // Score every candidate against the engine's live queue snapshot with the
   // greedy surrogate, and switch to the winner.
   const SchedulerView snapshot = engine_.snapshot_view();
@@ -114,7 +117,6 @@ void PortfolioScheduler::tick() {
       ++switches_;
     }
   }
-  sim_.schedule_after(interval_, [this] { tick(); });
 }
 
 }  // namespace mcs::sched

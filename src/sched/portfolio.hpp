@@ -56,6 +56,7 @@ class PortfolioScheduler {
   }
 
  private:
+  /// One selection round: scores every candidate, switches to the winner.
   void tick();
 
   sim::Simulator& sim_;

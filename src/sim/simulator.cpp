@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 namespace mcs::sim {
 
@@ -26,18 +25,6 @@ void Simulator::grow_slots() {
   // allocation per kSlotBlockSize slot reuses; slots themselves recycle.
   slot_blocks_.push_back(std::make_unique<Slot[]>(kSlotBlockSize));
   slot_capacity_ += static_cast<std::uint32_t>(kSlotBlockSize);
-}
-
-EventHandle Simulator::schedule_at(SimTime at, Callback fn) {
-  if (at < now_) throw_time_in_past();
-  const std::uint32_t slot = acquire_slot();
-  slot_ref(slot).fn = std::move(fn);
-  return arm(at, slot);
-}
-
-EventHandle Simulator::schedule_after(SimTime delay, Callback fn) {
-  if (delay < 0) delay = 0;
-  return schedule_at(saturating_add(now_, delay), std::move(fn));
 }
 
 void Simulator::reserve_events(std::size_t extra) {

@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -127,10 +128,7 @@ class Simulator {
   /// Schedules `fn` to run at absolute virtual time `at` (>= now()).
   /// Events at equal times run in scheduling order. The callable is
   /// constructed directly in its kernel slot (no intermediate Callback).
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, Callback> &&
-                std::is_invocable_v<std::decay_t<F>&>>>
+  template <typename F>
   EventHandle schedule_at(SimTime at, F&& fn) {
     if (at < now_) throw_time_in_past();
     // Exception safety by ordering, not by try/catch: the slot is only
@@ -149,18 +147,39 @@ class Simulator {
     }
     return arm(at, slot);
   }
-  EventHandle schedule_at(SimTime at, Callback fn);
 
   /// Schedules `fn` to run `delay` after now().
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, Callback> &&
-                std::is_invocable_v<std::decay_t<F>&>>>
+  template <typename F>
   EventHandle schedule_after(SimTime delay, F&& fn) {
     if (delay < 0) delay = 0;
     return schedule_at(saturating_add(now_, delay), std::forward<F>(fn));
   }
-  EventHandle schedule_after(SimTime delay, Callback fn);
+
+  /// A recurring event: runs `step` after `delay`, then again after each
+  /// delay `step` returns (clamped like schedule_after's), until it returns
+  /// std::nullopt. `step` is boxed once and the box moves from each run's
+  /// event to the next, so the loop owns its closure: one allocation per
+  /// loop, none per run, and the closure is freed when the loop stops,
+  /// when a run throws, or with the simulator. A run re-arms only after
+  /// `step` returns, so events `step` schedules for the same time run
+  /// before the next run (DESIGN.md §12, "Recurring events").
+  template <typename F>
+  void schedule_recurring(SimTime delay, F&& step) {
+    using Step = std::decay_t<F>;
+    static_assert(std::is_invocable_r_v<std::optional<SimTime>, Step&>,
+                  "a recurring step returns its next delay or std::nullopt");
+    struct Run {
+      Simulator* sim;
+      std::unique_ptr<Step> step;
+      void operator()() {
+        if (const std::optional<SimTime> next = (*step)()) {
+          sim->schedule_after(*next, Run{sim, std::move(step)});
+        }
+      }
+    };
+    schedule_after(delay,
+                   Run{this, std::make_unique<Step>(std::forward<F>(step))});
+  }
 
   /// Bulk reservation: pre-sizes the tail buffer, the wheel's node pool,
   /// and the callback slot table for `extra` additional pending events, so
@@ -271,16 +290,6 @@ class Simulator {
   }
 
   [[noreturn]] static void throw_time_in_past();
-
-  [[nodiscard]] std::uint32_t acquire_slot() {
-    if (free_head_ != kNoSlot) {
-      const std::uint32_t slot = free_head_;
-      free_head_ = slot_ref(slot).next_free;
-      return slot;
-    }
-    if (slot_count_ == slot_capacity_) grow_slots();
-    return slot_count_++;
-  }
 
   /// Wheel level for `at` relative to `cursor`: the index of the highest
   /// 6-bit time digit in which they differ (0 when equal); always below

@@ -153,6 +153,29 @@ TEST(FuzzSpecTest, FromTextRejectsMalformedLines) {
             failures::CorrelationMode::kSpaceAndTime);
 }
 
+TEST(FuzzSpecTest, FromTextRejectsUnknownPolicy) {
+  // make_policy would throw on the name mid-run; the parser rejects it.
+  try {
+    (void)from_text("policy=bogus");
+    ADD_FAILURE() << "policy=bogus parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "repro line 1: malformed value for 'policy'");
+  }
+  for (const std::string& name : sched::all_policy_names()) {
+    EXPECT_EQ(from_text("policy=" + name).policy, name);
+  }
+}
+
+TEST(FuzzTest, BadFailureParameterIsReportedNotThrown) {
+  ScenarioSpec spec = make_spec(1, false);
+  spec.failures_enabled = true;
+  spec.failure.mean_repair_seconds = 0.0;
+  const SeedRunResult r = run_spec(spec);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.violation.rfind("EXCEPTION: ", 0), 0u) << r.violation;
+}
+
 TEST(FuzzTest, SeedRunsAreReproducible) {
   const SeedRunResult a = run_spec(make_spec(123, false));
   const SeedRunResult b = run_spec(make_spec(123, false));
@@ -200,7 +223,7 @@ TEST(FuzzTest, SingleSeedReplayMatchesBatchCell) {
 }
 
 TEST(ShrinkTest, PassingSpecIsReturnedUnshrunk) {
-  ScenarioSpec spec = make_spec(1);
+  ScenarioSpec spec = make_spec(1, false);
   const ShrinkResult r = shrink(spec);
   EXPECT_FALSE(r.failing);
   EXPECT_TRUE(r.result.ok);

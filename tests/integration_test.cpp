@@ -4,6 +4,8 @@
 // C17, complementing the per-module "micro-level" suites).
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "autoscale/autoscaler.hpp"
 #include "core/registry.hpp"
 #include "failures/failure_model.hpp"
@@ -153,18 +155,14 @@ TEST(AutoscaleFailureTest, ElasticPoolSurvivesFailureStorm) {
   injector.arm([&](infra::MachineId id) { engine.on_machine_failed(id); },
                [&](infra::MachineId) { engine.kick(); });
 
-  // A React-style control loop resizes the pool every 30 s. The tick lives
-  // on this frame, which outlives sim.run_until(); each scheduled tick holds
-  // only a reference to it.
-  const auto tick = [&](const auto& self) -> void {
+  // A React-style control loop resizes the pool every 30 s.
+  sim.schedule_recurring(0, [&]() -> std::optional<sim::SimTime> {
     pool.reap_drained();
     const double demand_machines = engine.demand_cores() / 4.0;
     pool.set_target(static_cast<std::size_t>(demand_machines) + 1);
-    if (!engine.all_done()) {
-      sim.schedule_after(30 * sim::kSecond, [&self] { self(self); });
-    }
-  };
-  sim.schedule_after(0, [&tick] { tick(tick); });
+    if (engine.all_done()) return std::nullopt;
+    return 30 * sim::kSecond;
+  });
   sim.run_until();
 
   EXPECT_TRUE(engine.all_done());

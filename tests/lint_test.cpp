@@ -634,6 +634,19 @@ TEST(LintD4, FlagsSimulatorCallbacks) {
   EXPECT_NE(hits[0].message.find("simulator callback"), std::string::npos);
 }
 
+TEST(LintD4, FlagsRecurringCallbacks) {
+  const std::vector<FileInput> files = {
+      {"tests/sim_demo.cpp",
+       "int jitter() { return rand(); }\n"
+       "void arm(Simulator& sim) {\n"
+       "  sim.schedule_recurring(10, [&]() { return jitter(); });\n"
+       "}\n"},
+  };
+  const auto hits = repo_findings(files, Rule::kD4);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_NE(hits[0].message.find("simulator callback"), std::string::npos);
+}
+
 // ---- R1: src/ code some bench, tool or example reaches ---------------------
 
 TEST(LintR1, FlagsSrcFunctionOnlyATestCalls) {

@@ -30,11 +30,10 @@ using core::operator-;
 using core::operator+=;
 using core::operator-=;
 
-ResourceCapacities random_caps(sim::Rng& rng, std::uint64_t hi = 64) {
+ResourceCapacities random_caps(sim::Rng& rng) {
   ResourceCapacities c{};
   for (std::size_t d = 0; d < kResourceDims; ++d) {
-    c[d] = static_cast<std::uint64_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(hi)));
+    c[d] = static_cast<std::uint64_t>(rng.uniform_int(0, 64));
   }
   return c;
 }
@@ -87,38 +86,11 @@ TEST(ResourceCapacitiesTest, SubtractThenAddRestoresWhenDominated) {
     sim::Rng rng(seed);
     const ResourceCapacities a = random_caps(rng);
     ResourceCapacities b = random_caps(rng);
-    for (std::size_t d = 0; d < kResourceDims; ++d) b[d] = std::min(a[d], b[d]);
-    ASSERT_TRUE(core::dominates(a, b));
-    EXPECT_EQ((a - b) + b, a);
-  }
-}
-
-TEST(ResourceCapacitiesTest, DominatesIsAPartialOrder) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    sim::Rng rng(seed);
-    const ResourceCapacities a = random_caps(rng);
-    const ResourceCapacities b = random_caps(rng);
-    EXPECT_TRUE(core::dominates(a, a));  // reflexive
-    EXPECT_TRUE(core::dominates(a + b, a));
-    EXPECT_TRUE(core::dominates(a + b, b));
-    if (core::dominates(a, b) && core::dominates(b, a)) {
-      EXPECT_EQ(a, b);  // antisymmetric
-    }
-  }
-}
-
-TEST(ResourceCapacitiesTest, QuantityRoundTripIsExactForShapes) {
-  // Every integer up to 2^53 is a double, so each component converts
-  // exactly and converts back to the same count.
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    sim::Rng rng(seed);
-    const ResourceCapacities c =
-        random_caps(rng, seed % 2 == 0 ? 64 : std::uint64_t{1} << 53);
-    const ResourceQuantities q = core::to_quantities(c);
     for (std::size_t d = 0; d < kResourceDims; ++d) {
-      EXPECT_EQ(q[d], static_cast<double>(c[d]));
-      EXPECT_EQ(static_cast<std::uint64_t>(q[d]), c[d]);
+      b[d] = std::min(a[d], b[d]);
+      ASSERT_GE(a[d], b[d]);
     }
+    EXPECT_EQ((a - b) + b, a);
   }
 }
 
@@ -447,14 +419,6 @@ TEST(MachineResidueTest, NetOnlyChurnSnapsLikeTheOtherDimensions) {
   for (int round = 0; round < 4; ++round) m.release(net_slice);
   EXPECT_EQ(m.used().net(), 0.0);
   EXPECT_TRUE(m.can_fit(infra::ResourceVector{4.0, 4.0, 0.0, 5.0}));
-}
-
-TEST(MachineResidueTest, VectorCapacityConstructorMatchesQuantities) {
-  const core::ResourceCapacities shape{8, 32, 2, 10};
-  infra::Machine from_shape(0, "a", shape, 1.5);
-  infra::Machine from_quants(1, "b", core::to_quantities(shape), 1.5);
-  EXPECT_EQ(from_shape.capacity(), from_quants.capacity());
-  EXPECT_EQ(from_shape.capacity().net(), 10.0);
 }
 
 }  // namespace

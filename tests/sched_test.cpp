@@ -2,8 +2,9 @@
 // skeleton policies that mirror the Schopf pipeline stages), provisioning,
 // portfolio scheduling, scavenging, and the Fig. 3 datacenter stack
 // (src/sched).
-#include <functional>
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "fixtures.hpp"
 #include "failures/failure_model.hpp"
@@ -92,16 +93,16 @@ TEST(EngineTest, NeverOvercommitsMachines) {
   config.arrival_rate_per_hour = 2000.0;
   config.mean_task_seconds = 20.0;
   engine.submit_all(workload::generate_trace(config, rng));
-  // Invariant check at every event boundary.
+  // Invariant check every simulated second.
   bool ok = true;
-  std::function<void()> check = [&] {
+  sim.schedule_recurring(0, [&]() -> std::optional<sim::SimTime> {
     for (const infra::Machine* m :
          static_cast<const infra::Datacenter&>(dc).machines()) {
       if (m->used().cpu() > m->capacity().cpu() + 1e-9) ok = false;
     }
-    if (!engine.all_done()) sim.schedule_after(sim::kSecond, check);
-  };
-  sim.schedule_after(0, check);
+    if (engine.all_done()) return std::nullopt;
+    return sim::kSecond;
+  });
   sim.run_until();
   EXPECT_TRUE(ok);
   EXPECT_TRUE(engine.all_done());

@@ -6,6 +6,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/arrival.hpp"
@@ -285,6 +288,129 @@ TEST(SimulatorTest, DeterministicAcrossRuns) {
   };
   EXPECT_EQ(run(7), run(7));
   EXPECT_NE(run(7), run(8));
+}
+
+// ---- recurring events ---------------------------------------------------------
+
+// The order-diff scenario: background events at every microsecond of
+// [0, 400) each schedule a one-shot event 0-1 µs later, and the recurring
+// step logs its run, schedules two one-shot events 0-2 µs later and draws
+// its next delay in 0-3 µs, zeros included, stopping at its 150th run. Each
+// one-shot event schedules another 0-3 µs later with probability 1/2, so
+// events that run between two runs land on the next run's time too. All
+// draws share one RNG: a change in execution order changes every later
+// draw.
+struct RecurringScenario {
+  Simulator sim;
+  Rng rng{2024};
+  std::vector<std::pair<SimTime, int>> log;  // (time, event id) per event
+  int runs = 0;
+  int next_id = 0;
+
+  RecurringScenario() {
+    for (SimTime t = 0; t < 400; ++t) {
+      sim.schedule_at(t, [this] {
+        note(0);
+        one_shot(rng.uniform_int(0, 1));
+      });
+    }
+  }
+  void note(int id) { log.emplace_back(sim.now(), id); }
+  void one_shot(SimTime delay) {
+    const int id = ++next_id;
+    sim.schedule_after(delay, [this, id] {
+      note(id);
+      if (rng.chance(0.5)) one_shot(rng.uniform_int(0, 3));
+    });
+  }
+  std::optional<SimTime> step() {
+    note(-1 - runs);
+    one_shot(rng.uniform_int(0, 2));
+    one_shot(rng.uniform_int(0, 2));
+    if (++runs == 150) return std::nullopt;
+    return rng.uniform_int(0, 3);
+  }
+};
+
+TEST(RecurringTest, RunsInTheOrderOfAReArmAtTheEndOfTheStep) {
+  RecurringScenario by_hand;
+  struct ReArm {
+    RecurringScenario* s;
+    void operator()() const {
+      if (const std::optional<SimTime> next = s->step()) {
+        s->sim.schedule_after(*next, *this);
+      }
+    }
+  };
+  by_hand.sim.schedule_after(3, ReArm{&by_hand});
+  by_hand.sim.run_until();
+
+  RecurringScenario recurring;
+  recurring.sim.schedule_recurring(3, [s = &recurring] { return s->step(); });
+  recurring.sim.run_until();
+
+  EXPECT_EQ(recurring.runs, 150);
+  EXPECT_EQ(recurring.log, by_hand.log);
+}
+
+// Counts its live copies, so a test sees when a step's captures die.
+class Token {
+ public:
+  explicit Token(int* live) : live_(live) { ++*live_; }
+  Token(const Token& other) : live_(other.live_) { ++*live_; }
+  Token& operator=(const Token&) = delete;
+  ~Token() { --*live_; }
+
+ private:
+  int* live_;
+};
+
+// Ends a recurring loop the three ways it can end, with a step holding
+// what `make_hold` returns, and expects the step destroyed each time.
+template <typename MakeHold>
+void expect_step_freed(MakeHold make_hold) {
+  int live = 0;
+  {  // the step returns std::nullopt
+    Simulator sim;
+    int runs = 0;
+    sim.schedule_recurring(
+        0, [&runs, hold = make_hold(&live)]() -> std::optional<SimTime> {
+          if (++runs == 3) return std::nullopt;
+          return 10;
+        });
+    sim.run_until(15);
+    EXPECT_EQ(live, 1);  // one box, no copy per run
+    sim.run_until();
+    EXPECT_EQ(runs, 3);
+    EXPECT_EQ(live, 0);
+  }
+  {  // a run throws out of run_until
+    Simulator sim;
+    int runs = 0;
+    sim.schedule_recurring(
+        0, [&runs, hold = make_hold(&live)]() -> std::optional<SimTime> {
+          if (++runs == 2) throw std::runtime_error("step failed");
+          return 10;
+        });
+    EXPECT_THROW(sim.run_until(), std::runtime_error);
+    EXPECT_EQ(live, 0);
+  }
+  {  // the simulator is destroyed with a run pending
+    auto sim = std::make_unique<Simulator>();
+    sim->schedule_recurring(
+        5, [hold = make_hold(&live)]() -> std::optional<SimTime> {
+          return 10;
+        });
+    sim->run_until(20);
+    EXPECT_EQ(live, 1);
+    sim.reset();
+    EXPECT_EQ(live, 0);
+  }
+}
+
+TEST(RecurringTest, StepIsDestroyedWhenItStopsThrowsOrIsDropped) {
+  expect_step_freed([](int* live) { return Token(live); });
+  expect_step_freed([](int* live) { return std::make_unique<Token>(live); });
 }
 
 // ---- RNG distributions --------------------------------------------------------

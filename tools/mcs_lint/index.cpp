@@ -855,7 +855,7 @@ class Indexer {
       // Determinism roots: lambdas inside the argument list of
       // run_sweep (sweep cells) or Simulator::schedule_* (callbacks).
       if (t.text == "run_sweep" || t.text == "schedule_at" ||
-          t.text == "schedule_after") {
+          t.text == "schedule_after" || t.text == "schedule_recurring") {
         const std::size_t close = match_forward(after, "(", ")");
         if (close < size()) {
           root_ranges_.push_back({close, t.text == "run_sweep"});

@@ -68,10 +68,11 @@ const char* explain(Rule rule) {
           "D4 — ambient time/randomness reachable from a deterministic\n"
           "context (D1 made interprocedural). Sweep cells handed to\n"
           "exp::run_sweep and callbacks handed to Simulator::schedule_at/\n"
-          "schedule_after must be pure functions of (scenario, seed) — the\n"
-          "replication + digest machinery depends on it. D4 chases the\n"
-          "call graph from those lambdas and flags any reachable wall-clock\n"
-          "or ambient-RNG observation, with the chain that gets there.\n"
+          "schedule_after/schedule_recurring must be pure functions of\n"
+          "(scenario, seed) — the replication + digest machinery depends\n"
+          "on it. D4 chases the call graph from those lambdas and flags\n"
+          "any reachable wall-clock or ambient-RNG observation, with the\n"
+          "chain that gets there.\n"
           "src/ is already covered by D1; D4 adds bench/, tests/ and\n"
           "tools/ cell code. Remedy: use SweepPoint substream seeds and\n"
           "Simulator::now(); `allow(D4)` on a function definition stops\n"

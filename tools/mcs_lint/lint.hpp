@@ -37,8 +37,9 @@
 //       is flagged, with the full call chain in the finding.
 //   D4  D1 made transitive: ambient time/randomness reachable from a
 //       sweep cell (lambda passed to exp::run_sweep) or a simulator
-//       callback (lambda passed to schedule_at/schedule_after) — covers
-//       bench/ and tests/ code that D1's src/-only scope does not.
+//       callback (lambda passed to schedule_at/schedule_after/
+//       schedule_recurring) — covers bench/ and tests/ code that D1's
+//       src/-only scope does not.
 //   L1  the DESIGN.md layer DAG enforced on src-internal #include edges
 //       (core <- sim/metrics <- graph/parallel/infra/workload <-
 //       sched/failures/obs <- exp/check <- domains), plus module cycles.

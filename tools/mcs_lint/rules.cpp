@@ -559,8 +559,10 @@ void run_d4(const std::vector<FileIndex>& files, const CallGraph& graph,
     const FunctionInfo& root =
         *graph.nodes()[static_cast<std::size_t>(root_id)].fn;
     const char* kind =
-        root.sweep_root ? "a sweep cell (exp::run_sweep)"
-                        : "a simulator callback (schedule_at/schedule_after)";
+        root.sweep_root
+            ? "a sweep cell (exp::run_sweep)"
+            : "a simulator callback "
+              "(schedule_at/schedule_after/schedule_recurring)";
     const std::string chain = graph.chain(parent, static_cast<int>(n));
     Reporter rep(*node.file, out);
     for (const Site& s : node.fn->wallclock) {
