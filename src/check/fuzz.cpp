@@ -559,6 +559,11 @@ ScenarioSpec from_text(const std::string& text) {
       ok = std::find(policies.begin(), policies.end(), value) !=
            policies.end();
     }
+    // Empty runs unscored; anything else must name a scoring policy, which
+    // score_policy_from_string would otherwise read as kNone.
+    if (ok && key == "score_policy" && !value.empty()) {
+      ok = sched::to_string(sched::score_policy_from_string(value)) == value;
+    }
     if (!ok) {
       throw std::invalid_argument("repro line " + std::to_string(line_no) +
                                   ": malformed value for '" + key + "'");

@@ -317,10 +317,11 @@ void InvariantChecker::verify(const sched::ExecutionEngine& e,
     shadow_drain_.resize(dc_.machine_count(), 0);
   }
   // I4 live view: diffed against a fresh build only when the engine would
-  // not rebuild at its next round; `listed` walks its machine list. A row
+  // not rebuild at its next round; `listed` walks planned.machines(). A row
   // the planned capacity holds always fits its own free capacity.
   const bool live_view = e.view_current();
   const sched::PlannedCapacity& planned = e.planned_;
+  const std::vector<const infra::Machine*>& machines = planned.machines();
   const auto holds = [&planned](infra::MachineId id) {
     return id < planned.id_bound() && planned.fits(id, planned.free_on(id));
   };
@@ -329,7 +330,7 @@ void InvariantChecker::verify(const sched::ExecutionEngine& e,
     const infra::Machine& m = dc_.machine(id);
     if (live_view) {
       if (m.usable() && !e.is_draining(id)) {
-        if (listed >= e.machines_.size() || e.machines_[listed] != &m) {
+        if (listed >= machines.size() || machines[listed] != &m) {
           fail("I4 live-view", where,
                "usable machine " + std::to_string(id) +
                    " is missing from the engine's machine list");
@@ -409,9 +410,9 @@ void InvariantChecker::verify(const sched::ExecutionEngine& e,
                (shadow_drain_[id] != 0 ? "set" : "clear"));
     }
   }
-  if (live_view && listed != e.machines_.size()) {
+  if (live_view && listed != machines.size()) {
     fail("I4 live-view", where,
-         "the engine lists " + std::to_string(e.machines_.size()) +
+         "the engine lists " + std::to_string(machines.size()) +
              " machines but " + std::to_string(listed) +
              " are usable and not draining");
   }

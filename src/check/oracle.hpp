@@ -43,7 +43,8 @@
 //                    every dimension (no FP residue).
 //                    LIVE VIEW: unless the engine will rebuild its view at
 //                    the next round (a drain-set change or a machine change
-//                    it did not make is pending), its machine list is
+//                    it did not make is pending), its planned capacity's
+//                    machine list — the one list policies plan on — is
 //                    exactly the usable, non-draining machines in id order,
 //                    each listed machine's planned row equals its live
 //                    available(), capacity() and speed_factor() exactly

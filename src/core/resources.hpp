@@ -3,8 +3,8 @@
 // Two types, mirroring the YT/YP scheduler split the ROADMAP points at:
 //
 //  - `ResourceCapacities` — declared machine/pod *shapes* as integral units
-//    (`std::array<uint64_t, K>`) with exact YT-style free-function
-//    operators. Nothing outside its unit tests uses it yet.
+//    (`std::array<uint64_t, K>`) with an exact YT-style saturating
+//    subtraction. Nothing outside its unit test uses it yet.
 //  - `ResourceQuantities` — runtime *bookkeeping* as doubles, because live
 //    demands are fractional (memory per core is a continuous knob, FaaS
 //    functions hold fractions of a GiB). `infra::ResourceVector` is an
@@ -43,15 +43,6 @@ enum class ResourceDim : std::uint8_t { kCpu = 0, kMem = 1, kGpu = 2, kNet = 3 }
 /// Declared integral resource shape (whole cores / GiB / devices / Gbps).
 using ResourceCapacities = std::array<std::uint64_t, kResourceDims>;
 
-constexpr ResourceCapacities& operator+=(ResourceCapacities& a,
-                                         const ResourceCapacities& b) {
-  for (std::size_t d = 0; d < kResourceDims; ++d) a[d] += b[d];
-  return a;
-}
-constexpr ResourceCapacities operator+(ResourceCapacities a,
-                                       const ResourceCapacities& b) {
-  return a += b;
-}
 /// Componentwise saturating subtraction (free capacity never goes negative).
 constexpr ResourceCapacities& operator-=(ResourceCapacities& a,
                                          const ResourceCapacities& b) {

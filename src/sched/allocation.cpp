@@ -165,7 +165,7 @@ class OrderedPolicy final : public AllocationPolicy {
       // Nothing left fits anywhere, so nothing can start or gate a start.
       if (!planned.may_fit_anywhere(floor)) break;
       const ReadyTask& t = queue[h];
-      const auto m = pick_machine(view.machines, planned, t, fit_, view);
+      const auto m = pick_machine(planned, t, fit_, view);
       // Once a reservation exists, a start must be expected to end by the
       // earliest reservation on its machine.
       if (m && (granted == 0 ||
@@ -244,7 +244,7 @@ class MinMin final : public AllocationPolicy {
     // The speed that bounds every finish: the fastest machine for min-min,
     // the slowest for max-min.
     double speed = max_first_ ? std::numeric_limits<double>::infinity() : 0.0;
-    for (const infra::Machine* m : view.machines) {
+    for (const infra::Machine* m : planned.machines()) {
       speed = max_first_ ? std::min(speed, m->speed_factor())
                          : std::max(speed, m->speed_factor());
     }
@@ -274,8 +274,7 @@ class MinMin final : public AllocationPolicy {
             continue;
           }
         }
-        const auto m = pick_machine(view.machines, planned, t,
-                                    Fit::kEarliestFinish, view);
+        const auto m = pick_machine(planned, t, Fit::kEarliestFinish, view);
         if (!m) {
           settled_[h] = true;
           continue;
@@ -327,7 +326,7 @@ class RandomPolicy final : public AllocationPolicy {
     const infra::ResourceVector floor = queue.floor();
     std::vector<Assignment> out;
     out.reserve(order_.size());
-    options_.reserve(view.machines.size());
+    options_.reserve(planned.machines().size());
     for (const Handle h : order_) {
       // Once the floor fits nowhere, no later task has a machine to draw.
       if (!planned.may_fit_anywhere(floor)) break;
@@ -335,7 +334,7 @@ class RandomPolicy final : public AllocationPolicy {
       if (!planned.may_fit_anywhere(t.demand)) continue;
       // Collect fitting machines, pick one uniformly.
       options_.clear();
-      for (const infra::Machine* m : view.machines) {
+      for (const infra::Machine* m : planned.machines()) {
         if (planned.fits(m->id(), t.demand) &&
             placement_allows(view.running, t, m->id())) {
           options_.push_back(m->id());

@@ -43,23 +43,22 @@ struct PlacementContext {
   std::uint64_t salt = 0;
 };
 
-/// What an allocation policy sees each scheduling round. The engine lends
-/// its live usable-machine list and planned capacity instead of rebuilding
-/// them per round (DESIGN.md §12): `machines` is moved in and out of the
-/// view, and `planned` mirrors exactly those machines' live free capacity.
-/// A policy takes from `*planned` while it plans and restore()s it before
-/// decide() returns, so the engine finds the mirror as it lent it. The
-/// ready queue and the running set are the engine's own, read in place.
+/// What an allocation policy sees each scheduling round: the engine's live
+/// state, read in place. The engine keeps its planned capacity across
+/// rounds instead of rebuilding it (DESIGN.md §12), and a policy takes from
+/// `*planned` while it plans and restore()s it before decide() returns, so
+/// the engine finds the mirror as it lent it.
 struct SchedulerView {
   sim::SimTime now = 0;
   /// The engine's ready queue; its ordered index and floor persist across
   /// rounds (sched/ready_queue.hpp).
   const ReadyQueue* ready = nullptr;
-  std::vector<const infra::Machine*> machines;  ///< usable, non-draining
-  /// Planned free capacity of `machines`, one row per machine id, equal to
-  /// each machine's live available(). Required by decide(), which throws
-  /// std::invalid_argument without it; a hand-built view points it at a
-  /// PlannedCapacity built from its machines. Null in snapshot_view().
+  /// The machines a policy may place on — `planned->machines()`, the
+  /// usable, non-draining ones in id order — and their planned free
+  /// capacity, one row per machine id, equal to each machine's live
+  /// available(). Required by decide(), which throws std::invalid_argument
+  /// without it; a hand-built view points it at a PlannedCapacity built
+  /// from the machines it offers.
   PlannedCapacity* planned = nullptr;
   /// The engine's running tasks; the engine starts nothing while a policy
   /// plans, so anti-affinity counts read from it are the round's.

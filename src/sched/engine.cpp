@@ -326,20 +326,11 @@ void ExecutionEngine::try_schedule() {
   while (progress && !ready_.empty()) {
     progress = false;
     if (!view_current()) rebuild_view();
-    if (machines_.empty()) break;
+    if (planned_.machines().empty()) break;
 
-    // Lend the live view: the machine list moves into the view and back,
-    // and the policy takes from planned_ and restores it. A policy that
-    // throws keeps the list, so the view is marked for a rebuild meanwhile.
-    SchedulerView view;
-    view.machines = std::move(machines_);
-    view.planned = &planned_;
-    rebuild_pending_ = true;
-    fill_view(view);
-
-    const auto assignments = policy_->decide(view);
-    machines_ = std::move(view.machines);
-    rebuild_pending_ = false;
+    // The policy plans on the live view: it takes from planned_ and
+    // restores it before decide() returns, also when it throws.
+    const auto assignments = policy_->decide(live_view());
 
     // Start newest first: descending enqueue sequence is descending queue
     // position, the order that set the event sequence numbers the digests
@@ -377,7 +368,7 @@ void ExecutionEngine::try_schedule() {
     if (!progress && config_.scavenging.enabled) {
       const std::vector<ReadyQueue::Handle>& queued = ready_.handles();
       for (std::size_t i = queued.size(); i-- > 0 && !progress;) {
-        for (const infra::Machine* m : machines_) {
+        for (const infra::Machine* m : planned_.machines()) {
           if (start_task(queued[i], m->id())) {
             progress = true;
             break;
@@ -725,23 +716,9 @@ std::map<std::string, double> ExecutionEngine::user_usage() const {
   return out;
 }
 
-SchedulerView ExecutionEngine::snapshot_view() const {
-  SchedulerView view;
-  collect_usable(view.machines);
-  fill_view(view);
-  return view;
-}
-
-void ExecutionEngine::collect_usable(
-    std::vector<const infra::Machine*>& out) const {
-  const std::size_t machine_count = dc_.machine_count();
-  const infra::Datacenter& dc = dc_;
-  out.clear();
-  out.reserve(machine_count);
-  for (std::uint32_t id = 0; id < machine_count; ++id) {
-    const infra::Machine& m = dc.machine(id);
-    if (m.usable() && !is_draining(id)) out.push_back(&m);
-  }
+SchedulerView ExecutionEngine::snapshot_view() {
+  if (!view_current()) rebuild_view();
+  return live_view();
 }
 
 // mcs-lint: allow(H3) — the O(machines) build of the live view, run only
@@ -749,8 +726,15 @@ void ExecutionEngine::collect_usable(
 // (one build per simulation on a quiet fleet), so its allocations are not
 // per round.
 void ExecutionEngine::rebuild_view() {
-  collect_usable(machines_);
-  planned_ = PlannedCapacity(machines_);
+  const std::size_t machine_count = dc_.machine_count();
+  const infra::Datacenter& dc = dc_;
+  std::vector<const infra::Machine*> usable;
+  usable.reserve(machine_count);
+  for (std::uint32_t id = 0; id < machine_count; ++id) {
+    const infra::Machine& m = dc.machine(id);
+    if (m.usable() && !is_draining(id)) usable.push_back(&m);
+  }
+  planned_ = PlannedCapacity(std::move(usable));
   expected_mutations_ = dc_.mutations();
   rebuild_pending_ = false;
 }
@@ -762,12 +746,15 @@ void ExecutionEngine::own_change(infra::MachineId id) {
 }
 
 // mcs-lint: hot
-void ExecutionEngine::fill_view(SchedulerView& view) const {
+SchedulerView ExecutionEngine::live_view() {
+  SchedulerView view;
   view.now = sim_.now();
   view.ready = &ready_;
+  view.planned = &planned_;
   view.running = &running_;
   view.user_usage = &user_usage_;
   view.placement = &config_.placement;
+  return view;
 }
 
 RunResult summarize_run(const ExecutionEngine& engine,

@@ -15,11 +15,11 @@
 // running tasks in a RunningSet (the same keys, plus a list per machine),
 // both of which policies read in place; draining is a machine-id bitset, and
 // user names are interned to dense ids at submit.
-// The usable-machine list and the PlannedCapacity policies plan against
-// are a live view kept across rounds (DESIGN.md §12): each allocate or
-// release the engine makes refreshes one planned row, and the view is
-// rebuilt from the fleet only after drain()/undrain() or a machine change
-// the engine did not make (Datacenter::mutations() tells). Together with
+// One PlannedCapacity, the usable machines and their free capacity, is the
+// live view policies and the portfolio plan on, kept across rounds
+// (DESIGN.md §12): each allocate or release the engine makes refreshes one
+// row, and it is rebuilt from the fleet only after drain()/undrain() or a
+// machine change the engine did not make (Datacenter::mutations()). With
 // scratch buffers reused across scheduling rounds, the steady-state
 // submit -> allocate -> run -> complete loop performs zero heap allocation
 // once warmed up and costs what it places, not what the fleet holds
@@ -260,11 +260,11 @@ class ExecutionEngine {
     return user_usage_;
   }
 
-  /// Builds the view a policy would receive, with its own machine list and
-  /// no planned capacity (for surrogate evaluation by the portfolio
-  /// scheduler; decide() rejects it). It reads the engine's running set, so
-  /// it is valid until the engine next starts or ends a task.
-  [[nodiscard]] SchedulerView snapshot_view() const;
+  /// The view the next round's policy will receive, brought up to date
+  /// first (for surrogate evaluation by the portfolio scheduler). It reads
+  /// the engine's live state, so it is valid until the engine next starts
+  /// or ends a task or its fleet changes.
+  [[nodiscard]] SchedulerView snapshot_view();
 
   /// Integrated busy core-seconds (for utilization reporting).
   [[nodiscard]] double busy_core_seconds() const { return busy_core_seconds_; }
@@ -304,19 +304,16 @@ class ExecutionEngine {
   void enqueue_ready(JobSlot& jr, std::uint32_t job_slot,
                      std::size_t task_index, double rank);
   void try_schedule();
-  /// Points the policy view's per-round fields (time, queue, running set,
-  /// usage, placement) at the engine's live state, for try_schedule and
-  /// snapshot_view; the machines and planned capacity are each caller's own.
-  void fill_view(SchedulerView& view) const;
-  /// Fills `out` with the usable, non-draining machines in id order.
-  void collect_usable(std::vector<const infra::Machine*>& out) const;
-  /// True when machines_ and planned_ equal a fresh build: no drain set
-  /// change and no machine change the engine did not make since the last
-  /// rebuild_view().
+  /// The policy view: every field points at the engine's live state —
+  /// time, queue, planned capacity, running set, usage and placement.
+  /// No loop; current while view_current() holds.
+  [[nodiscard]] SchedulerView live_view();
+  /// True when planned_ equals a fresh build: no drain set change and no
+  /// machine change the engine did not make since the last rebuild_view().
   [[nodiscard]] bool view_current() const {
     return !rebuild_pending_ && dc_.mutations() == expected_mutations_;
   }
-  /// Rebuilds machines_ and planned_ from the whole fleet: O(machines).
+  /// Rebuilds planned_ from the usable, non-draining machines: O(machines).
   void rebuild_view();
   /// Books an allocate or release this engine just made on machine `id`:
   /// one expected mutation, and its planned row re-read.
@@ -399,14 +396,13 @@ class ExecutionEngine {
   LabelFilterCache zone_cache_;
 
   /// The live view policies borrow: the usable, non-draining machines in
-  /// id order and their planned rows. Between rounds both equal a fresh
+  /// id order and their planned rows. Between rounds it equals a fresh
   /// build unless view_current() is false.
-  std::vector<const infra::Machine*> machines_;
   PlannedCapacity planned_;
   /// dc_.mutations() as the engine expects it: the count at the last
   /// rebuild plus one per allocate or release the engine made since.
   std::uint64_t expected_mutations_ = 0;
-  /// Set by drain()/undrain() (and while a policy holds machines_).
+  /// Set by drain()/undrain().
   bool rebuild_pending_ = true;
 
   // Scratch buffers reused across scheduling rounds (capacity persists, so

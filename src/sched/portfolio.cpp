@@ -18,7 +18,7 @@ double estimate_queue_makespan(const SchedulerView& view, QueueOrder order) {
     double speed = 1.0;
   };
   std::vector<M> machines;
-  for (const infra::Machine* m : view.machines) {
+  for (const infra::Machine* m : view.planned->machines()) {
     M mm;
     mm.cores = m->capacity().cpu();
     mm.speed = m->speed_factor();
@@ -99,8 +99,7 @@ void PortfolioScheduler::tick() {
   // Score every candidate against the engine's live queue snapshot with the
   // greedy surrogate, and switch to the winner.
   const SchedulerView snapshot = engine_.snapshot_view();
-  if (snapshot.ready != nullptr && !snapshot.ready->empty() &&
-      !snapshot.machines.empty()) {
+  if (!snapshot.ready->empty() && !snapshot.planned->machines().empty()) {
     double best_makespan = std::numeric_limits<double>::max();
     std::size_t best = 0;
     for (std::size_t i = 0; i < candidates_.size(); ++i) {

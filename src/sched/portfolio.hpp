@@ -21,7 +21,8 @@ namespace mcs::sched {
 
 /// Estimates the makespan (seconds from now) of running the current ready
 /// queue to completion in queue order `order`, using greedy list scheduling
-/// onto the machines' free capacity. Pure function: no events, no state.
+/// onto the view's machines (`view.planned->machines()`). Pure function: no
+/// events, no state.
 [[nodiscard]] double estimate_queue_makespan(const SchedulerView& view,
                                              QueueOrder order);
 

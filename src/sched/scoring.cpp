@@ -93,10 +93,9 @@ double score_machine(NodeScorePolicy policy, std::uint64_t salt,
   return 0.0;
 }
 
-std::optional<infra::MachineId> pick_machine(
-    const std::vector<const infra::Machine*>& machines,
-    const PlannedCapacity& planned, const ReadyTask& t, Fit fit,
-    const SchedulerView& view) {
+std::optional<infra::MachineId> pick_machine(const PlannedCapacity& planned,
+                                             const ReadyTask& t, Fit fit,
+                                             const SchedulerView& view) {
   if (!planned.may_fit_anywhere(t.demand)) return std::nullopt;
   // A node score replaces the capacity Fits only: HEFT, min-min and
   // max-min choose by run time under every scoring policy.
@@ -115,7 +114,7 @@ std::optional<infra::MachineId> pick_machine(
   // any other score takes the first machine with room.
   std::optional<infra::MachineId> best;
   double best_score = std::numeric_limits<double>::max();
-  for (const infra::Machine* m : machines) {
+  for (const infra::Machine* m : planned.machines()) {
     const infra::MachineId id = m->id();
     if (!planned.fits(id, t.demand)) continue;
     if (constrained && !placement_allows(view.running, t, id)) continue;

@@ -17,6 +17,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/resources.hpp"
@@ -35,10 +36,11 @@ namespace mcs::sched {
 /// compatibility for spec text files).
 [[nodiscard]] NodeScorePolicy score_policy_from_string(const std::string& s);
 
-/// Planned free capacity per machine: the engine keeps one across rounds
-/// as a live mirror of its usable, non-draining machines, and a policy's
-/// decide() takes from it, then restore()s it. Dense vectors indexed by
-/// machine id (machine ids are dense per datacenter), plus the
+/// The machines a round may place on and their planned free capacity: the
+/// engine keeps one across rounds as a live mirror of its usable,
+/// non-draining machines, and a policy's decide() takes from it, then
+/// restore()s it. Its machine list is the one every policy reads. Dense
+/// vectors indexed by machine id (dense per datacenter), plus the
 /// componentwise maximum of the rows, a core::CountedExtreme, that lets
 /// pick_machine reject can't-fit-anywhere demands in O(1) — the difference
 /// between O(placements * machines) and O(queue * machines) per round on a
@@ -46,15 +48,16 @@ namespace mcs::sched {
 class PlannedCapacity {
  public:
   PlannedCapacity() = default;
-  explicit PlannedCapacity(const std::vector<const infra::Machine*>& machines) {
+  explicit PlannedCapacity(std::vector<const infra::Machine*> machines)
+      : machines_(std::move(machines)) {
     infra::MachineId max_id = 0;
-    for (const infra::Machine* m : machines) max_id = std::max(max_id, m->id());
+    for (const infra::Machine* m : machines_) max_id = std::max(max_id, m->id());
     const std::size_t rows = max_id + std::size_t{1};
     free_.assign(rows, infra::ResourceVector{});
     machine_.assign(rows, nullptr);
     logged_.assign(rows, 0);
     log_.assign(rows, 0);  // each id is logged at most once
-    for (const infra::Machine* m : machines) {
+    for (const infra::Machine* m : machines_) {
       free_[m->id()] = m->available();
       machine_[m->id()] = m;
       max_free_.enter(free_[m->id()]);
@@ -106,6 +109,11 @@ class PlannedCapacity {
     logged_n_ = 0;
   }
 
+  /// The distinct machines held, in the order given (the engine's: by id).
+  [[nodiscard]] const std::vector<const infra::Machine*>& machines() const {
+    return machines_;
+  }
+
   /// Speed and capacity never change, so they are read from the machine.
   [[nodiscard]] double speed(infra::MachineId id) const {
     return machine_[id]->speed_factor();
@@ -128,13 +136,12 @@ class PlannedCapacity {
   // mcs-lint: hot
   [[nodiscard]] bool may_fit_anywhere(const infra::ResourceVector& r) const {
     return r.fits_within(max_free_.read([this](const auto& visit) {
-      for (infra::MachineId id = 0; id < machine_.size(); ++id) {
-        if (machine_[id] != nullptr) visit(free_[id]);
-      }
+      for (const infra::Machine* m : machines_) visit(free_[m->id()]);
     }));
   }
 
  private:
+  std::vector<const infra::Machine*> machines_;
   std::vector<infra::ResourceVector> free_;
   /// id -> the machine whose row this is; null when absent.
   std::vector<const infra::Machine*> machine_;
@@ -168,9 +175,10 @@ class ReleaseProfile {
  public:
   explicit ReleaseProfile(const SchedulerView& view) {
     const RunningSet& running = *view.running;
-    begin_.reserve(view.machines.size() + 1);
+    const auto& machines = view.planned->machines();
+    begin_.reserve(machines.size() + 1);
     begin_.push_back(0);
-    for (const infra::Machine* m : view.machines) {
+    for (const infra::Machine* m : machines) {
       const std::size_t first = by_end_.size();
       running.for_each_on(m->id(), [&](std::uint32_t key, const RunningTask&) {
         by_end_.push_back(key);
@@ -192,10 +200,11 @@ class ReleaseProfile {
   // mcs-lint: hot
   [[nodiscard]] std::pair<sim::SimTime, infra::MachineId> reservation_for(
       const ReadyTask& t, const SchedulerView& view) const {
+    const auto& machines = view.planned->machines();
     sim::SimTime best_time = sim::kTimeInfinity;
     infra::MachineId best_machine = 0;
-    for (std::size_t v = 0; v < view.machines.size(); ++v) {
-      const infra::Machine* m = view.machines[v];
+    for (std::size_t v = 0; v < machines.size(); ++v) {
+      const infra::Machine* m = machines[v];
       if (!t.demand.fits_within(m->capacity())) continue;
       if (!machine_in_zone(t, m->id())) continue;
       // Release this machine's tasks in end-time order until `t` fits.
@@ -218,7 +227,7 @@ class ReleaseProfile {
 
  private:
   std::vector<std::uint32_t> by_end_;  ///< running keys, bucket by bucket
-  /// Bucket of view.machines[v]: by_end_[begin_[v], begin_[v + 1]).
+  /// Bucket of the view's machines()[v]: by_end_[begin_[v], begin_[v + 1]).
   std::vector<std::size_t> begin_;
 };
 
@@ -239,14 +248,13 @@ class ReleaseProfile {
                                    infra::MachineId id,
                                    const infra::ResourceVector& demand);
 
-/// Machine choice for one task: the minimum score over machines with
-/// planned room that admit `t` (zone and anti-affinity), ties to the lowest
-/// machine id. Fit::kEarliestFinish scores the run time work / speed, and
-/// only a score below DBL_MAX wins. The capacity Fits score by the view's
-/// NodeScorePolicy, or without one by `fit`: kBest the cores left over,
-/// kFirst the first such machine.
+/// Machine choice for one task: the minimum score over `planned`'s machines
+/// with planned room that admit `t` (zone and anti-affinity), ties to the
+/// lowest machine id. Fit::kEarliestFinish scores the run time work /
+/// speed, and only a score below DBL_MAX wins. The capacity Fits score by
+/// the view's NodeScorePolicy, or without one by `fit`: kBest the cores left
+/// over, kFirst the first such machine.
 [[nodiscard]] std::optional<infra::MachineId> pick_machine(
-    const std::vector<const infra::Machine*>& machines,
     const PlannedCapacity& planned, const ReadyTask& t, Fit fit,
     const SchedulerView& view);
 

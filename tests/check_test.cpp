@@ -135,7 +135,8 @@ TEST(FuzzSpecTest, FromTextRejectsMalformedLines) {
        {"racks=3x", "heterogeneous=1junk", "heterogeneous=2",
         "trace.job_count=-3", "trace.arrivals=7", "failure.mode=9",
         "failure.mode=-1", "accel_fraction=0.5x", "racks= 3", "seed=+1",
-        "spread_limit=4294967296"}) {
+        "spread_limit=4294967296", "score_policy=bogus",
+        "score_policy=random_hash"}) {
     const std::string key = line.substr(0, line.find('='));
     try {
       (void)from_text("# header\n" + line);
@@ -144,6 +145,11 @@ TEST(FuzzSpecTest, FromTextRejectsMalformedLines) {
       EXPECT_EQ(std::string(e.what()),
                 "repro line 2: malformed value for '" + key + "'");
     }
+  }
+  // A score policy is empty (unscored) or a name to_string gives.
+  for (const std::string name : {"", "none", "random-hash",
+                                 "free-share-variance", "squared-min-delta"}) {
+    EXPECT_NO_THROW(from_text("score_policy=" + name)) << name;
   }
   // Both committed repros carry the all-ones limits.
   EXPECT_EQ(from_text("job_limit=18446744073709551615").job_limit,

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "check/oracle.hpp"
+#include "failures/failure_model.hpp"
 #include "obs/registry.hpp"
 #include "obs/slo.hpp"
 #include "sched/engine.hpp"
+#include "sim/random.hpp"
 #include "workload/task.hpp"
 
 namespace mcs::sched {
@@ -182,6 +184,53 @@ TEST(EngineFaultTest, CrashOfDrainingIdleMachineStaysDrained) {
   ASSERT_TRUE(engine.all_done());
   EXPECT_TRUE(engine.is_draining(0));
   EXPECT_EQ(engine.tasks_killed(), 0u);
+}
+
+TEST(EngineFaultTest, ScavengingUnderFailuresKeepsEveryInvariant) {
+  // Memory scavenging under the oracle: machines carry 2 GiB per core and
+  // bag tasks need 1-5 GiB per core, so tasks start on borrowed memory
+  // while a failure trace kills and requeues them. Borrowed held vectors,
+  // their releases and the live view after each borrowing start must keep
+  // every invariant, under every policy.
+  for (const std::string& name : all_policy_names()) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      sim::Rng rng(seed);
+      auto dc = make_dc(8, 8.0, 16.0);
+      sim::Simulator sim;
+      EngineConfig config;
+      config.scavenging.enabled = true;
+      ExecutionEngine engine(sim, dc, make_policy(name), config);
+      check::InvariantChecker oracle(sim, dc, exclusive());
+      oracle.attach(engine);
+
+      failures::FailureModelConfig failure;
+      failure.failures_per_machine_day = 10.0;
+      failure.mean_repair_seconds = 600.0;
+      failures::FailureInjector injector(
+          sim, dc,
+          failures::generate_failure_trace(dc, failure, 2 * sim::kHour, rng));
+      injector.arm(
+          [&engine](infra::MachineId id) { engine.on_machine_failed(id); },
+          [&engine](infra::MachineId) { engine.kick(); });
+      for (workload::JobId id = 1; id <= 30; ++id) {
+        const auto tasks = static_cast<std::size_t>(rng.uniform_int(1, 8));
+        const double work = rng.uniform(60.0, 600.0);
+        const double cores = static_cast<double>(rng.uniform_int(1, 4));
+        const double gib_per_core = rng.uniform(1.0, 5.0);
+        workload::Job job = workload::make_bag_of_tasks(
+            id, tasks, work,
+            infra::ResourceVector{cores, cores * gib_per_core, 0.0});
+        job.submit_time = sim::from_seconds(rng.uniform(0.0, 600.0));
+        engine.submit(std::move(job));
+      }
+      sim.run_until();
+
+      oracle.verify(engine, "end-of-run");
+      EXPECT_TRUE(engine.all_done()) << name << " seed " << seed;
+      EXPECT_GT(engine.tasks_scavenged(), 0u) << name << " seed " << seed;
+      EXPECT_GT(oracle.checks(), 0u);
+    }
+  }
 }
 
 // ---- Machine changes the engine did not make ---------------------------------

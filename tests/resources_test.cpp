@@ -25,9 +25,7 @@ using core::ResourceDim;
 using core::ResourceQuantities;
 // ResourceCapacities is an alias of std::array, so its free-function
 // operators are not found by ADL from this namespace.
-using core::operator+;
 using core::operator-;
-using core::operator+=;
 using core::operator-=;
 
 ResourceCapacities random_caps(sim::Rng& rng) {
@@ -46,29 +44,6 @@ ResourceQuantities random_quants(sim::Rng& rng, double hi = 16.0) {
 
 // ---- ResourceCapacities algebra ------------------------------------------------
 
-TEST(ResourceCapacitiesTest, AdditionIsComponentwise) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    sim::Rng rng(seed);
-    const ResourceCapacities a = random_caps(rng);
-    const ResourceCapacities b = random_caps(rng);
-    const ResourceCapacities sum = a + b;
-    for (std::size_t d = 0; d < kResourceDims; ++d) {
-      EXPECT_EQ(sum[d], a[d] + b[d]);
-    }
-  }
-}
-
-TEST(ResourceCapacitiesTest, AdditionCommutesAndAssociates) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    sim::Rng rng(seed);
-    const ResourceCapacities a = random_caps(rng);
-    const ResourceCapacities b = random_caps(rng);
-    const ResourceCapacities c = random_caps(rng);
-    EXPECT_EQ(a + b, b + a);
-    EXPECT_EQ((a + b) + c, a + (b + c));
-  }
-}
-
 TEST(ResourceCapacitiesTest, SubtractionSaturatesAtZero) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     sim::Rng rng(seed);
@@ -78,19 +53,6 @@ TEST(ResourceCapacitiesTest, SubtractionSaturatesAtZero) {
     for (std::size_t d = 0; d < kResourceDims; ++d) {
       EXPECT_EQ(diff[d], a[d] >= b[d] ? a[d] - b[d] : 0u);
     }
-  }
-}
-
-TEST(ResourceCapacitiesTest, SubtractThenAddRestoresWhenDominated) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    sim::Rng rng(seed);
-    const ResourceCapacities a = random_caps(rng);
-    ResourceCapacities b = random_caps(rng);
-    for (std::size_t d = 0; d < kResourceDims; ++d) {
-      b[d] = std::min(a[d], b[d]);
-      ASSERT_GE(a[d], b[d]);
-    }
-    EXPECT_EQ((a - b) + b, a);
   }
 }
 

@@ -181,7 +181,7 @@ std::optional<std::pair<infra::MachineId, double>> reference_earliest_finish(
   if (!planned.may_fit_anywhere(t.demand)) return std::nullopt;
   std::optional<std::pair<infra::MachineId, double>> best;
   double best_finish = std::numeric_limits<double>::max();
-  for (const infra::Machine* m : view.machines) {
+  for (const infra::Machine* m : planned.machines()) {
     if (!planned.fits(m->id(), t.demand)) continue;
     if (!placement_allows(view.running, t, m->id())) continue;
     const double finish = t.work_seconds / m->speed_factor();
@@ -225,14 +225,13 @@ TEST(PickMachineTest, ScoringFastPathMatchesLegacyOverload) {
       if (planned.fits(id, d)) planned.take(id, d);
     }
     SchedulerView view;
-    view.machines = machines;
     PlacementContext ctx;  // kNone
     view.placement = &ctx;
     for (int q = 0; q < 8; ++q) {
       const ReadyTask t = ready_task(infra::ResourceVector{
           0.25 + quarters(rng, 40), quarters(rng, 64), 0.0});
       for (Fit fit : {Fit::kFirst, Fit::kBest, Fit::kEarliestFinish}) {
-        const auto got = pick_machine(machines, planned, t, fit, view);
+        const auto got = pick_machine(planned, t, fit, view);
         if (fit == Fit::kEarliestFinish) {
           const auto want = reference_earliest_finish(view, planned, t);
           EXPECT_EQ(got, want ? std::optional(want->first) : std::nullopt)
@@ -260,13 +259,11 @@ TEST(PickMachineTest, EarliestFinishNeedsARunTimeBelowDblMax) {
   SchedulerView view;
   ReadyTask t = ready_task(infra::ResourceVector{1.0, 1.0, 0.0});
   t.work_seconds = std::numeric_limits<double>::infinity();
-  EXPECT_FALSE(
-      pick_machine(machines, planned, t, Fit::kEarliestFinish, view));
-  EXPECT_EQ(pick_machine(machines, planned, t, Fit::kFirst, view), 0u);
-  EXPECT_EQ(pick_machine(machines, planned, t, Fit::kBest, view), 0u);
+  EXPECT_FALSE(pick_machine(planned, t, Fit::kEarliestFinish, view));
+  EXPECT_EQ(pick_machine(planned, t, Fit::kFirst, view), 0u);
+  EXPECT_EQ(pick_machine(planned, t, Fit::kBest, view), 0u);
   t.work_seconds = 1e300;
-  EXPECT_EQ(pick_machine(machines, planned, t, Fit::kEarliestFinish, view),
-            0u);
+  EXPECT_EQ(pick_machine(planned, t, Fit::kEarliestFinish, view), 0u);
 }
 
 TEST(PickMachineTest, TieBreaksToLowestMachineId) {
@@ -280,7 +277,7 @@ TEST(PickMachineTest, TieBreaksToLowestMachineId) {
   ctx.score = NodeScorePolicy::kFreeShareVariance;
   view.placement = &ctx;
   const auto got = pick_machine(
-      machines, planned, ready_task(infra::ResourceVector{2.0, 8.0, 0.0}),
+      planned, ready_task(infra::ResourceVector{2.0, 8.0, 0.0}),
       Fit::kFirst, view);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 0u);
@@ -299,7 +296,7 @@ TEST(PickMachineTest, SquaredMinDeltaPacksTheFullerMachine) {
   ctx.score = NodeScorePolicy::kSquaredMinDelta;
   view.placement = &ctx;
   const auto got = pick_machine(
-      machines, planned, ready_task(infra::ResourceVector{2.0, 8.0, 0.0}),
+      planned, ready_task(infra::ResourceVector{2.0, 8.0, 0.0}),
       Fit::kFirst, view);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 0u);
@@ -317,7 +314,7 @@ TEST(PickMachineTest, VarianceAvoidsImbalancedMachine) {
   ctx.score = NodeScorePolicy::kFreeShareVariance;
   view.placement = &ctx;
   const auto got = pick_machine(
-      machines, planned, ready_task(infra::ResourceVector{1.0, 4.0, 0.0}),
+      planned, ready_task(infra::ResourceVector{1.0, 4.0, 0.0}),
       Fit::kFirst, view);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 1u);
@@ -333,12 +330,12 @@ TEST(PickMachineTest, ScoringSkipsMachinesWithoutRoom) {
   ctx.score = NodeScorePolicy::kSquaredMinDelta;
   view.placement = &ctx;
   const auto got = pick_machine(
-      machines, planned, ready_task(infra::ResourceVector{2.0, 4.0, 0.0}),
+      planned, ready_task(infra::ResourceVector{2.0, 4.0, 0.0}),
       Fit::kFirst, view);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 1u);
   planned.take(1, infra::ResourceVector{8.0, 0.0, 0.0});
-  EXPECT_FALSE(pick_machine(machines, planned,
+  EXPECT_FALSE(pick_machine(planned,
                             ready_task(infra::ResourceVector{2.0, 4.0, 0.0}),
                             Fit::kFirst, view)
                    .has_value());
@@ -369,7 +366,7 @@ TEST(ZoneMaskTest, PickMachineHonorsZoneFilter) {
   ReadyTask t = ready_task(infra::ResourceVector{2.0, 4.0, 0.0});
   t.zone_mask = mask;
   t.zone_words = 1;
-  const auto got = pick_machine(machines, planned, t, Fit::kFirst, view);
+  const auto got = pick_machine(planned, t, Fit::kFirst, view);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 2u);
 }
@@ -471,7 +468,7 @@ std::pair<sim::SimTime, infra::MachineId> naive_reservation_for(
     const ReadyTask& t, const SchedulerView& view) {
   sim::SimTime best_time = sim::kTimeInfinity;
   infra::MachineId best_machine = 0;
-  for (const infra::Machine* m : view.machines) {
+  for (const infra::Machine* m : view.planned->machines()) {
     if (!t.demand.fits_within(m->capacity())) continue;
     if (!machine_in_zone(t, m->id())) continue;
     // Sort this machine's running tasks by end time and release them
@@ -538,11 +535,12 @@ struct RandomView {
     view.now = 2 * sim::kSecond;
     view.ready = &ready;
     view.running = &running;
+    std::vector<const infra::Machine*> machines;
     for (const infra::Machine* m :
          static_cast<const infra::Datacenter&>(dc).machines()) {
-      if (!rng.chance(0.2)) view.machines.push_back(m);
+      if (!rng.chance(0.2)) machines.push_back(m);
     }
-    planned = PlannedCapacity(view.machines);
+    planned = PlannedCapacity(std::move(machines));
     view.planned = &planned;
     mask[0] = static_cast<std::uint64_t>(rng.uniform_int(0, 1023));
   }
@@ -645,14 +643,14 @@ sim::SimTime expected_end(const SchedulerView& view,
 /// that fit but were refused to protect the head's reservation.
 std::vector<Assignment> reference_easy(const SchedulerView& view,
                                        std::size_t& turned_away) {
-  PlannedCapacity planned(view.machines);
+  PlannedCapacity planned(view.planned->machines());
   const std::vector<ReadyQueue::Handle> order = fcfs_order(*view.ready);
   std::vector<Assignment> out;
   std::size_t head_pos = 0;
   // Greedily start the FCFS prefix.
   while (head_pos < order.size()) {
     const ReadyTask& t = (*view.ready)[order[head_pos]];
-    auto m = pick_machine(view.machines, planned, t, Fit::kFirst, view);
+    auto m = pick_machine(planned, t, Fit::kFirst, view);
     if (!m) break;
     planned.take(*m, t.demand);
     out.push_back(Assignment{order[head_pos], *m});
@@ -665,7 +663,7 @@ std::vector<Assignment> reference_easy(const SchedulerView& view,
       naive_reservation_for((*view.ready)[order[head_pos]], view);
   for (std::size_t p = head_pos + 1; p < order.size(); ++p) {
     const ReadyTask& t = (*view.ready)[order[p]];
-    auto m = pick_machine(view.machines, planned, t, Fit::kFirst, view);
+    auto m = pick_machine(planned, t, Fit::kFirst, view);
     if (!m) continue;
     if (expected_end(view, planned, t, *m) <= shadow ||
         *m != reserved_machine) {
@@ -683,12 +681,12 @@ std::vector<Assignment> reference_easy(const SchedulerView& view,
 /// only if it ends by the earliest reservation on its machine.
 std::vector<Assignment> reference_conservative(const SchedulerView& view,
                                                std::size_t& turned_away) {
-  PlannedCapacity planned(view.machines);
+  PlannedCapacity planned(view.planned->machines());
   std::map<infra::MachineId, sim::SimTime> reservation_at;
   std::vector<Assignment> out;
   for (const ReadyQueue::Handle h : fcfs_order(*view.ready)) {
     const ReadyTask& t = (*view.ready)[h];
-    if (auto m = pick_machine(view.machines, planned, t, Fit::kFirst, view)) {
+    if (auto m = pick_machine(planned, t, Fit::kFirst, view)) {
       const auto r = reservation_at.find(*m);
       if (r == reservation_at.end() ||
           expected_end(view, planned, t, *m) <= r->second) {
@@ -797,7 +795,7 @@ infra::ResourceVector min_demand(const ReadyQueue& ready) {
 std::vector<Assignment> reference_ordered(const SchedulerView& view,
                                           ViewOrder order, Fit fit,
                                           std::size_t depth) {
-  PlannedCapacity planned(view.machines);
+  PlannedCapacity planned(view.planned->machines());
   const infra::ResourceVector floor = min_demand(*view.ready);
   if (!planned.may_fit_anywhere(floor)) return {};
   std::optional<ReleaseProfile> profile;
@@ -807,7 +805,7 @@ std::vector<Assignment> reference_ordered(const SchedulerView& view,
   for (const ReadyQueue::Handle h : sorted_order(view, order)) {
     if (!planned.may_fit_anywhere(floor)) break;
     const ReadyTask& t = (*view.ready)[h];
-    const auto m = pick_machine(view.machines, planned, t, fit, view);
+    const auto m = pick_machine(planned, t, fit, view);
     if (m && (granted == 0 ||
               expected_end(view, planned, t, *m) <= reservation_at[*m])) {
       planned.take(*m, t.demand);
@@ -829,7 +827,7 @@ std::vector<Assignment> reference_ordered(const SchedulerView& view,
 /// HEFT as it ran on a per-round sort: highest upward rank first, each task
 /// on the admitting machine that finishes it first (ties to the lowest id).
 std::vector<Assignment> reference_heft(const SchedulerView& view) {
-  PlannedCapacity planned(view.machines);
+  PlannedCapacity planned(view.planned->machines());
   const infra::ResourceVector floor = min_demand(*view.ready);
   if (!planned.may_fit_anywhere(floor)) return {};
   std::vector<Assignment> out;
@@ -851,7 +849,7 @@ std::vector<Assignment> reference_heft(const SchedulerView& view) {
 /// oldest task.
 std::vector<Assignment> reference_min_min(const SchedulerView& view,
                                           bool max_first) {
-  PlannedCapacity planned(view.machines);
+  PlannedCapacity planned(view.planned->machines());
   const ReadyQueue& queue = *view.ready;
   const std::vector<ReadyQueue::Handle>& queued = queue.handles();
   std::vector<bool> taken(queued.size(), false);
@@ -886,7 +884,7 @@ std::vector<Assignment> reference_min_min(const SchedulerView& view,
 /// order, so a missing or extra draw shows in a later round.
 std::vector<Assignment> reference_random(const SchedulerView& view,
                                          sim::Rng& rng) {
-  PlannedCapacity planned(view.machines);
+  PlannedCapacity planned(view.planned->machines());
   const ReadyQueue& queue = *view.ready;
   std::vector<ReadyQueue::Handle> order = queue.handles();
   rng.shuffle(order);
@@ -895,7 +893,7 @@ std::vector<Assignment> reference_random(const SchedulerView& view,
     const ReadyTask& t = queue[h];
     if (!planned.may_fit_anywhere(t.demand)) continue;
     std::vector<infra::MachineId> options;
-    for (const infra::Machine* m : view.machines) {
+    for (const infra::Machine* m : planned.machines()) {
       if (planned.fits(m->id(), t.demand) &&
           placement_allows(view.running, t, m->id())) {
         options.push_back(m->id());
@@ -1079,8 +1077,7 @@ TEST(ReleaseProfileTest, SaturatedFloorProposesNothingUnderEveryPolicy) {
   }
   SchedulerView view;
   view.ready = &ready;
-  view.machines = static_cast<const infra::Datacenter&>(dc).machines();
-  PlannedCapacity planned(view.machines);
+  PlannedCapacity planned(static_cast<const infra::Datacenter&>(dc).machines());
   view.planned = &planned;
   view.running = &running;
   for (const std::string& name : all_policy_names()) {
@@ -1106,7 +1103,7 @@ TEST(BorrowedPlanTest, DecideLeavesThePlannedCapacityAsItFoundIt) {
     RandomView rv(seed);
     rv.refill_ready();
     std::vector<infra::ResourceVector> rows;
-    for (const infra::Machine* m : rv.view.machines) {
+    for (const infra::Machine* m : rv.planned.machines()) {
       rows.push_back(rv.planned.free_on(m->id()));
     }
     for (const std::string& name : all_policy_names()) {
@@ -1115,7 +1112,7 @@ TEST(BorrowedPlanTest, DecideLeavesThePlannedCapacityAsItFoundIt) {
       EXPECT_EQ(as_pairs(first), as_pairs(second))
           << name << " seed " << seed;
       for (std::size_t i = 0; i < rows.size(); ++i) {
-        ASSERT_EQ(rv.planned.free_on(rv.view.machines[i]->id()), rows[i])
+        ASSERT_EQ(rv.planned.free_on(rv.planned.machines()[i]->id()), rows[i])
             << name << " seed " << seed;
       }
       placed += first.size();
@@ -1125,14 +1122,12 @@ TEST(BorrowedPlanTest, DecideLeavesThePlannedCapacityAsItFoundIt) {
 }
 
 TEST(BorrowedPlanTest, DecideRejectsAViewWithoutPlannedCapacity) {
-  auto dc = make_zoned_dc(2, 0);
   ReadyQueue ready;
   (void)ready.push(ready_task(infra::ResourceVector{1.0, 1.0, 0.0}));
   const RunningSet running;
   SchedulerView view;
   view.ready = &ready;
   view.running = &running;
-  view.machines = static_cast<const infra::Datacenter&>(dc).machines();
   for (const std::string& name : all_policy_names()) {
     EXPECT_THROW((void)make_policy(name)->decide(view), std::invalid_argument)
         << name;
