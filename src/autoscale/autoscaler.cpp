@@ -246,12 +246,10 @@ AutoscaleRunResult run_autoscaled(infra::Datacenter& dc,
                                   const AutoscaleRunConfig& config) {
   if (!autoscaler) throw std::invalid_argument("run_autoscaled: null scaler");
   sim::Simulator sim;
-  auto policy = config.allocation_policy.empty()
-                    ? sched::make_fcfs()
-                    : sched::make_policy(config.allocation_policy);
-  sched::ExecutionEngine engine(sim, dc, std::move(policy), config.engine);
+  sched::ExecutionEngine engine(sim, dc, sched::make_fcfs(), config.engine);
   sched::ProvisionedPool pool(sim, dc, engine, config.provisioning);
-  pool.start_with(config.min_machines);
+  const std::size_t min_machines = config.provisioning.min_machines;
+  pool.start_with(min_machines);
 
   const double cores_per_machine =
       dc.machine_count() == 0 ? 1.0 : dc.machine(0).capacity().cpu();
@@ -306,11 +304,9 @@ AutoscaleRunResult run_autoscaled(infra::Datacenter& dc,
 
     AutoscaleContext ctx;
     ctx.now = sim.now();
-    ctx.interval = config.interval;
     ctx.demand_machines = demand_m;
     ctx.demand_history = &demand_history;
     ctx.supply_machines = pool.active();
-    ctx.min_machines = config.min_machines;
     ctx.max_machines = config.max_machines;
     ctx.pending_work_machine_seconds =
         engine.pending_work_core_seconds() / cores_per_machine;
@@ -319,8 +315,7 @@ AutoscaleRunResult run_autoscaled(infra::Datacenter& dc,
     ctx.mean_task_cores = mean_task_cores;
 
     const std::size_t target = std::clamp(autoscaler->decide(ctx),
-                                          config.min_machines,
-                                          config.max_machines);
+                                          min_machines, config.max_machines);
     const std::size_t supply_before = pool.active();
     pool.set_target(target);
     if (tracer != nullptr) {

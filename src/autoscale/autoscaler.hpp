@@ -35,13 +35,11 @@ namespace mcs::autoscale {
 
 struct AutoscaleContext {
   sim::SimTime now = 0;
-  sim::SimTime interval = 30 * sim::kSecond;
   /// Instantaneous demand expressed in machines.
   double demand_machines = 0.0;
   /// Demand history: one sample per past tick (machines).
   const std::vector<double>* demand_history = nullptr;
   std::size_t supply_machines = 0;
-  std::size_t min_machines = 1;
   std::size_t max_machines = 1;
   // Workflow-aware signals (engine-provided).
   double pending_work_machine_seconds = 0.0;
@@ -82,13 +80,12 @@ class Autoscaler {
 
 // ---- the runner ---------------------------------------------------------------
 
+/// The engine places tasks first-come first-served; the pool never shrinks
+/// below provisioning.min_machines, where it also starts.
 struct AutoscaleRunConfig {
   sim::SimTime interval = 30 * sim::kSecond;
-  std::size_t min_machines = 1;
   std::size_t max_machines = 64;
   sched::ProvisioningConfig provisioning;
-  /// Allocation policy for the engine ("" = FCFS).
-  std::string allocation_policy;
   /// Observability (DESIGN.md §11), both optional: the tracer receives the
   /// engine's lifecycle events plus per-tick `autoscale.decision` instants
   /// and demand/supply/target counter samples; the registry receives
@@ -116,7 +113,7 @@ struct AutoscaleRunResult {
 };
 
 /// Runs the workload on `dc` under the autoscaler; the pool starts at
-/// min_machines. Returns elasticity + scheduling metrics.
+/// provisioning.min_machines. Returns elasticity + scheduling metrics.
 [[nodiscard]] AutoscaleRunResult run_autoscaled(
     infra::Datacenter& dc, std::vector<workload::Job> jobs,
     std::unique_ptr<Autoscaler> autoscaler, const AutoscaleRunConfig& config);

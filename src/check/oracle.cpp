@@ -11,6 +11,9 @@ namespace mcs::check {
 
 namespace {
 
+/// Floating-point slack for the I4 capacity comparisons.
+constexpr double kCapacityEpsilon = 1e-6;
+
 /// True when the comma-separated zone list names `zone`. Mirrors the
 /// parsing in LabelFilterCache::mask_for but stays independent of it: the
 /// oracle re-derives placement legality from the job's declared zones.
@@ -311,7 +314,6 @@ void InvariantChecker::verify(const sched::ExecutionEngine& e,
   // I4: per-machine capacity sanity (and exclusive-allocation accounting),
   // checked in every resource dimension of the vector. Machines added after
   // attach() start undrained in the shadow, as they do in the engine.
-  const double eps = options_.epsilon;
   if (shadow_drain_.size() < dc_.machine_count()) {
     // mcs-lint: allow(H3) — grows once per machine added after attach().
     shadow_drain_.resize(dc_.machine_count(), 0);
@@ -353,11 +355,11 @@ void InvariantChecker::verify(const sched::ExecutionEngine& e,
     const infra::ResourceVector& cap = m.capacity();
     for (std::size_t d = 0; d < core::kResourceDims; ++d) {
       const char* dim = core::to_string(static_cast<core::ResourceDim>(d));
-      if (used[d] < -eps) {
+      if (used[d] < -kCapacityEpsilon) {
         fail("I4 capacity", where,
              "machine " + std::to_string(id) + " has negative used " + dim);
       }
-      if (used[d] > cap[d] + eps) {
+      if (used[d] > cap[d] + kCapacityEpsilon) {
         fail("I4 capacity", where,
              "machine " + std::to_string(id) + " used " + dim +
                  " exceeds capacity (" + std::to_string(used[d]) + " > " +
@@ -367,7 +369,7 @@ void InvariantChecker::verify(const sched::ExecutionEngine& e,
     if (options_.exclusive_allocation && m.usable()) {
       for (std::size_t d = 0; d < core::kResourceDims; ++d) {
         const double held = held_dims_[id * core::kResourceDims + d];
-        if (std::abs(used[d] - held) > eps) {
+        if (std::abs(used[d] - held) > kCapacityEpsilon) {
           fail("I4 capacity", where,
                "machine " + std::to_string(id) + ": used " +
                    core::to_string(static_cast<core::ResourceDim>(d)) +
@@ -383,9 +385,9 @@ void InvariantChecker::verify(const sched::ExecutionEngine& e,
                  " live allocations but the engine holds " +
                  std::to_string(held_count_[id]) + " running tasks");
       }
-      // Exactly zero, not within eps, in every dimension: fractional
-      // demands must not leave floating-point residue behind once a
-      // machine is idle — 1e-16 leftover cores starve
+      // Exactly zero, not within kCapacityEpsilon, in every dimension:
+      // fractional demands must not leave floating-point residue behind
+      // once a machine is idle — 1e-16 leftover cores starve
       // exactly-full-machine demands forever (the full_machine_fp_residue
       // repro).
       if (held_count_[id] == 0) {

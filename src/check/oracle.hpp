@@ -100,8 +100,6 @@ class InvariantChecker final : public sched::EngineObserver,
     /// on the datacenter, so I4 additionally requires used == sum of held
     /// resources of the engine's running tasks per usable machine.
     bool exclusive_allocation = false;
-    /// Floating-point slack for capacity comparisons.
-    double epsilon = 1e-6;
   };
 
   InvariantChecker(sim::Simulator& sim, const infra::Datacenter& dc)

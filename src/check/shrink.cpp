@@ -6,6 +6,12 @@ namespace mcs::check {
 
 namespace {
 
+/// Full passes over all shrink dimensions; stops early at a fixed point.
+constexpr std::size_t kMaxRounds = 6;
+/// Upper bound for bisecting failure_limit when the trace size is unknown
+/// (limits beyond the trace length are no-ops).
+constexpr std::size_t kFailureProbeCap = 4096;
+
 /// Shrink session state threaded through the passes.
 struct Session {
   ScenarioSpec best;
@@ -53,7 +59,7 @@ void bisect_down(Session& s, std::size_t hi, Set set) {
 
 }  // namespace
 
-ShrinkResult shrink(const ScenarioSpec& spec, const ShrinkOptions& opt) {
+ShrinkResult shrink(const ScenarioSpec& spec) {
   Session s;
   s.best = spec;
   s.best_result = run_spec(spec);
@@ -68,7 +74,7 @@ ShrinkResult shrink(const ScenarioSpec& spec, const ShrinkOptions& opt) {
   }
   out.failing = true;
 
-  for (std::size_t round = 0; round < opt.max_rounds; ++round) {
+  for (std::size_t round = 0; round < kMaxRounds; ++round) {
     const std::size_t accepted_before = s.accepted;
 
     // 1. Fewer jobs: smallest failing earliest-arrival prefix of the trace.
@@ -77,7 +83,7 @@ ShrinkResult shrink(const ScenarioSpec& spec, const ShrinkOptions& opt) {
 
     // 2. Fewer failure events (prefix of the failure trace).
     if (s.best.failures_enabled) {
-      bisect_down(s, opt.failure_probe_cap,
+      bisect_down(s, kFailureProbeCap,
                   [](ScenarioSpec& c, std::size_t v) { c.failure_limit = v; });
     }
 

@@ -18,14 +18,6 @@
 
 namespace mcs::check {
 
-struct ShrinkOptions {
-  /// Full passes over all shrink dimensions; stops early at a fixed point.
-  std::size_t max_rounds = 6;
-  /// Upper bound for bisecting failure_limit when the trace size is
-  /// unknown (limits beyond the trace length are no-ops).
-  std::size_t failure_probe_cap = 4096;
-};
-
 struct ShrinkResult {
   ScenarioSpec spec;     ///< smallest failing spec found
   SeedRunResult result;  ///< the run of that spec (holds the violation)
@@ -36,7 +28,6 @@ struct ShrinkResult {
 
 /// Shrinks a failing spec. If `spec` does not fail when run, returns
 /// immediately with failing=false and the passing result.
-[[nodiscard]] ShrinkResult shrink(const ScenarioSpec& spec,
-                                  const ShrinkOptions& opt = {});
+[[nodiscard]] ShrinkResult shrink(const ScenarioSpec& spec);
 
 }  // namespace mcs::check

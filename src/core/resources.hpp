@@ -1,15 +1,11 @@
 // Fixed-K resource vectors: the capacity/demand currency of the stack (C4).
 //
-// Two types, mirroring the YT/YP scheduler split the ROADMAP points at:
-//
-//  - `ResourceCapacities` — declared machine/pod *shapes* as integral units
-//    (`std::array<uint64_t, K>`) with an exact YT-style saturating
-//    subtraction. Nothing outside its unit test uses it yet.
-//  - `ResourceQuantities` — runtime *bookkeeping* as doubles, because live
-//    demands are fractional (memory per core is a continuous knob, FaaS
-//    functions hold fractions of a GiB). `infra::ResourceVector` is an
-//    alias of this type; its double arithmetic is bit-identical to the old
-//    scalar-struct implementation, which the pre-PR digest goldens pin.
+// `ResourceQuantities` is the one vector type: capacities, demands and free
+// capacity alike, as doubles, because live demands are fractional (memory
+// per core is a continuous knob, FaaS functions hold fractions of a GiB).
+// `infra::ResourceVector` is an alias of it; its double arithmetic is
+// bit-identical to the old scalar-struct implementation, which the digest
+// goldens pin.
 //
 // K = 4: cpu (cores), mem (GiB), gpu (accelerator count), net (Gbps).
 // Legacy three-resource call sites simply leave net at zero.
@@ -38,22 +34,6 @@ enum class ResourceDim : std::uint8_t { kCpu = 0, kMem = 1, kGpu = 2, kNet = 3 }
     case ResourceDim::kNet: return "net";
   }
   return "?";
-}
-
-/// Declared integral resource shape (whole cores / GiB / devices / Gbps).
-using ResourceCapacities = std::array<std::uint64_t, kResourceDims>;
-
-/// Componentwise saturating subtraction (free capacity never goes negative).
-constexpr ResourceCapacities& operator-=(ResourceCapacities& a,
-                                         const ResourceCapacities& b) {
-  for (std::size_t d = 0; d < kResourceDims; ++d) {
-    a[d] = a[d] >= b[d] ? a[d] - b[d] : 0;
-  }
-  return a;
-}
-constexpr ResourceCapacities operator-(ResourceCapacities a,
-                                       const ResourceCapacities& b) {
-  return a -= b;
 }
 
 /// Runtime resource amounts. Array-backed so allocators and oracles can loop

@@ -7,9 +7,9 @@
 
 namespace mcs::exp {
 
-CellObs::CellObs(const SweepCli& cli, std::size_t ring) {
+CellObs::CellObs(const SweepCli& cli) {
   if (cli.trace() || cli.metrics || cli.report() || cli.slo()) {
-    tracer_.emplace(ring);
+    tracer_.emplace(kRingEvents);
   }
   if (cli.slo()) slo_specs_ = obs::parse_slo_specs(cli.slo_spec);
 }

@@ -39,9 +39,8 @@ namespace mcs::exp {
 class CellObs {
  public:
   /// Tracing/metrics/reporting/SLO activate when the CLI asked for any of
-  /// them; `ring` bounds the per-cell event ring (flight-recorder
-  /// overwrite beyond).
-  explicit CellObs(const SweepCli& cli, std::size_t ring = 1 << 16);
+  /// them.
+  explicit CellObs(const SweepCli& cli);
 
   /// The cell tracer, or nullptr when observability is off — pass
   /// straight to ExecutionEngine::set_tracer / attach_observability.
@@ -65,6 +64,9 @@ class CellObs {
   struct ObsCapture capture(const obs::Registry* registry, bool exemplar);
 
  private:
+  /// Events the per-cell ring holds (flight-recorder overwrite beyond).
+  static constexpr std::size_t kRingEvents = std::size_t{1} << 16;
+
   std::optional<obs::Tracer> tracer_;
   std::vector<obs::SloSpec> slo_specs_;
   std::unique_ptr<obs::SloTracker> slo_;

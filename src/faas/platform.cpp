@@ -6,6 +6,13 @@ namespace mcs::faas {
 
 namespace {
 
+/// Instances of one function alive at once, busy or warm.
+constexpr std::size_t kMaxInstancesPerFunction = 200;
+/// Management-layer routing overhead per request.
+constexpr double kRoutingMs = 0.5;
+/// Orchestration-layer placement overhead per new instance.
+constexpr double kOrchestrationMs = 2.0;
+
 infra::ResourceVector memory_only(double mb) {
   return infra::ResourceVector{0.0, mb / 1024.0, 0.0};
 }
@@ -38,7 +45,7 @@ FaasPlatform::Instance* FaasPlatform::create_instance(
   for (const auto& [id, inst] : instances_) {
     if (inst.function == spec.name) ++existing;
   }
-  if (existing >= config_.max_instances_per_function) return nullptr;
+  if (existing >= kMaxInstancesPerFunction) return nullptr;
 
   // Resource Orchestration: first machine with enough free memory.
   for (infra::Machine* m : dc_.machines()) {
@@ -81,9 +88,9 @@ void FaasPlatform::start_execution(Instance& inst, const FunctionSpec& spec,
                                    Callback done) {
   inst.busy = true;
   const double queue_wait = sim::to_seconds(sim_.now() - queued_since);
-  double latency = queue_wait + config_.routing_ms / 1000.0;
+  double latency = queue_wait + kRoutingMs / 1000.0;
   if (cold) {
-    latency += config_.orchestration_ms / 1000.0 + spec.cold_start_seconds;
+    latency += kOrchestrationMs / 1000.0 + spec.cold_start_seconds;
   }
   latency += rng_.lognormal_mean_cv(spec.mean_exec_seconds, spec.cv_exec);
 

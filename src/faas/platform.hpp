@@ -43,11 +43,6 @@ class FaasPlatform {
  public:
   struct Config {
     sim::SimTime keep_alive = 10 * sim::kMinute;
-    std::size_t max_instances_per_function = 200;
-    /// Management-layer routing overhead per request.
-    double routing_ms = 0.5;
-    /// Orchestration-layer placement overhead per new instance.
-    double orchestration_ms = 2.0;
   };
 
   FaasPlatform(sim::Simulator& sim, infra::Datacenter& dc, Config config,

@@ -29,7 +29,7 @@ Machine::Machine(MachineId id, std::string name, ResourceVector capacity,
 }
 
 bool Machine::can_fit(const ResourceVector& r) const {
-  return usable() && (used_ + r).fits_within(capacity_);
+  return usable() && r.fits_within(available());
 }
 
 void Machine::allocate(const ResourceVector& r) {

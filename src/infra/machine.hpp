@@ -55,7 +55,8 @@ class Machine {
   [[nodiscard]] MachineState state() const { return state_; }
   [[nodiscard]] bool usable() const { return state_ == MachineState::kOperational; }
 
-  /// True when `r` fits in the remaining capacity of an operational machine.
+  /// True when `r` fits within available() of an operational machine: the
+  /// test a planned row applies (sched::PlannedCapacity::fits).
   [[nodiscard]] bool can_fit(const ResourceVector& r) const;
 
   /// Claims resources; throws std::logic_error when they do not fit.

@@ -43,7 +43,6 @@ DatacenterStack::DatacenterStack(sim::Simulator& sim, infra::Datacenter& dc,
   pool_ = std::make_unique<ProvisionedPool>(sim_, dc_, *engine_,
                                             config.provisioning);
   pool_->start_with(config.initial_machines);
-  monitor_interval_ = config.monitor_interval;
 }
 
 void DatacenterStack::submit(workload::Job job) {
@@ -66,9 +65,9 @@ void DatacenterStack::start_monitoring(sim::SimTime until) {
                   return supply <= 0.0 ? 0.0
                                        : engine_->demand_cores() / supply;
                 },
-                monitor_interval_, until);
+                kMonitorInterval, until);
   ops_->monitor("power_watts", [this] { return dc_.power_watts(); },
-                monitor_interval_, until);
+                kMonitorInterval, until);
 }
 
 std::vector<LayerActivity> DatacenterStack::activity() const {

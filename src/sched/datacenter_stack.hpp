@@ -65,7 +65,6 @@ class DatacenterStack {
     std::size_t initial_machines = 8;
     ProvisioningConfig provisioning;
     EngineConfig engine;
-    sim::SimTime monitor_interval = 30 * sim::kSecond;
   };
 
   DatacenterStack(sim::Simulator& sim, infra::Datacenter& dc,
@@ -98,7 +97,8 @@ class DatacenterStack {
   std::uint64_t frontend_ops_ = 0;             // layer 5: front-end
   std::uint64_t resources_ops_ = 0;
   std::uint64_t devops_ops_ = 0;               // layer 6: devops
-  sim::SimTime monitor_interval_ = 30 * sim::kSecond;
+  /// How often start_monitoring samples its gauges.
+  static constexpr sim::SimTime kMonitorInterval = 30 * sim::kSecond;
 };
 
 }  // namespace mcs::sched

@@ -192,12 +192,6 @@ void ExecutionEngine::set_policy(std::unique_ptr<AllocationPolicy> policy) {
 bool ExecutionEngine::demand_satisfiable(
     const infra::ResourceVector& demand,
     const std::vector<std::uint64_t>* zone_mask) const {
-  // Memory can be partially borrowed when scavenging is on; cores and
-  // accelerators cannot.
-  const double needed_memory =
-      config_.scavenging.enabled
-          ? demand.mem() * (1.0 - config_.scavenging.max_borrow_fraction)
-          : demand.mem();
   ReadyTask zone;  // carries only the zone filter machine_in_zone reads
   if (zone_mask != nullptr) {
     // A mask built before the fleet had machines admits none (empty vector
@@ -208,10 +202,8 @@ bool ExecutionEngine::demand_satisfiable(
   }
   const std::size_t machine_count = dc_.machine_count();
   for (std::uint32_t id = 0; id < machine_count; ++id) {
-    if (!machine_in_zone(zone, id)) continue;
-    const infra::ResourceVector& cap = dc_.machine(id).capacity();
-    if (demand.cpu() <= cap.cpu() && needed_memory <= cap.mem() &&
-        demand.gpu() <= cap.gpu() && demand.net() <= cap.net()) {
+    if (machine_in_zone(zone, id) &&
+        admit(demand, dc_.machine(id).capacity(), config_.scavenging)) {
       return true;
     }
   }
@@ -358,18 +350,23 @@ void ExecutionEngine::try_schedule() {
     for (std::size_t i = 0; i < starts_scratch_.size(); ++i) {
       const Start& s = starts_scratch_[i];
       if (i > 0 && s.seq == starts_scratch_[i - 1].seq) continue;
-      if (start_task(s.assignment.task, s.assignment.machine)) progress = true;
+      const Assignment& a = s.assignment;
+      if (const auto admission = admits(ready_[a.task], a.machine)) {
+        start_task(a.task, a.machine, *admission);
+        progress = true;
+      }
     }
 
     // Scavenging fallback (C7, [118]): policies only propose placements
-    // that fit whole; when nothing fits and scavenging is on, try each
-    // ready task directly, newest first — start_task itself knows how to
-    // borrow memory.
+    // that fit whole; when nothing fits and scavenging is on, probe each
+    // ready task, newest first, on every planned machine, and start the
+    // first pair admits() takes, borrowing memory if it must.
     if (!progress && config_.scavenging.enabled) {
       const std::vector<ReadyQueue::Handle>& queued = ready_.handles();
       for (std::size_t i = queued.size(); i-- > 0 && !progress;) {
         for (const infra::Machine* m : planned_.machines()) {
-          if (start_task(queued[i], m->id())) {
+          if (const auto admission = admits(ready_[queued[i]], m->id())) {
+            start_task(queued[i], m->id(), *admission);
             progress = true;
             break;
           }
@@ -380,49 +377,43 @@ void ExecutionEngine::try_schedule() {
 }
 
 // mcs-lint: hot
-bool ExecutionEngine::start_task(ReadyQueue::Handle task,
-                                 infra::MachineId machine_id) {
-  const ReadyTask rt = ready_[task];
-  infra::Machine& m = dc_.machine(machine_id);
-  if (!m.usable() || is_draining(machine_id)) return false;
+std::optional<Admission> admit(const infra::ResourceVector& demand,
+                               const infra::ResourceVector& free,
+                               const ScavengingConfig& scavenging) {
+  if (demand.fits_within(free)) return Admission{demand, 1.0, false};
+  // Memory scavenging (C7, [118]): the task holds what memory is free and
+  // borrows the rest. Every other dimension, net included, must fit whole;
+  // past that test only memory was short, so demand.mem() > held.mem() >= 0.
+  infra::ResourceVector held = demand;
+  held.mem() = std::max(free.mem(), 0.0);
+  if (!scavenging.enabled || !held.fits_within(free)) return std::nullopt;
+  const double borrowed = (demand.mem() - held.mem()) / demand.mem();
+  if (borrowed > scavenging.max_borrow_fraction) return std::nullopt;
+  return Admission{held, 1.0 + scavenging.penalty * borrowed, true};
+}
+
+// mcs-lint: hot
+std::optional<Admission> ExecutionEngine::admits(const ReadyTask& rt,
+                                                 infra::MachineId id) const {
+  const infra::Machine& m = dc_.machine(id);
   // Zone and anti-affinity against the live set: a round's own proposals
   // count once they start, so a second task of one job can be refused here.
-  if (!placement_allows(&running_, rt, machine_id)) return false;
-
-  infra::ResourceVector held = rt.demand;
-  double runtime_multiplier = 1.0;
-
-  if (!m.can_fit(held)) {
-    // Memory scavenging (C7, [118]): run with partial local memory when
-    // enabled and only memory is short.
-    const auto avail = m.available();
-    const bool cores_ok = held.cpu() <= avail.cpu() &&
-                          held.gpu() <= avail.gpu();
-    if (config_.scavenging.enabled && cores_ok &&
-        held.mem() > avail.mem()) {
-      const double local = std::max(avail.mem(), 0.0);
-      const double borrowed_fraction =
-          held.mem() <= 0.0
-              ? 0.0
-              : (held.mem() - local) / held.mem();
-      held.mem() = local;
-      // Only memory is borrowed: every other dimension, net included, must
-      // fit as allocate() checks it.
-      if (borrowed_fraction <= config_.scavenging.max_borrow_fraction &&
-          m.can_fit(held)) {
-        runtime_multiplier = 1.0 + config_.scavenging.penalty * borrowed_fraction;
-        ctr_tasks_scavenged_->add();
-      } else {
-        return false;
-      }
-    } else {
-      return false;
-    }
+  if (!m.usable() || is_draining(id) || !placement_allows(&running_, rt, id)) {
+    return std::nullopt;
   }
+  return admit(rt.demand, m.available(), config_.scavenging);
+}
 
-  m.allocate(held);
+// mcs-lint: hot
+void ExecutionEngine::start_task(ReadyQueue::Handle task,
+                                 infra::MachineId machine_id,
+                                 const Admission& admission) {
+  const ReadyTask rt = ready_[task];
+  infra::Machine& m = dc_.machine(machine_id);
+  m.allocate(admission.held);
   own_change(machine_id);
   ready_.erase(task);
+  if (admission.borrowed) ctr_tasks_scavenged_->add();
 
   JobSlot& jr = jobs_[rt.job_slot];
   if (!jr.started) {
@@ -454,13 +445,14 @@ bool ExecutionEngine::start_task(ReadyQueue::Handle task,
   }
 
   const double runtime_s =
-      rt.work_seconds * runtime_multiplier / m.speed_factor();
+      rt.work_seconds * admission.runtime_multiplier / m.speed_factor();
   const sim::SimTime end = sim::saturating_add(
       sim_.now(), std::max<sim::SimTime>(sim::from_seconds(runtime_s), 1));
 
   const std::uint32_t key = running_.add(
       RunningTask{rt.job_slot, static_cast<std::uint32_t>(rt.task_index),
-                  machine_id, sim_.now(), end, held, rt.work_seconds, {}});
+                  machine_id, sim_.now(), end, admission.held, rt.work_seconds,
+                  {}});
   const std::uint32_t gen = running_.gen(key);
   running_[key].completion = sim_.schedule_at(end, [this, key, gen] {
     finish_task(key, gen);
@@ -472,7 +464,6 @@ bool ExecutionEngine::start_task(ReadyQueue::Handle task,
                      static_cast<std::int64_t>(rt.task_index));
   }
   notify(EngineTransition::kTaskStarted, machine_id);
-  return true;
 }
 
 // mcs-lint: hot

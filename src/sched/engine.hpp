@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -98,6 +99,24 @@ struct ScavengingConfig {
   /// Runtime multiplier is 1 + penalty * borrowed_fraction.
   double penalty = 0.6;
 };
+
+/// How a task starts: what it holds on its machine, how much slower it runs
+/// there, and whether part of its memory is remote (a start that counts in
+/// tasks.scavenged, at a penalty of 0 too).
+struct Admission {
+  infra::ResourceVector held;
+  double runtime_multiplier = 1.0;
+  bool borrowed = false;
+};
+
+/// The one admission rule (DESIGN.md §9), pure: how a task with `demand`
+/// would start within `free`. Whole if it fits; else, with scavenging on
+/// and only memory short, on the local memory, borrowing the rest (at most
+/// max_borrow_fraction of it) for a runtime multiplier of 1 + penalty *
+/// that fraction; else not at all.
+[[nodiscard]] std::optional<Admission> admit(
+    const infra::ResourceVector& demand, const infra::ResourceVector& free,
+    const ScavengingConfig& scavenging);
 
 struct EngineConfig {
   bool record_series = true;      ///< ignored: the engine records no series
@@ -296,8 +315,8 @@ class ExecutionEngine {
   };
 
   void arrive(std::uint32_t job_slot);
-  /// True when some machine's *total* capacity covers `demand` (granting
-  /// maximal memory scavenging), restricted to `zone_mask` when non-null.
+  /// True when admit() starts `demand` within some machine's *total*
+  /// capacity, restricted to `zone_mask` when non-null.
   [[nodiscard]] bool demand_satisfiable(
       const infra::ResourceVector& demand,
       const std::vector<std::uint64_t>* zone_mask) const;
@@ -318,7 +337,15 @@ class ExecutionEngine {
   /// Books an allocate or release this engine just made on machine `id`:
   /// one expected mutation, and its planned row re-read.
   void own_change(infra::MachineId id);
-  bool start_task(ReadyQueue::Handle task, infra::MachineId machine);
+  /// How ready task `rt` would start on machine `id` now: not at all on a
+  /// machine that is unusable, draining or outside its placement, else as
+  /// admit() says within the machine's available capacity. Reads only.
+  [[nodiscard]] std::optional<Admission> admits(const ReadyTask& rt,
+                                                infra::MachineId id) const;
+  /// Starts queued task `task` on `machine` as `admission` says; admits()
+  /// returned it for the pair at this instant.
+  void start_task(ReadyQueue::Handle task, infra::MachineId machine,
+                  const Admission& admission);
   void finish_task(std::uint32_t key, std::uint32_t gen);
   void complete_job(std::uint32_t job_slot, bool abandoned);
   [[nodiscard]] std::uint32_t intern_user(const std::string& name);

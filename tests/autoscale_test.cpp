@@ -12,7 +12,6 @@ AutoscaleContext ctx_with_demand(double demand, std::size_t supply = 4,
   AutoscaleContext ctx;
   ctx.demand_machines = demand;
   ctx.supply_machines = supply;
-  ctx.min_machines = 1;
   ctx.max_machines = 64;
   ctx.demand_history = history;
   ctx.cores_per_machine = 4.0;

@@ -20,7 +20,6 @@ autoscale::AutoscaleContext pid_ctx(double demand, std::size_t supply) {
   autoscale::AutoscaleContext ctx;
   ctx.demand_machines = demand;
   ctx.supply_machines = supply;
-  ctx.min_machines = 1;
   ctx.max_machines = 64;
   return ctx;
 }

@@ -1,9 +1,9 @@
-// Property tests for the fixed-K resource vector types (core/resources.hpp)
-// and the planned-capacity dominant-component bound (sched/scoring.hpp):
-// randomized algebraic laws for ResourceCapacities/ResourceQuantities,
-// CountedExtreme and the planned-capacity bound built on it, each checked
-// against a naive recompute under random churn, and the per-dimension
-// FP-residue regression.
+// Property tests for the fixed-K resource vector (core/resources.hpp) and
+// the planned-capacity dominant-component bound (sched/scoring.hpp):
+// randomized algebraic laws for ResourceQuantities, CountedExtreme and the
+// planned-capacity bound built on it, each checked against a naive
+// recompute under random churn, the per-dimension FP-residue regression,
+// and the fit test a machine and its planned row share.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,40 +20,13 @@ namespace mcs {
 namespace {
 
 using core::kResourceDims;
-using core::ResourceCapacities;
 using core::ResourceDim;
 using core::ResourceQuantities;
-// ResourceCapacities is an alias of std::array, so its free-function
-// operators are not found by ADL from this namespace.
-using core::operator-;
-using core::operator-=;
-
-ResourceCapacities random_caps(sim::Rng& rng) {
-  ResourceCapacities c{};
-  for (std::size_t d = 0; d < kResourceDims; ++d) {
-    c[d] = static_cast<std::uint64_t>(rng.uniform_int(0, 64));
-  }
-  return c;
-}
 
 ResourceQuantities random_quants(sim::Rng& rng, double hi = 16.0) {
   ResourceQuantities q;
   for (std::size_t d = 0; d < kResourceDims; ++d) q[d] = rng.uniform(0.0, hi);
   return q;
-}
-
-// ---- ResourceCapacities algebra ------------------------------------------------
-
-TEST(ResourceCapacitiesTest, SubtractionSaturatesAtZero) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    sim::Rng rng(seed);
-    const ResourceCapacities a = random_caps(rng);
-    const ResourceCapacities b = random_caps(rng);
-    const ResourceCapacities diff = a - b;
-    for (std::size_t d = 0; d < kResourceDims; ++d) {
-      EXPECT_EQ(diff[d], a[d] >= b[d] ? a[d] - b[d] : 0u);
-    }
-  }
 }
 
 // ---- ResourceQuantities --------------------------------------------------------
@@ -381,6 +354,24 @@ TEST(MachineResidueTest, NetOnlyChurnSnapsLikeTheOtherDimensions) {
   for (int round = 0; round < 4; ++round) m.release(net_slice);
   EXPECT_EQ(m.used().net(), 0.0);
   EXPECT_TRUE(m.can_fit(infra::ResourceVector{4.0, 4.0, 0.0, 5.0}));
+}
+
+// ---- One fit test for a machine and its planned row ----------------------------
+
+TEST(MachineTest, CanFitAgreesWithThePlannedRowAtTheBoundary) {
+  // 7 + 2^-50 cores held on 8 leave 1 - 2^-50 available, yet used + 1 is a
+  // tie that rounds to 8: a sum test admits the core that the planned row,
+  // capacity - used, refuses.
+  infra::Machine m(0, "m", infra::ResourceVector{8.0, 32.0}, 1.0);
+  m.allocate(infra::ResourceVector{7.0 + std::ldexp(1.0, -50)});
+  ASSERT_EQ(m.available().cpu(), 1.0 - std::ldexp(1.0, -50));
+  ASSERT_EQ(m.used().cpu() + 1.0, 8.0);
+  const infra::ResourceVector one_core{1.0};
+  const sched::PlannedCapacity planned(
+      std::vector<const infra::Machine*>{&m});
+  EXPECT_FALSE(m.can_fit(one_core));
+  EXPECT_EQ(m.can_fit(one_core), planned.fits(m.id(), one_core));
+  EXPECT_THROW(m.allocate(one_core), std::logic_error);
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 // (src/sched).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <optional>
+#include <vector>
 
 #include "fixtures.hpp"
 #include "failures/failure_model.hpp"
@@ -13,6 +16,7 @@
 #include "sched/portfolio.hpp"
 #include "sched/provisioning.hpp"
 #include "sched/scavenging.hpp"
+#include "sim/random.hpp"
 #include "workload/trace.hpp"
 #include "workload/workflow.hpp"
 
@@ -388,16 +392,19 @@ TEST(EngineFailureTest, RetryBudgetExhaustionAbandonsJob) {
 
 TEST(ScavengingTest, EnablesOtherwiseUnplaceableTasks) {
   // Tasks need 12 GiB; machines have 8 GiB: only scavenging can run them.
+  // At penalty 0 a borrowing start keeps a multiplier of 1 and still counts.
   std::vector<workload::Job> jobs;
   jobs.push_back(workload::make_bag_of_tasks(
       1, 4, 50.0, infra::ResourceVector{2.0, 12.0, 0.0}));
-  ScavengingConfig config;
-  config.max_borrow_fraction = 0.5;
-  config.penalty = 0.6;
-  const auto cmp = compare_scavenging(jobs, 4, 4.0, 8.0, config);
-  EXPECT_EQ(cmp.off.jobs_completed, 0u);
-  EXPECT_EQ(cmp.on.jobs_completed, 1u);
-  EXPECT_GT(cmp.on.tasks_scavenged, 0u);
+  for (const double penalty : {0.6, 0.0}) {
+    ScavengingConfig config;
+    config.max_borrow_fraction = 0.5;
+    config.penalty = penalty;
+    const auto cmp = compare_scavenging(jobs, 4, 4.0, 8.0, config);
+    EXPECT_EQ(cmp.off.jobs_completed, 0u);
+    EXPECT_EQ(cmp.on.jobs_completed, 1u);
+    EXPECT_GT(cmp.on.tasks_scavenged, 0u) << "penalty " << penalty;
+  }
 }
 
 TEST(ScavengingTest, PenaltySlowsScavengedTasks) {
@@ -433,6 +440,124 @@ TEST(ScavengingTest, NeverBorrowsWhenNetIsShort) {
   EXPECT_EQ(engine.completed()[1].id, 2u);
   EXPECT_EQ(engine.completed()[1].first_start, 100 * sim::kSecond);
   EXPECT_EQ(engine.tasks_scavenged(), 0u);
+}
+
+// ---- the admission rule ------------------------------------------------------------
+
+/// The engine's start test before admit(), kept as a reference: a whole fit
+/// by `used + demand <= capacity`, else its inline borrow branch.
+std::optional<Admission> reference_start(const infra::Machine& m,
+                                         const infra::ResourceVector& demand,
+                                         const ScavengingConfig& config) {
+  const auto sum_fits = [&m](const infra::ResourceVector& r) {
+    return m.usable() && (m.used() + r).fits_within(m.capacity());
+  };
+  infra::ResourceVector held = demand;
+  if (sum_fits(held)) return Admission{held, 1.0, false};
+  const infra::ResourceVector avail = m.available();
+  const bool cores_ok = held.cpu() <= avail.cpu() && held.gpu() <= avail.gpu();
+  if (!config.enabled || !cores_ok || held.mem() <= avail.mem()) {
+    return std::nullopt;
+  }
+  const double local = std::max(avail.mem(), 0.0);
+  const double borrowed_fraction =
+      held.mem() <= 0.0 ? 0.0 : (held.mem() - local) / held.mem();
+  held.mem() = local;
+  if (borrowed_fraction > config.max_borrow_fraction || !sum_fits(held)) {
+    return std::nullopt;
+  }
+  return Admission{held, 1.0 + config.penalty * borrowed_fraction, true};
+}
+
+/// The abandon-at-arrival test before admit(), kept as a reference: some
+/// capacity covers the demand with at most max_borrow_fraction of its
+/// memory remote.
+bool reference_satisfiable(const infra::ResourceVector& demand,
+                           const infra::ResourceVector& capacity,
+                           const ScavengingConfig& config) {
+  const double needed_memory =
+      config.enabled ? demand.mem() * (1.0 - config.max_borrow_fraction)
+                     : demand.mem();
+  return demand.cpu() <= capacity.cpu() && needed_memory <= capacity.mem() &&
+         demand.gpu() <= capacity.gpu() && demand.net() <= capacity.net();
+}
+
+TEST(AdmitTest, MatchesTheStartAndArrivalTestsItReplaced) {
+  // Quantities are multiples of 1/4, so the sum test and the difference
+  // test agree, and so do the fraction and product forms of the borrow
+  // limit: any disagreement is a change of rule, not of rounding.
+  sim::Rng rng(25);
+  const auto quarters = [&rng](double hi) {
+    return static_cast<double>(
+               rng.uniform_int(0, static_cast<std::int64_t>(hi * 4.0))) /
+           4.0;
+  };
+  std::vector<ScavengingConfig> configs;
+  for (const bool enabled : {false, true}) {
+    for (const double fraction : {0.0, 0.25, 0.5, 1.0}) {
+      for (const double penalty : {0.0, 0.6}) {
+        configs.push_back(ScavengingConfig{enabled, fraction, penalty});
+      }
+    }
+  }
+  std::size_t whole = 0, borrowed = 0, refused = 0, unpenalized_borrows = 0;
+  std::size_t satisfiable = 0, unsatisfiable = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const infra::ResourceVector cap{
+        static_cast<double>(rng.uniform_int(1, 16)), quarters(64.0),
+        static_cast<double>(rng.uniform_int(0, 4)), quarters(16.0)};
+    infra::Machine m(0, "m", cap, 1.0);
+    m.allocate(infra::ResourceVector{quarters(cap.cpu()), quarters(cap.mem()),
+                                     std::floor(quarters(cap.gpu())),
+                                     quarters(cap.net())});
+    // Fits whole, or runs short of one of cpu, gpu or net (memory too, at
+    // random), or of memory only; or needs no memory at all.
+    const infra::ResourceVector free = m.available();
+    infra::ResourceVector demand{quarters(free.cpu()), quarters(free.mem()),
+                                 std::floor(quarters(free.gpu())),
+                                 quarters(free.net())};
+    const auto short_of_memory = [&] {
+      demand.mem() = free.mem() + 0.25 + quarters(free.mem() + 4.0);
+    };
+    const std::int64_t kind = rng.uniform_int(0, 7);
+    switch (kind) {
+      case 0: demand.cpu() = free.cpu() + 0.25 + quarters(2.0); break;
+      case 1: demand.gpu() = std::floor(free.gpu()) + 1.0; break;
+      case 2: demand.net() = free.net() + 0.25 + quarters(2.0); break;
+      case 3: case 4: short_of_memory(); break;
+      case 5: demand.mem() = 0.0; break;
+      default: break;
+    }
+    if (kind <= 2 && rng.chance(0.5)) short_of_memory();
+    for (const ScavengingConfig& config : configs) {
+      const auto got = admit(demand, free, config);
+      const auto want = reference_start(m, demand, config);
+      ASSERT_EQ(got.has_value(), want.has_value()) << "trial " << trial;
+      if (got.has_value()) {
+        EXPECT_EQ(got->held, want->held) << "trial " << trial;
+        EXPECT_EQ(got->runtime_multiplier, want->runtime_multiplier);
+        EXPECT_EQ(got->borrowed, want->borrowed);
+        ++(got->borrowed ? borrowed : whole);
+        if (got->borrowed && got->runtime_multiplier == 1.0) {
+          ++unpenalized_borrows;
+        }
+      } else {
+        ++refused;
+      }
+      const bool can_start = admit(demand, cap, config).has_value();
+      EXPECT_EQ(can_start, reference_satisfiable(demand, cap, config))
+          << "trial " << trial;
+      ++(can_start ? satisfiable : unsatisfiable);
+    }
+  }
+  // Of the 32,000 probes, seed 25 starts 11,504 whole and 1,850 on
+  // borrowed memory (925 of them at no penalty) and refuses 18,646.
+  EXPECT_GE(whole, 6000u);
+  EXPECT_GE(borrowed, 900u);
+  EXPECT_GE(refused, 9000u);
+  EXPECT_GE(unpenalized_borrows, 450u);
+  EXPECT_GE(satisfiable, 12000u);
+  EXPECT_GE(unsatisfiable, 3500u);
 }
 
 // ---- provisioning ----------------------------------------------------------------------

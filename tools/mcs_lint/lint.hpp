@@ -55,9 +55,8 @@
 // definition (any line from the one above its name to its opening brace)
 // also stops propagation *through* that function — the justification
 // covers the subtree it guards; for R1 it keeps the function and what it
-// reaches. `--baseline` /
-// `--write-baseline` implement the ratchet: existing debt is recorded and
-// only *new* findings fail CI. This tree carries zero baseline entries.
+// reaches. There is no baseline: every finding fails CI until it is fixed
+// or carries a justified marker, so the count of findings only goes down.
 #pragma once
 
 #include <cstdint>
@@ -80,8 +79,9 @@ struct Finding {
   int line = 0;      ///< 1-based
   Rule rule = Rule::kD1;
   std::string message;
-  /// Line-number-independent identity used by the baseline ratchet:
-  /// FNV-1a over (file, rule, whitespace-collapsed source line).
+  /// Line-number-independent identity, SARIF's `partialFingerprints`
+  /// (CI deduplicates a finding across runs by it): FNV-1a over (file,
+  /// rule, whitespace-collapsed source line).
   std::uint64_t fingerprint = 0;
 };
 

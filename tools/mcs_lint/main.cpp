@@ -4,17 +4,15 @@
 //     --jobs N                 index files on N threads (default 1); the
 //                              merge is path-ordered, so output is
 //                              byte-identical at any job count
-//     --baseline FILE          suppress findings recorded in FILE (ratchet)
-//     --write-baseline FILE    record current findings to FILE and exit 0
 //     --callgraph FILE         dump the repo call graph as Graphviz DOT
 //     --sarif FILE             also write findings as SARIF 2.1.0 (CI
-//                              annotation); applied *after* the baseline
+//                              annotation)
 //     --explain RULE           print the rule's rationale + remedy, exit 0
-//     --fix-suppressions       append suppression comments to offending
-//                              lines in place (ordered-ok for D2,
-//                              allow(RULE) otherwise)
 //
-// Exit code: 0 = clean (after baseline), 1 = findings, 2 = usage/IO error.
+// Exit code: 0 = clean, 1 = findings, 2 = usage/IO error. Every finding
+// counts: nothing forgives one but a marker in the source (`allow(RULE)`,
+// or `ordered-ok` for D2/D3) written beside its justification (DESIGN.md
+// §8).
 // Run from the repository root so path tags are repo-relative
 // (`build/tools/mcs_lint src bench tests tools examples perfbench`); the
 // `lint.tree` ctest and the `lint` CMake target do exactly that.
@@ -23,7 +21,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -86,30 +83,17 @@ bool write_file(const std::string& path, const std::string& content) {
   return true;
 }
 
-std::string fingerprint_key(const Finding& f) {
-  std::ostringstream key;
-  key << mcs::lint::rule_name(f.rule) << " " << std::hex << f.fingerprint;
-  return key.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> paths;
-  std::string baseline_path;
-  std::string write_baseline_path;
   std::string callgraph_path;
   std::string sarif_path;
-  bool fix_suppressions = false;
   int jobs = 1;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (arg == "--write-baseline" && i + 1 < argc) {
-      write_baseline_path = argv[++i];
-    } else if (arg == "--callgraph" && i + 1 < argc) {
+    if (arg == "--callgraph" && i + 1 < argc) {
       callgraph_path = argv[++i];
     } else if (arg == "--sarif" && i + 1 < argc) {
       sarif_path = argv[++i];
@@ -134,13 +118,9 @@ int main(int argc, char** argv) {
       }
       std::cout << mcs::lint::explain(rule) << "\n";
       return 0;
-    } else if (arg == "--fix-suppressions") {
-      fix_suppressions = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: mcs_lint [--jobs N] [--baseline FILE] "
-                   "[--write-baseline FILE] [--callgraph FILE] "
-                   "[--sarif FILE] [--explain RULE] [--fix-suppressions] "
-                   "<paths...>\n";
+      std::cout << "usage: mcs_lint [--jobs N] [--callgraph FILE] "
+                   "[--sarif FILE] [--explain RULE] <paths...>\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "mcs_lint: unknown option " << arg << "\n";
@@ -167,87 +147,17 @@ int main(int argc, char** argv) {
   mcs::lint::RepoOptions opt;
   opt.jobs = jobs;
   opt.want_callgraph = !callgraph_path.empty();
-  mcs::lint::RepoResult result = mcs::lint::analyze_repo(inputs, opt);
-  std::vector<Finding>& findings = result.findings;
+  const mcs::lint::RepoResult result = mcs::lint::analyze_repo(inputs, opt);
+  const std::vector<Finding>& findings = result.findings;
 
   if (!callgraph_path.empty() &&
       !write_file(callgraph_path, result.callgraph_dot)) {
     return 2;
   }
 
-  if (!write_baseline_path.empty()) {
-    std::ostringstream out;
-    out << "# mcs-lint baseline — accepted debt; burn down, never add.\n";
-    for (const Finding& f : findings) {
-      out << fingerprint_key(f) << " " << f.file << ":" << f.line << "\n";
-    }
-    if (!write_file(write_baseline_path, out.str())) return 2;
-    std::cout << "mcs_lint: wrote " << findings.size() << " baseline entr"
-              << (findings.size() == 1 ? "y" : "ies") << " to "
-              << write_baseline_path << "\n";
-    return 0;
-  }
-
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::cerr << "mcs_lint: cannot read baseline " << baseline_path << "\n";
-      return 2;
-    }
-    // Multiset keyed by (rule, fingerprint): each entry forgives one
-    // finding, so fixing an instance ratchets the count down.
-    std::map<std::string, int> budget;
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty() || line[0] == '#') continue;
-      std::istringstream fields(line);
-      std::string rule, fp;
-      if (fields >> rule >> fp) ++budget[rule + " " + fp];
-    }
-    std::vector<Finding> fresh;
-    for (Finding& f : findings) {
-      auto it = budget.find(fingerprint_key(f));
-      if (it != budget.end() && it->second > 0) {
-        --it->second;
-        continue;
-      }
-      fresh.push_back(std::move(f));
-    }
-    findings = std::move(fresh);
-  }
-
   if (!sarif_path.empty() &&
       !write_file(sarif_path, mcs::lint::to_sarif(findings))) {
     return 2;
-  }
-
-  if (fix_suppressions) {
-    std::map<std::string, std::map<int, const Finding*>> by_file;
-    for (const Finding& f : findings) by_file[f.file][f.line] = &f;
-    for (const auto& [file, by_line] : by_file) {
-      bool ok = true;
-      const std::string content = read_file(file, ok);
-      if (!ok) return 2;
-      std::vector<std::string> lines;
-      std::istringstream split(content);
-      std::string l;
-      while (std::getline(split, l)) lines.push_back(std::move(l));
-      for (const auto& [line_no, finding] : by_line) {
-        if (line_no < 1 || line_no > static_cast<int>(lines.size())) continue;
-        std::string& target = lines[static_cast<std::size_t>(line_no - 1)];
-        const std::string marker =
-            finding->rule == mcs::lint::Rule::kD2
-                ? std::string("  // mcs-lint: ordered-ok")
-                : std::string("  // mcs-lint: allow(") +
-                      mcs::lint::rule_name(finding->rule) + ")";
-        if (target.find("mcs-lint:") == std::string::npos) target += marker;
-      }
-      std::ofstream out(file, std::ios::binary | std::ios::trunc);
-      for (const std::string& out_line : lines) out << out_line << "\n";
-      std::cout << "mcs_lint: suppressed " << by_line.size()
-                << " finding(s) in " << file << "\n";
-    }
-    return 0;
   }
 
   for (const Finding& f : findings) {

@@ -12,9 +12,9 @@ namespace {
 
 // ---- shared reporting -------------------------------------------------------
 
-/// Applies `allow(...)` markers and computes the baseline fingerprint
+/// Applies `allow(...)` markers and computes the SARIF fingerprint
 /// (file + rule + whitespace-collapsed source line — line-number
-/// independent so reformatting doesn't churn the ratchet).
+/// independent so reformatting doesn't churn CI's deduplication).
 class Reporter {
  public:
   Reporter(const FileIndex& idx, std::vector<Finding>& out)
