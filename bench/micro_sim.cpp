@@ -36,9 +36,9 @@ void BM_EventThroughput(benchmark::State& state) {
 BENCHMARK(BM_EventThroughput)->Arg(1 << 12)->Arg(1 << 16);
 
 void BM_EventThroughputReserved(benchmark::State& state) {
-  // Same workload as BM_EventThroughput, but with the tail buffer and slot
-  // table pre-sized via reserve_events: isolates the cost of growth from
-  // the cost of the schedule/dispatch fast path itself.
+  // Same workload as BM_EventThroughput, but with the wheel's node pool and
+  // the slot table pre-sized via reserve_events: isolates the cost of
+  // growth from the cost of the schedule/dispatch fast path itself.
   const auto events = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     sim::Simulator sim;
@@ -56,10 +56,9 @@ void BM_EventThroughputReserved(benchmark::State& state) {
 BENCHMARK(BM_EventThroughputReserved)->Arg(1 << 12)->Arg(1 << 16);
 
 void BM_EventThroughputUniform(benchmark::State& state) {
-  // Wheel-band stress: events scheduled out of order, uniformly over a
-  // ~4-second horizon. None of these can ride the monotone tail buffer —
-  // before the timing wheel every one paid an O(log n) heap sift; now they
-  // land in O(1) wheel buckets and cascade at most once per level.
+  // Out-of-order stress: events scheduled uniformly over a ~4-second
+  // horizon. Before the timing wheel every one paid an O(log n) heap sift;
+  // now they land in O(1) wheel buckets and cascade at most once per level.
   const auto events = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     sim::Simulator sim;
@@ -80,7 +79,7 @@ BENCHMARK(BM_EventThroughputUniform)->Arg(1 << 12)->Arg(1 << 16);
 void BM_EventThroughputBimodal(benchmark::State& state) {
   // Near/far split: 90% of events in a ~1-second near band (low wheel
   // levels), 10% in a ~2-day far band 2^37..2^38 µs out (wheel level 6).
-  // Exercises the two-band selection loop and cascades from the upper
+  // Exercises wheel_peek across sparse levels and cascades from the upper
   // wheel levels down to level 0.
   const auto events = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -231,7 +230,7 @@ void BM_EngineThroughput_1M(benchmark::State& state) {
   // 1024-machine racks, `jobs` single-task jobs streamed in waves of
   // machines/64 every 120 virtual seconds, each task 30–90 s of work on a
   // quarter core — so completions scatter out of order across a ~60 s
-  // window (timing-wheel band) while arrivals ride the monotone tail.
+  // window while arrivals come in order, all on the one timing wheel.
   // Placement takes hit the head-of-cluster argmax constantly, which is
   // exactly the case PlannedCapacity's incremental bound must absorb: the
   // pre-wheel kernel recomputed an O(machines) max per take, making this

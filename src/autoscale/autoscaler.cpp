@@ -28,38 +28,33 @@ class NoScaler final : public Autoscaler {
 
 class React final : public Autoscaler {
  public:
-  explicit React(double headroom) : headroom_(headroom) {}
   [[nodiscard]] std::string name() const override { return "react"; }
   std::size_t decide(const AutoscaleContext& ctx) override {
-    return to_machines(ctx.demand_machines * (1.0 + headroom_));
+    return to_machines(ctx.demand_machines * (1.0 + kHeadroom));
   }
 
  private:
-  double headroom_;
+  static constexpr double kHeadroom = 0.1;  ///< supply above demand
 };
 
 class Adapt final : public Autoscaler {
  public:
-  Adapt(double gain, std::size_t max_step) : gain_(gain), max_step_(max_step) {}
   [[nodiscard]] std::string name() const override { return "adapt"; }
   std::size_t decide(const AutoscaleContext& ctx) override {
     const double gap = ctx.demand_machines -
                        static_cast<double>(ctx.supply_machines);
-    double step = gain_ * gap;
-    step = std::clamp(step, -static_cast<double>(max_step_),
-                      static_cast<double>(max_step_));
+    const double step = std::clamp(kGain * gap, -kMaxStep, kMaxStep);
     const double target = static_cast<double>(ctx.supply_machines) + step;
     return to_machines(std::max(target, 0.0));
   }
 
  private:
-  double gain_;
-  std::size_t max_step_;
+  static constexpr double kGain = 0.5;     ///< share of the gap closed per tick
+  static constexpr double kMaxStep = 4.0;  ///< machines moved per tick, at most
 };
 
 class Hist final : public Autoscaler {
  public:
-  explicit Hist(double percentile) : percentile_(percentile) {}
   [[nodiscard]] std::string name() const override { return "hist"; }
   std::size_t decide(const AutoscaleContext& ctx) override {
     const std::size_t bucket = static_cast<std::size_t>(
@@ -74,8 +69,7 @@ class Hist final : public Autoscaler {
     }
     std::vector<double> sorted = samples;
     std::sort(sorted.begin(), sorted.end());
-    const double pos =
-        percentile_ * static_cast<double>(sorted.size() - 1);
+    const double pos = kPercentile * static_cast<double>(sorted.size() - 1);
     const auto lo = static_cast<std::size_t>(pos);
     const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
     const double frac = pos - static_cast<double>(lo);
@@ -83,18 +77,17 @@ class Hist final : public Autoscaler {
   }
 
  private:
-  double percentile_;
+  static constexpr double kPercentile = 0.9;  ///< of each hour's demand
   std::array<std::vector<double>, 24> buckets_;
 };
 
 class Reg final : public Autoscaler {
  public:
-  explicit Reg(std::size_t window) : window_(window) {}
   [[nodiscard]] std::string name() const override { return "reg"; }
   std::size_t decide(const AutoscaleContext& ctx) override {
     const auto& hist = *ctx.demand_history;
     if (hist.size() < 3) return to_machines(ctx.demand_machines);
-    const std::size_t n = std::min(window_, hist.size());
+    const std::size_t n = std::min(kWindow, hist.size());
     std::vector<double> x(n), y(n);
     for (std::size_t i = 0; i < n; ++i) {
       x[i] = static_cast<double>(i);
@@ -107,7 +100,7 @@ class Reg final : public Autoscaler {
   }
 
  private:
-  std::size_t window_;
+  static constexpr std::size_t kWindow = 10;  ///< past ticks fitted
 };
 
 class ConPaas final : public Autoscaler {
@@ -136,14 +129,11 @@ class ConPaas final : public Autoscaler {
 
 class Plan final : public Autoscaler {
  public:
-  explicit Plan(sim::SimTime drain_horizon) : horizon_(drain_horizon) {}
   [[nodiscard]] std::string name() const override { return "plan"; }
   std::size_t decide(const AutoscaleContext& ctx) override {
     // Machines needed to drain the pending work within the horizon...
-    const double horizon_s = sim::to_seconds(horizon_);
     const double drain_need =
-        horizon_s <= 0.0 ? 0.0
-                         : ctx.pending_work_machine_seconds / horizon_s;
+        ctx.pending_work_machine_seconds / sim::to_seconds(kDrainHorizon);
     // ...but never more than the work can use in parallel right now.
     const double lop_cores = static_cast<double>(ctx.eligible_tasks) *
                              ctx.mean_task_cores;
@@ -153,7 +143,7 @@ class Plan final : public Autoscaler {
   }
 
  private:
-  sim::SimTime horizon_;
+  static constexpr sim::SimTime kDrainHorizon = 5 * sim::kMinute;
 };
 
 class Pid final : public Autoscaler {
@@ -200,24 +190,14 @@ class Token final : public Autoscaler {
 std::unique_ptr<Autoscaler> make_no_scaler() {
   return std::make_unique<NoScaler>();
 }
-std::unique_ptr<Autoscaler> make_react(double headroom) {
-  return std::make_unique<React>(headroom);
-}
-std::unique_ptr<Autoscaler> make_adapt(double gain, std::size_t max_step) {
-  return std::make_unique<Adapt>(gain, max_step);
-}
-std::unique_ptr<Autoscaler> make_hist(double percentile) {
-  return std::make_unique<Hist>(percentile);
-}
-std::unique_ptr<Autoscaler> make_reg(std::size_t window) {
-  return std::make_unique<Reg>(window);
-}
+std::unique_ptr<Autoscaler> make_react() { return std::make_unique<React>(); }
+std::unique_ptr<Autoscaler> make_adapt() { return std::make_unique<Adapt>(); }
+std::unique_ptr<Autoscaler> make_hist() { return std::make_unique<Hist>(); }
+std::unique_ptr<Autoscaler> make_reg() { return std::make_unique<Reg>(); }
 std::unique_ptr<Autoscaler> make_conpaas(double alpha, double beta) {
   return std::make_unique<ConPaas>(alpha, beta);
 }
-std::unique_ptr<Autoscaler> make_plan(sim::SimTime drain_horizon) {
-  return std::make_unique<Plan>(drain_horizon);
-}
+std::unique_ptr<Autoscaler> make_plan() { return std::make_unique<Plan>(); }
 std::unique_ptr<Autoscaler> make_token() { return std::make_unique<Token>(); }
 std::unique_ptr<Autoscaler> make_pid(double kp, double ki, double kd) {
   return std::make_unique<Pid>(kp, ki, kd);

@@ -56,16 +56,19 @@ class Autoscaler {
   [[nodiscard]] virtual std::size_t decide(const AutoscaleContext& ctx) = 0;
 };
 
-[[nodiscard]] std::unique_ptr<Autoscaler> make_no_scaler();   ///< pins max
-[[nodiscard]] std::unique_ptr<Autoscaler> make_react(double headroom = 0.1);
-[[nodiscard]] std::unique_ptr<Autoscaler> make_adapt(double gain = 0.5,
-                                                     std::size_t max_step = 4);
-[[nodiscard]] std::unique_ptr<Autoscaler> make_hist(double percentile = 0.9);
-[[nodiscard]] std::unique_ptr<Autoscaler> make_reg(std::size_t window = 10);
+[[nodiscard]] std::unique_ptr<Autoscaler> make_no_scaler();  ///< pins max
+/// Demand plus 10% headroom.
+[[nodiscard]] std::unique_ptr<Autoscaler> make_react();
+/// Closes half the demand-supply gap per tick, at most 4 machines.
+[[nodiscard]] std::unique_ptr<Autoscaler> make_adapt();
+/// The 90th percentile of the current hour-of-day's demand samples.
+[[nodiscard]] std::unique_ptr<Autoscaler> make_hist();
+/// A least-squares line over the last 10 demand samples, one tick ahead.
+[[nodiscard]] std::unique_ptr<Autoscaler> make_reg();
 [[nodiscard]] std::unique_ptr<Autoscaler> make_conpaas(double alpha = 0.5,
                                                        double beta = 0.3);
-[[nodiscard]] std::unique_ptr<Autoscaler> make_plan(
-    sim::SimTime drain_horizon = 5 * sim::kMinute);
+/// Drains the pending work within 5 minutes, bounded by its parallelism.
+[[nodiscard]] std::unique_ptr<Autoscaler> make_plan();
 [[nodiscard]] std::unique_ptr<Autoscaler> make_token();
 /// PID feedback controller on the demand-supply error — the classic
 /// "feedback control-based technique" class of the paper's self-awareness

@@ -1,7 +1,6 @@
 #include "check/fuzz.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <iomanip>
 #include <memory>
 #include <sstream>
@@ -9,6 +8,7 @@
 #include <type_traits>
 
 #include "check/oracle.hpp"
+#include "core/parse.hpp"
 #include "exp/sweep.hpp"
 #include "metrics/stats.hpp"
 #include "obs/export.hpp"
@@ -201,9 +201,9 @@ constexpr failures::CorrelationMode last_enumerator(failures::CorrelationMode) {
 }
 
 /// Parses the whole of `text` as a T: bools are 0 or 1, enums a number up
-/// to their last enumerator, numbers plain decimals (a '-' only where the
-/// type is signed) with no blank, no '+' and no trailing text. False when
-/// `text` is not such a value.
+/// to their last enumerator, numbers what core::parse_whole takes (finite
+/// plain decimals, a '-' only where the type is signed). False when `text`
+/// is not such a value.
 template <typename T>
 bool parse_value(const std::string& text, T& out) {
   if constexpr (std::is_same_v<T, std::string>) {
@@ -221,9 +221,7 @@ bool parse_value(const std::string& text, T& out) {
     out = static_cast<T>(v);
     return true;
   } else {
-    const char* last = text.data() + text.size();
-    const auto [end, error] = std::from_chars(text.data(), last, out);
-    return error == std::errc{} && end == last;
+    return core::parse_whole(text, out);
   }
 }
 

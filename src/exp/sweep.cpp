@@ -1,10 +1,9 @@
 #include "exp/sweep.hpp"
 
-#include <charconv>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
+#include "core/parse.hpp"
 #include "sched/engine.hpp"
 
 namespace mcs::exp {
@@ -22,17 +21,14 @@ std::uint64_t substream_seed(std::uint64_t base, std::uint64_t index) {
 
 SweepCli parse_sweep_cli(int argc, const char* const* argv) {
   SweepCli cli;
-  auto parse_count = [](const std::string& flag,
-                        const char* value) -> std::size_t {
+  // Digits only: a sign, leading space or out-of-range value is an error,
+  // never a count wrapped around to a huge size_t.
+  auto parse_count = [](const std::string& flag, const char* value) {
     if (value == nullptr) {
       throw std::invalid_argument(flag + ": missing value");
     }
-    // Digits only: a sign, leading space or out-of-range value is an error,
-    // never a count wrapped around to a huge size_t.
-    const char* end = value + std::strlen(value);
     std::size_t n = 0;
-    const auto [ptr, ec] = std::from_chars(value, end, n);
-    if (ec != std::errc() || ptr != end) {
+    if (!core::parse_whole(value, n)) {
       throw std::invalid_argument(flag + ": not a count: " + value);
     }
     return n;

@@ -3,6 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/parse.hpp"
+
 namespace mcs::obs {
 
 namespace {
@@ -24,15 +26,12 @@ std::vector<std::string> split(std::string_view text, char sep) {
 }
 
 double parse_double(const std::string& field, const char* what) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(field, &used);
-    if (used != field.size()) throw std::invalid_argument(field);
-    return v;
-  } catch (const std::exception&) {
+  double v = 0.0;
+  if (!core::parse_whole(field, v)) {
     throw std::invalid_argument(std::string("SLO spec: malformed ") + what +
                                 " '" + field + "'");
   }
+  return v;
 }
 
 }  // namespace

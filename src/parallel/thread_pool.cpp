@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/parse.hpp"
+
 namespace mcs::parallel {
 
 namespace {
@@ -13,14 +15,10 @@ std::size_t resolve_thread_count(std::size_t requested) {
   if (requested > 0) return requested;
   const char* env = std::getenv("MCS_THREADS");
   if (env != nullptr && *env != '\0') {
-    // Digits only: no sign, no blanks, no trailing text. Parsing stops once
-    // the value passes the cap, so an overlong value cannot overflow.
+    // Digits only: no sign, no blanks, no trailing text; an overlong value
+    // is out of range, never wrapped.
     std::size_t n = 0;
-    const char* p = env;
-    for (; *p >= '0' && *p <= '9' && n <= kMaxThreads; ++p) {
-      n = n * 10 + static_cast<std::size_t>(*p - '0');
-    }
-    if (*p != '\0' || n == 0 || n > kMaxThreads) {
+    if (!core::parse_whole(env, n) || n == 0 || n > kMaxThreads) {
       throw std::invalid_argument(
           "MCS_THREADS=" + std::string(env) +
           ": expected a whole number from 1 to " + std::to_string(kMaxThreads));

@@ -310,8 +310,6 @@ class MinMin final : public AllocationPolicy {
 
 class RandomPolicy final : public AllocationPolicy {
  public:
-  explicit RandomPolicy(std::uint64_t seed) : rng_(seed) {}
-
   [[nodiscard]] std::string name() const override { return "random"; }
 
   std::vector<Assignment> decide(const SchedulerView& view) override {
@@ -350,7 +348,8 @@ class RandomPolicy final : public AllocationPolicy {
   }
 
  private:
-  sim::Rng rng_;
+  static constexpr std::uint64_t kSeed = 42;  ///< the digests pin its stream
+  sim::Rng rng_{kSeed};
   std::vector<Handle> order_;               ///< this call's shuffled queue
   std::vector<infra::MachineId> options_;   ///< one task's fitting machines
 };
@@ -389,8 +388,8 @@ std::unique_ptr<AllocationPolicy> make_min_min() {
 std::unique_ptr<AllocationPolicy> make_max_min() {
   return std::make_unique<MinMin>(true);
 }
-std::unique_ptr<AllocationPolicy> make_random(std::uint64_t seed) {
-  return std::make_unique<RandomPolicy>(seed);
+std::unique_ptr<AllocationPolicy> make_random() {
+  return std::make_unique<RandomPolicy>();
 }
 
 std::vector<std::string> all_policy_names() {
@@ -411,7 +410,7 @@ std::unique_ptr<AllocationPolicy> make_policy(const std::string& name) {
   if (name == "heft") return make_heft();
   if (name == "min-min") return make_min_min();
   if (name == "max-min") return make_max_min();
-  if (name == "random") return make_random(42);
+  if (name == "random") return make_random();
   throw std::invalid_argument("make_policy: unknown policy " + name);
 }
 

@@ -158,8 +158,8 @@ enum class Fit {
 /// completion time first (gets big rocks in early).
 [[nodiscard]] std::unique_ptr<AllocationPolicy> make_max_min();
 
-/// Random placement (the baseline of last resort).
-[[nodiscard]] std::unique_ptr<AllocationPolicy> make_random(std::uint64_t seed);
+/// Random placement (the baseline of last resort), from a fixed seed.
+[[nodiscard]] std::unique_ptr<AllocationPolicy> make_random();
 
 /// All policy factory names (for sweeps); `make_policy` builds by name.
 [[nodiscard]] std::vector<std::string> all_policy_names();

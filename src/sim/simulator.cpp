@@ -28,7 +28,6 @@ void Simulator::grow_slots() {
 }
 
 void Simulator::reserve_events(std::size_t extra) {
-  tail_.reserve(tail_.size() - tail_head_ + extra);
   // The wheel's bucket headers are a fixed member array; only the intrusive
   // node pool grows with load. reserve() is a no-op when the free list
   // already covers `extra`, so repeated reservations stay idempotent.
@@ -66,21 +65,25 @@ bool Simulator::cancel(EventHandle h) {
 //     compatible with t. So advancing drains exactly one bucket, re-linking
 //     its nodes relative to t; everything else stays put. O(1) amortized.
 //
-//  2. *FIFO is seq order.* Direct inserts carry globally increasing seq, so
-//     appends keep a bucket seq-sorted; a cascade only ever fills buckets
-//     that were empty (by invariant 1 applied one level down) and preserves
-//     the seq-sorted source order. Hence a level-0 bucket — which holds a
-//     single timestamp — pops its head in exact (at, seq) execution order,
-//     and the head after cascading the candidate's bucket to level 0 *is*
-//     the candidate that won selection.
+//  2. *FIFO is scheduling order.* Every insert appends to its bucket in
+//     scheduling order; a cascade only ever fills buckets that were empty
+//     (by invariant 1 applied one level down) and preserves the source
+//     order. Hence a level-0 bucket — which holds a single timestamp —
+//     pops its head in exact (at, seq) execution order, with no sequence
+//     number stored or compared.
+//
+// Levels are strictly time-ordered too (a level-l entry precedes every
+// level-(l+1) entry), so the earliest entry is in the first occupied
+// bucket of the first occupied level: wheel_peek needs only that bucket's
+// minimum time, and after wheel_advance to it, its head is the next event.
 //
 // Neither invariant depends on the level count. kWheelLevels only has to
 // give every time a level, and 11 six-bit digits cover all 63 bits of a
 // non-negative SimTime, so the wheel orders the whole clock by itself.
 
 // Not H2-hot: the node-pool growth below is the deliberate amortized slow
-// path (same idiom as arm()'s tail growth); steady state recycles nodes
-// through the free list and never allocates.
+// path; steady state recycles nodes through the free list and never
+// allocates.
 void Simulator::wheel_insert(const Entry& e) {
   // Resync the cursor first: run_until() may have advanced now_ past the
   // cursor without executing an event. Advancing to now_ is safe — every
@@ -115,18 +118,14 @@ void Simulator::wheel_link(std::uint32_t n) {
     b.head = n;
     b.tail = n;
     b.min_at = e.at;
-    b.min_seq = e.seq;
     wheel_occ_[l] |= std::uint64_t{1} << idx;
   } else {
     wheel_nodes_[b.tail].next = n;
     b.tail = n;
-    // Track the lexicographic (at, seq) minimum: an append can carry an
-    // earlier time than the current minimum (seq is FIFO order, time is
-    // not), and peek must surface the true bucket minimum.
-    if (e.at < b.min_at || (e.at == b.min_at && e.seq < b.min_seq)) {
-      b.min_at = e.at;
-      b.min_seq = e.seq;
-    }
+    // An append can carry a time below the bucket's current minimum (FIFO
+    // is scheduling order, not time order), and peek must surface the true
+    // bucket minimum.
+    if (e.at < b.min_at) b.min_at = e.at;
   }
 }
 
@@ -151,7 +150,7 @@ void Simulator::wheel_advance(SimTime t) {
   wheel_occ_[level] &= ~(std::uint64_t{1} << idx);
   // Re-link the drained chain in FIFO order: demoted entries land at
   // strictly lower levels, into buckets that invariant 1 guarantees are
-  // empty of older entries — so bucket FIFOs stay seq-sorted.
+  // empty of older entries — so bucket FIFOs stay in scheduling order.
   while (n != kNoSlot) {
     const std::uint32_t next = wheel_nodes_[n].next;
     wheel_link(n);
@@ -160,13 +159,13 @@ void Simulator::wheel_advance(SimTime t) {
 }
 
 // mcs-lint: hot
-bool Simulator::wheel_peek(SimTime& at, std::uint64_t& seq) const {
+bool Simulator::wheel_peek(SimTime& at) const {
   if (wheel_count_ == 0) return false;
   // Levels are strictly time-ordered (a level-l entry precedes every
   // level-(l+1) entry) and buckets within a level are time-ordered by
   // index, so the first occupied bucket of the first occupied level holds
-  // the wheel's global (at, seq) minimum — possibly a cancelled tombstone,
-  // which the selection loop discards after cascading it to level 0.
+  // the wheel's earliest time — possibly a cancelled tombstone's, which
+  // run_one discards after cascading it to level 0.
   for (int l = 0; l < kWheelLevels; ++l) {
     const std::uint64_t occ = wheel_occ_[l];
     if (occ == 0) continue;
@@ -174,7 +173,6 @@ bool Simulator::wheel_peek(SimTime& at, std::uint64_t& seq) const {
     const WheelBucket& b =
         wheel_[static_cast<std::size_t>(l) * kWheelBuckets + idx];
     at = b.min_at;
-    seq = b.min_seq;
     return true;
   }
   return false;
@@ -182,8 +180,8 @@ bool Simulator::wheel_peek(SimTime& at, std::uint64_t& seq) const {
 
 // mcs-lint: hot
 Simulator::Entry Simulator::wheel_pop_front() {
-  // Precondition: wheel_advance(candidate.at) just ran, so the candidate
-  // sits at the head of the level-0 bucket for its timestamp.
+  // Precondition: wheel_advance(at) just ran for the earliest time `at`,
+  // so the next event sits at the head of the level-0 bucket for `at`.
   const std::size_t idx =
       static_cast<std::uint64_t>(wheel_cursor_) & (kWheelBuckets - 1);
   WheelBucket& b = wheel_bucket(0, idx);
@@ -193,11 +191,6 @@ Simulator::Entry Simulator::wheel_pop_front() {
   if (b.head == kNoSlot) {
     b.tail = kNoSlot;
     wheel_occ_[0] &= ~(std::uint64_t{1} << idx);
-  } else {
-    // A level-0 bucket holds one timestamp in seq order, so the new head
-    // is the new minimum.
-    b.min_at = wheel_nodes_[b.head].e.at;
-    b.min_seq = wheel_nodes_[b.head].e.seq;
   }
   const Entry e = node.e;
   node.next = wheel_free_;

@@ -9,27 +9,22 @@
 // Design choices:
 //  - Virtual time is an integer count of microseconds (SimTime). Integer time
 //    keeps event ordering exact and runs reproducible across platforms.
-//  - Ties are broken by (priority, insertion sequence), so a simulation is a
-//    pure function of its inputs and RNG seed.
+//  - Events at one time run in scheduling order, so a simulation is a pure
+//    function of its inputs and RNG seed.
 //  - Single-threaded by design: determinism and debuggability outrank kernel
 //    speed for this scale of model (see bench/micro_sim for throughput).
 //  - The hot path is allocation-free: callbacks are sim::Callback, i.e.
 //    core::UniqueFunction<void()> (inline storage for typical capturing
-//    lambdas, heap only as a fallback), and queue entries are 24-byte PODs
+//    lambdas, heap only as a fallback), and queue entries are 16-byte PODs
 //    whose callbacks live in a slot table — no queue operation ever moves
 //    a closure.
-//  - The event queue is a two-band structure ordered by the same global
-//    (at, seq) key (DESIGN.md §12):
-//      1. a sorted-run *tail buffer*: an insert that continues the current
-//         monotone run appends in O(1) and pops in O(1). On the benchmark
-//         workloads (perfbench, seed 1) it takes 4.8% of inserts on
-//         policy_grid, 33% on fleet_stream and 9.2% on fuzz_batch; purely
-//         monotone schedules (bench/micro_sim) ride it alone;
-//      2. a *hierarchical timing wheel* (11 levels × 64 power-of-two
-//         buckets over sim-time digits) for every other insert — its 66
-//         bits span all of non-negative SimTime, so no event is ever
-//         beyond it. Insert, cascade, and pop are O(1).
-//    Execution order is bit-identical whichever band an event lands in.
+//  - The event queue is one hierarchical timing wheel (11 levels × 64
+//    power-of-two buckets over sim-time digits, DESIGN.md §12). Its 66
+//    bits span all of non-negative SimTime, so no event is ever beyond it;
+//    insert, cascade and pop are O(1). Levels are time-ordered and each
+//    bucket is a FIFO, so the wheel pops events in the one global
+//    (at, seq) order — time, then scheduling order — without storing or
+//    comparing a sequence number.
 //  - Cancellation is O(1) lazy deletion: a handle carries (slot, generation)
 //    and cancelling bumps the slot generation; stale entries are discarded
 //    with one array load when they surface, no hash lookups.
@@ -181,9 +176,9 @@ class Simulator {
                    Run{this, std::make_unique<Step>(std::forward<F>(step))});
   }
 
-  /// Bulk reservation: pre-sizes the tail buffer, the wheel's node pool,
-  /// and the callback slot table for `extra` additional pending events, so
-  /// a burst of schedule_at calls performs no reallocation.
+  /// Bulk reservation: pre-sizes the wheel's node pool and the callback
+  /// slot table for `extra` additional pending events, so a burst of
+  /// schedule_at calls performs no reallocation.
   void reserve_events(std::size_t extra);
 
   /// Cancels a pending event; returns false if it already ran or was
@@ -199,9 +194,7 @@ class Simulator {
   bool step();
 
   /// Number of events waiting (including tombstoned ones).
-  [[nodiscard]] std::size_t pending() const {
-    return (tail_.size() - tail_head_) + wheel_count_;
-  }
+  [[nodiscard]] std::size_t pending() const { return wheel_count_; }
 
   /// Total events executed since construction.
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
@@ -213,11 +206,11 @@ class Simulator {
 
  private:
   // Queue entries are small PODs; the (heavy) callback stays put in its
-  // slot so no queue operation — wheel cascade, tail compaction — ever
-  // moves a closure.
+  // slot so no wheel cascade ever moves a closure. An entry carries no
+  // sequence number: ties at one time run in scheduling order because a
+  // bucket is a FIFO (see WheelBucket).
   struct Entry {
     SimTime at;
-    std::uint64_t seq;  // insertion order; breaks ties deterministically
     std::uint32_t slot;
     std::uint32_t gen;
   };
@@ -248,46 +241,28 @@ class Simulator {
   static constexpr int kWheelLevels = 11;
   static_assert(kWheelBits * kWheelLevels >=
                 std::numeric_limits<SimTime>::digits);
-  // Consumed tail-buffer prefixes are compacted once they pass half the
-  // buffer (and this floor), so long monotone runs stop holding dead
-  // entries for the whole simulation; each entry moves at most once per
-  // compaction generation, O(1) amortized per pop.
-  static constexpr std::size_t kTailCompactMin = 64;
 
   /// Intrusive FIFO node for wheel buckets: entries chain through a pooled
   /// node array, so cascading a bucket re-links nodes without allocating
-  /// and pops recycle nodes through a free list.
-  struct WheelNode {
+  /// and pops recycle nodes through a free list. Padded from 20 to 32
+  /// bytes so no node straddles a cache line: with 24-byte nodes perfbench
+  /// fleet_stream, whose working set is far beyond cache, ran about 3%
+  /// slower.
+  struct alignas(32) WheelNode {
     Entry e;
     std::uint32_t next;
   };
   /// One wheel bucket: an intrusive FIFO (append at tail, pop at head)
-  /// plus the (at, seq) minimum over its entries. FIFO order within a
-  /// bucket is always seq order (inserts are seq-monotone and cascades
-  /// only ever fill empty buckets, preserving source order), so a level-0
-  /// bucket pops in exact execution order with no sorting.
+  /// plus the minimum time over its entries. FIFO order within a bucket is
+  /// always scheduling order (inserts arrive in scheduling order and
+  /// cascades only ever fill empty buckets, preserving source order), so a
+  /// level-0 bucket, which holds one timestamp, pops in exact execution
+  /// order with no sorting.
   struct WheelBucket {
     std::uint32_t head = kNoSlot;
     std::uint32_t tail = kNoSlot;
     SimTime min_at = 0;
-    std::uint64_t min_seq = 0;
   };
-
-  /// True when a precedes b in execution order. Compares the (at, seq)
-  /// pair as one 128-bit key: `at` is never negative (schedule_at enforces
-  /// at >= now() >= 0), so the unsigned reinterpretation preserves order,
-  /// and the compiler lowers this to a branchless cmp/sbb pair.
-  static bool earlier(const Entry& a, const Entry& b) {
-    const auto ka =
-        (static_cast<unsigned __int128>(static_cast<std::uint64_t>(a.at))
-         << 64) |
-        a.seq;
-    const auto kb =
-        (static_cast<unsigned __int128>(static_cast<std::uint64_t>(b.at))
-         << 64) |
-        b.seq;
-    return ka < kb;
-  }
 
   [[noreturn]] static void throw_time_in_past();
 
@@ -305,26 +280,13 @@ class Simulator {
     return wheel_[static_cast<std::size_t>(level) * kWheelBuckets + idx];
   }
 
-  /// Enqueues the entry for an armed slot and returns its handle. Entries
-  /// that continue the current monotone run go to the sorted tail buffer
-  /// (O(1)); every other entry goes to the wheel (O(1)). Not H2-hot
-  /// itself (growth is amortized, see the allow(H3) sites), but reachable
-  /// from hot callers, so everything else here stays allocation-free.
+  /// Enqueues the entry for an armed slot on the wheel and returns its
+  /// handle. Not H2-hot itself (wheel_insert's node-pool growth is
+  /// amortized, see its allow(H3) site), but reachable from hot callers,
+  /// so everything else here stays allocation-free.
   EventHandle arm(SimTime at, std::uint32_t slot) {
     const std::uint32_t gen = slot_ref(slot).gen;
-    const Entry e{at, next_seq_++, slot, gen};
-    if (tail_head_ == tail_.size() || !earlier(e, tail_.back())) {
-      if (tail_head_ != 0 && tail_head_ == tail_.size()) {
-        tail_.clear();
-        tail_head_ = 0;
-      }
-      // mcs-lint: allow(H3) — the event queue cannot be pre-sized (event
-      // count is workload-dependent); growth is amortized doubling and
-      // steady-state runs at high-water capacity.
-      tail_.push_back(e);
-    } else {
-      wheel_insert(e);
-    }
+    wheel_insert(Entry{at, slot, gen});
     return EventHandle{slot, gen};
   }
 
@@ -339,71 +301,27 @@ class Simulator {
   void wheel_insert(const Entry& e);
   void wheel_link(std::uint32_t node);
   void wheel_advance(SimTime t);
-  bool wheel_peek(SimTime& at, std::uint64_t& seq) const;
+  bool wheel_peek(SimTime& at) const;
   Entry wheel_pop_front();
 
-  /// Compacts the consumed prefix of the tail buffer once it passes half
-  /// the buffer, so long monotone runs release dead entries instead of
-  /// holding them for the whole simulation.
-  // mcs-lint: hot
-  void maybe_compact_tail() {
-    if (tail_head_ >= kTailCompactMin && tail_head_ * 2 >= tail_.size()) {
-      tail_.erase(tail_.begin(),
-                  tail_.begin() + static_cast<std::ptrdiff_t>(tail_head_));
-      tail_head_ = 0;
-    }
-  }
-
   /// Pops and executes the next live event in (at, seq) order; returns
-  /// false if the queues are exhausted or its time exceeds `until`. Stale
-  /// entries met on the way are discarded. Defined inline: this is the
-  /// kernel's innermost loop body and benefits from cross-inlining into
-  /// run_until/step at every call site. Marked hot: tools/mcs_lint rejects
-  /// any heap allocation introduced here (rule H2).
+  /// false if the wheel is empty or its earliest time exceeds `until`.
+  /// Cancelled entries met on the way are discarded. Defined inline: this
+  /// is the kernel's innermost loop body and benefits from cross-inlining
+  /// into run_until/step at every call site. Marked hot: tools/mcs_lint
+  /// rejects any heap allocation introduced here (rule H2).
   // mcs-lint: hot
   bool run_one(SimTime until) {
     for (;;) {
-      // Discard stale (cancelled) entries at the tail front, then take the
-      // earlier of the two live band fronts. The wheel candidate may itself
-      // be stale — that is only discovered once its bucket cascades to
-      // level 0, whereupon we discard and reselect.
-      while (tail_head_ < tail_.size() && !entry_live(tail_[tail_head_])) {
-        ++tail_head_;
-      }
-      maybe_compact_tail();
-      enum class Src : std::uint8_t { kNone, kTail, kWheel };
-      Src src = Src::kNone;
-      Entry e{0, 0, 0, 0};
-      if (tail_head_ < tail_.size()) {
-        e = tail_[tail_head_];
-        src = Src::kTail;
-      }
-      SimTime wheel_at = 0;
-      std::uint64_t wheel_seq = 0;
-      if (wheel_count_ != 0 && wheel_peek(wheel_at, wheel_seq)) {
-        const Entry w{wheel_at, wheel_seq, 0, 0};
-        if (src == Src::kNone || earlier(w, e)) {
-          e = w;
-          src = Src::kWheel;
-        }
-      }
-      if (src == Src::kNone) return false;
-      if (e.at > until) return false;
-      if (src == Src::kWheel) {
-        // Bring the candidate's bucket down to level 0 and pop its head —
-        // the head is the bucket minimum (FIFO is seq order), so it *is*
-        // the candidate. A stale (cancelled) head is discarded and the
-        // selection rerun: remaining minima only move later.
-        wheel_advance(e.at);
-        e = wheel_pop_front();
-        if (!entry_live(e)) continue;
-      } else {
-        ++tail_head_;  // compaction is checked at the next selection pass
-        // The cursor only needs to track execution time while the wheel
-        // holds entries; when empty, the next wheel_insert resyncs it from
-        // now_ before leveling — skipping an out-of-line call per event.
-        if (wheel_count_ != 0) wheel_advance(e.at);
-      }
+      SimTime at = 0;
+      if (!wheel_peek(at) || at > until) return false;
+      // Bring the earliest bucket down to level 0 and pop its head: FIFO is
+      // scheduling order, so the head is the next event. A cancelled head
+      // is a tombstone, discarded before peeking again; the remaining
+      // minima only move later.
+      wheel_advance(at);
+      const Entry e = wheel_pop_front();
+      if (!entry_live(e)) continue;
       Slot& s = slot_ref(e.slot);
       ++s.gen;  // invalidate outstanding handles before user code runs
       now_ = e.at;
@@ -433,18 +351,15 @@ class Simulator {
   }
 
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::vector<Entry> tail_;  // sorted monotone run, consumed from tail_head_
-  std::size_t tail_head_ = 0;
   // Timing wheel state: pooled intrusive nodes, kWheelLevels × kWheelBuckets
   // bucket headers, one occupancy bit per bucket (ctz finds the next
   // occupied bucket in O(1)), and the cursor the level digits are relative
-  // to. The cursor trails now_ only inside run_one's selection loop; arm()
-  // resyncs it before any insert.
+  // to. The cursor trails now_ only after run_until moves the clock to
+  // `until` without an event; wheel_insert resyncs it before any insert.
   std::vector<WheelNode> wheel_nodes_;
   std::uint32_t wheel_free_ = kNoSlot;
-  // Fixed 11×64 bucket-header array (16.5 KiB): always present, so the
+  // Fixed 11×64 bucket-header array (11 KiB): always present, so the
   // wheel needs no lazy sizing inside hot inserts.
   WheelBucket wheel_[static_cast<std::size_t>(kWheelLevels) * kWheelBuckets] =
       {};

@@ -20,13 +20,13 @@ AutoscaleContext ctx_with_demand(double demand, std::size_t supply = 4,
 }
 
 TEST(AutoscalerDecisionTest, ReactTracksDemandWithHeadroom) {
-  auto scaler = make_react(0.1);
+  auto scaler = make_react();
   EXPECT_EQ(scaler->decide(ctx_with_demand(10.0)), 11u);  // 10 * 1.1
   EXPECT_EQ(scaler->decide(ctx_with_demand(0.0)), 0u);
 }
 
 TEST(AutoscalerDecisionTest, AdaptMovesGraduallyTowardDemand) {
-  auto scaler = make_adapt(0.5, 4);
+  auto scaler = make_adapt();
   // Demand 20, supply 4: gap 16, step clamp 4 -> 8.
   EXPECT_EQ(scaler->decide(ctx_with_demand(20.0, 4)), 8u);
   // Demand 2, supply 8: gap -6, step -3 -> 5.
@@ -34,7 +34,7 @@ TEST(AutoscalerDecisionTest, AdaptMovesGraduallyTowardDemand) {
 }
 
 TEST(AutoscalerDecisionTest, RegExtrapolatesTrend) {
-  auto scaler = make_reg(10);
+  auto scaler = make_reg();
   std::vector<double> rising = {1, 2, 3, 4, 5, 6};
   const std::size_t target = scaler->decide(ctx_with_demand(6.0, 6, &rising));
   EXPECT_GE(target, 7u);  // predicts beyond the last observation
@@ -52,7 +52,7 @@ TEST(AutoscalerDecisionTest, ConPaasSmoothsAndFollowsTrend) {
 }
 
 TEST(AutoscalerDecisionTest, HistColdStartActsLikeReact) {
-  auto scaler = make_hist(0.9);
+  auto scaler = make_hist();
   EXPECT_EQ(scaler->decide(ctx_with_demand(7.3)), 8u);
 }
 
@@ -66,7 +66,7 @@ TEST(AutoscalerDecisionTest, TokenFollowsEligibleParallelism) {
 }
 
 TEST(AutoscalerDecisionTest, PlanBoundedByParallelism) {
-  auto scaler = make_plan(5 * sim::kMinute);
+  auto scaler = make_plan();
   AutoscaleContext ctx = ctx_with_demand(0.0);
   ctx.pending_work_machine_seconds = 36000.0;  // would need 120 machines
   ctx.eligible_tasks = 4;                      // but only 4 tasks can run

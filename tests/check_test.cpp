@@ -130,13 +130,14 @@ TEST(FuzzSpecTest, FromTextRejectsMalformedLines) {
   // Comments and unknown keys are fine (forward compatibility).
   EXPECT_NO_THROW(from_text("# comment\nfuture_knob=3\nracks=2"));
   // Values are whole: no trailing text, no sign an unsigned field lacks,
-  // bools 0 or 1, enums within their enumerators.
+  // bools 0 or 1, enums within their enumerators, doubles finite.
   for (const std::string line :
        {"racks=3x", "heterogeneous=1junk", "heterogeneous=2",
         "trace.job_count=-3", "trace.arrivals=7", "failure.mode=9",
         "failure.mode=-1", "accel_fraction=0.5x", "racks= 3", "seed=+1",
         "spread_limit=4294967296", "score_policy=bogus",
-        "score_policy=random_hash"}) {
+        "score_policy=random_hash", "accel_fraction=nan",
+        "trace.mean_task_seconds=inf", "trace.memory_per_core_gib=nan"}) {
     const std::string key = line.substr(0, line.find('='));
     try {
       (void)from_text("# header\n" + line);

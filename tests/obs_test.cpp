@@ -399,7 +399,10 @@ TEST(Slo, ParseRejectsMalformedSpecs) {
   for (const char* bad :
        {"bot", "bot:60", "bot:60:0.9:300:2:extra", ":60:0.9", "bot:x:0.9",
         "bot:0:0.9", "bot:-5:0.9", "bot:60:0", "bot:60:1.5", "bot:60:0.9:0",
-        "bot:60:0.9:300:0", "all:1:0.5;all:2:0.5"}) {
+        "bot:60:0.9:300:0", "all:1:0.5;all:2:0.5",
+        // Numbers are finite plain decimals: no blank, no hex float, no inf.
+        "all: 60:0.9", "all:0x3C:0.9", "all:inf:0.9", "all:60:0.9:inf",
+        "all:60:0.9:300:infinity"}) {
     EXPECT_THROW((void)obs::parse_slo_specs(bad), std::invalid_argument)
         << "accepted: " << bad;
   }

@@ -1,12 +1,11 @@
-// Differential test for the two-band event queue (sorted-run tail buffer
-// + hierarchical timing wheel over the whole clock, DESIGN.md §12):
-// randomized schedule/cancel/advance sequences executed on the real
-// Simulator must fire events in exactly the order of a reference model — an
-// std::set over (at, seq) — which is by construction the documented total
-// order. Covers same-timestamp bursts, lazy-cancelled tombstones in both
-// bands, far-future events on every wheel level up to kTimeInfinity,
-// clock jumps across high wheel digits, tail compaction, and scheduling
-// from inside running callbacks (cursor resync).
+// Differential test for the event queue (one hierarchical timing wheel over
+// the whole clock, DESIGN.md §12): randomized schedule/cancel/advance
+// sequences executed on the real Simulator must fire events in exactly the
+// order of a reference model — an std::set over (at, seq) — which is by
+// construction the documented total order. Covers long monotone runs,
+// same-timestamp bursts, lazy-cancelled tombstones, far-future events on
+// every wheel level up to kTimeInfinity, clock jumps across high wheel
+// digits, and scheduling from inside running callbacks (cursor resync).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -104,8 +103,8 @@ TEST(QueueDifferential, RandomOpsMatchReferenceOrder) {
       const std::int64_t kind = rng.uniform_int(0, 3);
       const std::int64_t n = rng.uniform_int(8, 96);
       if (kind == 0) {
-        // Monotone run: rides the tail buffer; long enough runs trigger
-        // consumed-prefix compaction.
+        // Monotone run: each insert at or after the previous one, the shape
+        // of arrival streams and self-scheduling chains.
         sim::SimTime base = now;
         for (std::int64_t i = 0; i < n; ++i) {
           base += rng.uniform_int(0, 1000);
@@ -217,11 +216,11 @@ TEST(QueueDifferential, WheelWindowCrossingsAndFarOverflow) {
   q.advance(sim::kTimeInfinity);
 }
 
-TEST(QueueDifferential, LongMonotoneRunWithCompactionStaysOrdered) {
+TEST(QueueDifferential, LongMonotoneRunWithPartialDrainsStaysOrdered) {
   QueueDiff q(/*reserve=*/false);
   sim::SimTime at = 0;
-  // Interleave appends and partial drains so tail_head_ repeatedly crosses
-  // the half-buffer compaction threshold while the run is still growing.
+  // Interleave appends and partial drains, so the run keeps growing ahead
+  // of the cursor while its earlier part cascades down level by level.
   for (int round = 0; round < 50; ++round) {
     for (int i = 0; i < 100; ++i) q.schedule(at += 10);
     q.advance(at - 500);

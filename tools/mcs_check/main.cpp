@@ -23,9 +23,7 @@
 // fails), 2 = usage error (a malformed flag, --slo spec or repro file). The
 // batch summary digest is bit-identical at any --threads value; `--seed I`
 // reruns exactly the scenario the batch ran.
-#include <charconv>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -34,6 +32,7 @@
 
 #include "check/fuzz.hpp"
 #include "check/shrink.hpp"
+#include "core/parse.hpp"
 #include "metrics/stats.hpp"
 #include "obs/report.hpp"
 #include "obs/slo.hpp"
@@ -174,11 +173,7 @@ int main(int argc, char** argv) {
     // Digits only: a sign or trailing garbage is a usage error, never a
     // wrapped or silently truncated count.
     auto next = [&](std::uint64_t& value) {
-      if (i + 1 >= argc) return false;
-      const char* text = argv[++i];
-      const char* end = text + std::strlen(text);
-      const auto [ptr, ec] = std::from_chars(text, end, value);
-      return ec == std::errc() && ptr == end;
+      return i + 1 < argc && mcs::core::parse_whole(argv[++i], value);
     };
     std::uint64_t v = 0;
     if (arg == "--seeds" && next(v)) {
