@@ -120,8 +120,8 @@ std::string usecase_64_banking() {
   std::size_t violations = 0;
   for (const auto& j : r.jobs) {
     const core::Sla sla({core::deadline_slo(300.0)});
-    if (sla.violations({{core::NfrDimension::kLatency, j.response_seconds}}) >
-        0) {
+    if (sla.violations(
+            {{core::NfrDimension::kLatency, j.response_seconds()}}) > 0) {
       ++violations;
     }
   }

@@ -6,10 +6,12 @@
 // are priced, and the replica exists purely to protect the SLA.
 //
 //   $ ./examples/banking_sla [seed]
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <string_view>
 
 #include "core/nfr.hpp"
+#include "core/parse.hpp"
 #include "failures/failure_model.hpp"
 #include "metrics/report.hpp"
 #include "metrics/stats.hpp"
@@ -68,11 +70,11 @@ BankRun run_site(std::vector<workload::Job> jobs, bool with_replica,
   auto account = [&](const sched::ExecutionEngine& engine) {
     for (const sched::JobStats& j : engine.completed()) {
       ++out.jobs;
-      responses.add(j.response_seconds);
+      responses.add(j.response_seconds());
       // Clearing deadline: 5 minutes per transaction batch (PSD2-style).
       const core::Sla sla({core::deadline_slo(300.0, /*weight=*/1.0)});
       const std::vector<core::Sla::Observation> obs = {
-          {core::NfrDimension::kLatency, j.response_seconds}};
+          {core::NfrDimension::kLatency, j.response_seconds()}};
       const std::size_t violations = sla.violations(obs);
       out.deadline_violations += violations;
       out.penalty += sla.penalty(obs, /*unit_penalty=*/250.0);  // EUR
@@ -87,7 +89,11 @@ BankRun run_site(std::vector<workload::Job> jobs, bool with_replica,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 23;
+  std::uint64_t seed = 23;
+  if (argc > 1 && !core::parse_whole(std::string_view(argv[1]), seed)) {
+    std::cerr << "usage: banking_sla [seed]\n";
+    return 2;
+  }
   metrics::print_banner(std::cout,
                         "Future banking: regulated SLAs under failures");
   metrics::print_kv(std::cout, "seed", std::to_string(seed));

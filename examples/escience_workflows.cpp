@@ -5,10 +5,12 @@
 // the instrument behind Big/e-Science.
 //
 //   $ ./examples/escience_workflows [seed]
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <string_view>
 
 #include "autoscale/autoscaler.hpp"
+#include "core/parse.hpp"
 #include "failures/failure_model.hpp"
 #include "metrics/report.hpp"
 #include "sched/engine.hpp"
@@ -16,7 +18,11 @@
 
 int main(int argc, char** argv) {
   using namespace mcs;
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
+  std::uint64_t seed = 7;
+  if (argc > 1 && !core::parse_whole(std::string_view(argv[1]), seed)) {
+    std::cerr << "usage: escience_workflows [seed]\n";
+    return 2;
+  }
   metrics::print_banner(std::cout,
                         "e-Science: workflows on a federated ecosystem");
   metrics::print_kv(std::cout, "seed", std::to_string(seed));

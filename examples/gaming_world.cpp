@@ -4,10 +4,12 @@
 // the social meta-gaming layer mining co-play communities.
 //
 //   $ ./examples/gaming_world [seed]
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 #include <optional>
+#include <string_view>
 
+#include "core/parse.hpp"
 #include "gaming/analytics.hpp"
 #include "gaming/pcg.hpp"
 #include "gaming/social.hpp"
@@ -16,7 +18,11 @@
 
 int main(int argc, char** argv) {
   using namespace mcs;
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 3;
+  std::uint64_t seed = 3;
+  if (argc > 1 && !core::parse_whole(std::string_view(argv[1]), seed)) {
+    std::cerr << "usage: gaming_world [seed]\n";
+    return 2;
+  }
   metrics::print_banner(std::cout, "Online gaming: the four Fig. 4 functions");
   metrics::print_kv(std::cout, "seed", std::to_string(seed));
 

@@ -3,16 +3,22 @@
 // and the OpenDC-style entry point of challenge C11).
 //
 //   $ ./examples/quickstart [seed]
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <string_view>
 
+#include "core/parse.hpp"
 #include "metrics/report.hpp"
 #include "sched/engine.hpp"
 #include "workload/trace.hpp"
 
 int main(int argc, char** argv) {
   using namespace mcs;
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  std::uint64_t seed = 42;
+  if (argc > 1 && !core::parse_whole(std::string_view(argv[1]), seed)) {
+    std::cerr << "usage: quickstart [seed]\n";
+    return 2;
+  }
 
   metrics::print_banner(std::cout, "MCS quickstart: a datacenter in five steps");
   metrics::print_kv(std::cout, "seed", std::to_string(seed));

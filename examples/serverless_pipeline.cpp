@@ -5,17 +5,23 @@
 // latency, and the platform's memory footprint over time.
 //
 //   $ ./examples/serverless_pipeline [seed]
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 #include <optional>
+#include <string_view>
 
+#include "core/parse.hpp"
 #include "faas/composition.hpp"
 #include "metrics/report.hpp"
 #include "sim/arrival.hpp"
 
 int main(int argc, char** argv) {
   using namespace mcs;
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 11;
+  std::uint64_t seed = 11;
+  if (argc > 1 && !core::parse_whole(std::string_view(argv[1]), seed)) {
+    std::cerr << "usage: serverless_pipeline [seed]\n";
+    return 2;
+  }
   metrics::print_banner(std::cout, "Serverless: the Fig. 5 image pipeline");
   metrics::print_kv(std::cout, "seed", std::to_string(seed));
 

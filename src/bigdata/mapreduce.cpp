@@ -8,6 +8,20 @@
 
 namespace mcs::bigdata {
 
+namespace {
+/// CPU seconds per block at reference speed (map function cost).
+constexpr double kMapSecondsPerBlock = 10.0;
+/// Speculative execution backs up a task running longer than this many
+/// times the median.
+constexpr double kStragglerThreshold = 1.5;
+/// Shuffle volume per input MB (selectivity) and reduce phase shape.
+constexpr double kShuffleMbPerInputMb = 0.2;
+constexpr std::size_t kReducers = 8;
+constexpr double kReduceSecondsEach = 5.0;
+/// Map slots per machine (Hadoop-style slot model).
+constexpr std::size_t kSlotsPerMachine = 2;
+}  // namespace
+
 std::map<std::string, std::uint64_t> word_count(
     const std::vector<std::string>& lines) {
   FunctionalMapReduce<std::string, std::string, std::uint64_t> job(
@@ -49,7 +63,7 @@ MapReduceStats MapReduceSimulation::run(const MapReduceJobConfig& config) {
   const infra::Datacenter& dc = dc_;
   for (const infra::Machine* m : dc.machines()) {
     if (!m->usable()) continue;
-    for (std::size_t s = 0; s < config.slots_per_machine; ++s) {
+    for (std::size_t s = 0; s < kSlotsPerMachine; ++s) {
       slots.push_back(Slot{m->id(), m->speed_factor(), 0.0});
     }
   }
@@ -104,7 +118,7 @@ MapReduceStats MapReduceSimulation::run(const MapReduceJobConfig& config) {
             ? 1.0
             : rng_.lognormal_mean_cv(1.0, config.straggler_cv);
     const double runtime = (storage_.read_seconds(block, slots[s].machine) +
-                            config.map_seconds_per_block * noise) /
+                            kMapSecondsPerBlock * noise) /
                            slots[s].speed;
     TaskRun run;
     run.start = slots[s].free_at;
@@ -124,13 +138,12 @@ MapReduceStats MapReduceSimulation::run(const MapReduceJobConfig& config) {
                      runtimes.end());
     const double median = runtimes[runtimes.size() / 2];
     for (TaskRun& r : runs) {
-      if (r.runtime > config.straggler_threshold * median) {
+      if (r.runtime > kStragglerThreshold * median) {
         // Backup launched once the straggler is detected; fresh draw
         // without straggler noise (it usually lands on a healthy node).
         const double backup_start =
-            r.start + config.straggler_threshold * median;
-        const double backup_finish =
-            backup_start + config.map_seconds_per_block;
+            r.start + kStragglerThreshold * median;
+        const double backup_finish = backup_start + kMapSecondsPerBlock;
         if (backup_finish < r.finish) {
           r.finish = backup_finish;
           ++stats.speculative_copies;
@@ -144,9 +157,9 @@ MapReduceStats MapReduceSimulation::run(const MapReduceJobConfig& config) {
   }
 
   // ---- shuffle: all-to-all over the oversubscribed core --------------------
-  const double shuffle_mb = total_input_mb * config.shuffle_mb_per_input_mb;
+  const double shuffle_mb = total_input_mb * kShuffleMbPerInputMb;
   const double cross_section_mbps =
-      storage_.config().remote_mbps *
+      StorageEngine::kRemoteMbps *
       std::max(1.0, static_cast<double>(dc.machine_count()) / 2.0);
   stats.shuffle_seconds = shuffle_mb / cross_section_mbps;
 
@@ -154,10 +167,9 @@ MapReduceStats MapReduceSimulation::run(const MapReduceJobConfig& config) {
   double mean_speed = 0.0;
   for (const Slot& s : slots) mean_speed += s.speed;
   mean_speed /= static_cast<double>(slots.size());
-  const std::size_t waves =
-      (config.reducers + slots.size() - 1) / slots.size();
+  const std::size_t waves = (kReducers + slots.size() - 1) / slots.size();
   stats.reduce_phase_seconds =
-      static_cast<double>(waves) * config.reduce_seconds_each / mean_speed;
+      static_cast<double>(waves) * kReduceSecondsEach / mean_speed;
 
   stats.makespan_seconds = stats.map_phase_seconds + stats.shuffle_seconds +
                            stats.reduce_phase_seconds;

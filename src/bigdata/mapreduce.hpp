@@ -63,20 +63,11 @@ class FunctionalMapReduce {
 
 struct MapReduceJobConfig {
   DatasetId dataset = 0;
-  /// CPU seconds per block at reference speed (map function cost).
-  double map_seconds_per_block = 10.0;
   /// Straggler spread: map runtimes are multiplied by lognormal(1, cv).
   double straggler_cv = 0.3;
-  /// Launch a backup copy for tasks running > straggler_threshold x the
-  /// median of completed tasks (speculative execution).
+  /// Launch a backup copy for tasks running well past the median of
+  /// completed tasks (speculative execution).
   bool speculative_execution = false;
-  double straggler_threshold = 1.5;
-  /// Shuffle volume per input MB (selectivity) and reduce phase shape.
-  double shuffle_mb_per_input_mb = 0.2;
-  std::size_t reducers = 8;
-  double reduce_seconds_each = 5.0;
-  /// Map slots per machine (Hadoop-style slot model).
-  std::size_t slots_per_machine = 2;
 };
 
 struct MapReduceStats {

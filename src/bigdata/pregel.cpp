@@ -5,6 +5,14 @@
 
 namespace mcs::bigdata {
 
+namespace {
+// The timing model's costs.
+constexpr double kSecondsPerVertex = 2e-6;   ///< compute per active vertex
+constexpr double kSecondsPerMessage = 5e-7;  ///< to process one message
+constexpr double kMessageBytes = 16.0;
+constexpr double kCrossMbps = 1000.0;  ///< aggregate cross-worker bandwidth
+}  // namespace
+
 PregelEngine::PregelEngine(const graph::Graph& g, PregelConfig config,
                            parallel::ThreadPool* pool)
     : g_(g), config_(config),
@@ -84,8 +92,8 @@ PregelStats PregelEngine::run(std::vector<double>& values,
       if (processed[v] == 0) continue;
       ++active_count;
       worker_compute[worker_of(v)] +=
-          config_.seconds_per_vertex +
-          config_.seconds_per_message * static_cast<double>(messages_in[v]);
+          kSecondsPerVertex +
+          kSecondsPerMessage * static_cast<double>(messages_in[v]);
     }
     if (active_count == 0) break;
 
@@ -102,8 +110,8 @@ PregelStats PregelEngine::run(std::vector<double>& values,
     // Superstep wall time: slowest worker + cross traffic + barrier.
     const double slowest =
         *std::max_element(worker_compute.begin(), worker_compute.end());
-    const double comm = static_cast<double>(cross) * config_.message_bytes /
-                        (config_.cross_mbps * 1e6);
+    const double comm =
+        static_cast<double>(cross) * kMessageBytes / (kCrossMbps * 1e6);
     stats.wall_seconds += slowest + comm + config_.barrier_seconds;
 
     // Deliver: chunk order == ascending sender order.

@@ -27,10 +27,6 @@ namespace mcs::bigdata {
 
 struct PregelConfig {
   std::size_t workers = 4;
-  double seconds_per_vertex = 2e-6;    ///< compute cost per active vertex
-  double seconds_per_message = 5e-7;   ///< cost to process one message
-  double message_bytes = 16.0;
-  double cross_mbps = 1000.0;          ///< aggregate cross-worker bandwidth
   double barrier_seconds = 0.001;      ///< per-superstep sync cost
 };
 

@@ -6,6 +6,12 @@
 
 namespace mcs::bigdata {
 
+namespace {
+constexpr double kBlockMb = 128.0;
+constexpr double kDiskMbps = 200.0;  ///< local read bandwidth
+constexpr double kRackMbps = 120.0;  ///< rack-local read bandwidth
+}  // namespace
+
 std::string to_string(Locality l) {
   switch (l) {
     case Locality::kLocal: return "local";
@@ -21,7 +27,7 @@ StorageEngine::StorageEngine(infra::Datacenter& dc, Config config,
   if (dc_.machine_count() == 0) {
     throw std::invalid_argument("StorageEngine: empty datacenter");
   }
-  if (config_.replication == 0 || config_.block_mb <= 0.0) {
+  if (config_.replication == 0) {
     throw std::invalid_argument("StorageEngine: bad config");
   }
 }
@@ -31,14 +37,14 @@ DatasetId StorageEngine::store(const std::string& name, double size_mb) {
   if (size_mb <= 0.0) throw std::invalid_argument("store: size <= 0");
   const auto n_machines = static_cast<std::int64_t>(dc_.machine_count());
   const auto n_blocks = static_cast<std::size_t>(
-      std::ceil(size_mb / config_.block_mb));
+      std::ceil(size_mb / kBlockMb));
   std::vector<Block> blocks;
   blocks.reserve(n_blocks);
   double remaining = size_mb;
   for (std::size_t b = 0; b < n_blocks; ++b) {
     Block block;
     block.id = next_block_++;
-    block.size_mb = std::min(config_.block_mb, remaining);
+    block.size_mb = std::min(kBlockMb, remaining);
     remaining -= block.size_mb;
 
     // Replica 1: random machine.
@@ -100,11 +106,11 @@ double StorageEngine::read_seconds(const Block& block,
                                    infra::MachineId machine) const {
   switch (locality(block, machine)) {
     case Locality::kLocal:
-      return block.size_mb / config_.disk_mbps;
+      return block.size_mb / kDiskMbps;
     case Locality::kRackLocal:
-      return block.size_mb / config_.rack_mbps;
+      return block.size_mb / kRackMbps;
     case Locality::kRemote:
-      return block.size_mb / config_.remote_mbps;
+      return block.size_mb / kRemoteMbps;
   }
   return 0.0;
 }

@@ -33,11 +33,10 @@ class StorageEngine {
  public:
   struct Config {
     std::size_t replication = 3;
-    double block_mb = 128.0;
-    double disk_mbps = 200.0;       ///< local read bandwidth
-    double rack_mbps = 120.0;       ///< rack-local read bandwidth
-    double remote_mbps = 40.0;      ///< cross-rack (oversubscribed core)
   };
+  /// Cross-rack read bandwidth in MB/s (the oversubscribed core); the
+  /// MapReduce shuffle crosses the same core.
+  static constexpr double kRemoteMbps = 40.0;
 
   StorageEngine(infra::Datacenter& dc, Config config, sim::Rng rng);
 
@@ -53,8 +52,6 @@ class StorageEngine {
   /// Seconds to read the block from the given machine (best replica).
   [[nodiscard]] double read_seconds(const Block& block,
                                     infra::MachineId machine) const;
-
-  [[nodiscard]] const Config& config() const { return config_; }
 
  private:
   infra::Datacenter& dc_;

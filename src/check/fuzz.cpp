@@ -449,7 +449,7 @@ SeedRunResult run_spec(const ScenarioSpec& spec, bool capture_registry) {
     digest.add_u64(static_cast<std::uint64_t>(j.submit));
     digest.add_u64(static_cast<std::uint64_t>(j.finish));
     digest.add_u64(static_cast<std::uint64_t>(j.task_failures));
-    digest.add_double(j.slowdown);
+    digest.add_double(j.slowdown());
   }
   // The observability layer is part of the determinism contract: fold the
   // flight-recorder ring digest and the instrument registry too, so any

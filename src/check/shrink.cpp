@@ -57,6 +57,53 @@ void bisect_down(Session& s, std::size_t hi, Set set) {
   }
 }
 
+/// Switches one feature of `c` off; false when it was already off.
+using Simplify = bool (*)(ScenarioSpec& c);
+
+/// Step 4's simplifications, in the order every round tries them; the
+/// het-profile knobs go one dimension at a time.
+constexpr Simplify kSimplifications[] = {
+    [](ScenarioSpec& c) { return std::exchange(c.failures_enabled, false); },
+    [](ScenarioSpec& c) { return std::exchange(c.impossible_job, false); },
+    [](ScenarioSpec& c) { return std::exchange(c.scavenging, false); },
+    [](ScenarioSpec& c) {
+      const bool on = c.heterogeneous || c.accel_fraction > 0.0;
+      c.heterogeneous = false;
+      c.accel_fraction = 0.0;
+      return on;
+    },
+    [](ScenarioSpec& c) {
+      const bool on = c.policy != "fcfs";
+      c.policy = "fcfs";
+      return on;
+    },
+    [](ScenarioSpec& c) {
+      const bool on = c.zone_count > 0;
+      c.zone_count = 0;
+      c.zone_job_fraction = 0.0;
+      return on;
+    },
+    [](ScenarioSpec& c) {
+      const bool on = c.spread_fraction > 0.0 || c.spread_limit > 0;
+      c.spread_fraction = 0.0;
+      c.spread_limit = 0;
+      return on;
+    },
+    [](ScenarioSpec& c) {
+      const bool on = c.net_capacity > 0.0 || c.net_demand_fraction > 0.0;
+      c.net_capacity = 0.0;
+      c.net_demand_fraction = 0.0;
+      return on;
+    },
+    [](ScenarioSpec& c) {
+      const bool on = !c.score_policy.empty();
+      c.score_policy.clear();
+      c.score_salt = 0;
+      return on;
+    },
+    [](ScenarioSpec& c) { return std::exchange(c.retry, false); },
+};
+
 }  // namespace
 
 ShrinkResult shrink(const ScenarioSpec& spec) {
@@ -94,82 +141,9 @@ ShrinkResult shrink(const ScenarioSpec& spec) {
     }
 
     // 4. Toggles and simplifications: keep any that still reproduce.
-    {
+    for (const Simplify simplify : kSimplifications) {
       ScenarioSpec c = s.best;
-      if (c.failures_enabled) {
-        c.failures_enabled = false;
-        s.try_adopt(c);
-      }
-    }
-    {
-      ScenarioSpec c = s.best;
-      if (c.impossible_job) {
-        c.impossible_job = false;
-        s.try_adopt(c);
-      }
-    }
-    {
-      ScenarioSpec c = s.best;
-      if (c.scavenging) {
-        c.scavenging = false;
-        s.try_adopt(c);
-      }
-    }
-    {
-      ScenarioSpec c = s.best;
-      if (c.heterogeneous || c.accel_fraction > 0.0) {
-        c.heterogeneous = false;
-        c.accel_fraction = 0.0;
-        s.try_adopt(c);
-      }
-    }
-    {
-      ScenarioSpec c = s.best;
-      if (c.policy != "fcfs") {
-        c.policy = "fcfs";
-        s.try_adopt(c);
-      }
-    }
-    // Het-profile knobs: try dropping each placement/vector dimension
-    // independently, then the scoring pass.
-    {
-      ScenarioSpec c = s.best;
-      if (c.zone_count > 0) {
-        c.zone_count = 0;
-        c.zone_job_fraction = 0.0;
-        s.try_adopt(c);
-      }
-    }
-    {
-      ScenarioSpec c = s.best;
-      if (c.spread_fraction > 0.0 || c.spread_limit > 0) {
-        c.spread_fraction = 0.0;
-        c.spread_limit = 0;
-        s.try_adopt(c);
-      }
-    }
-    {
-      ScenarioSpec c = s.best;
-      if (c.net_capacity > 0.0 || c.net_demand_fraction > 0.0) {
-        c.net_capacity = 0.0;
-        c.net_demand_fraction = 0.0;
-        s.try_adopt(c);
-      }
-    }
-    {
-      ScenarioSpec c = s.best;
-      if (!c.score_policy.empty()) {
-        c.score_policy.clear();
-        c.score_salt = 0;
-        s.try_adopt(c);
-      }
-    }
-    {
-      ScenarioSpec c = s.best;
-      if (c.retry) {
-        c.retry = false;
-        s.try_adopt(c);
-      }
+      if (simplify(c)) s.try_adopt(c);
     }
 
     // 5. Smaller floor: drop racks, then machines per rack.

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/parse.hpp"
 #include "metrics/stats.hpp"
 
 namespace mcs::obs {
@@ -47,67 +48,68 @@ namespace {
 }
 }  // namespace
 
+// Entries are appended as their lines arrive, so the header counts bound
+// the loops but never size a table: a short dump that claims 10^9 names
+// fails on its first missing line instead of allocating for them.
 TraceDump read_dump(std::istream& in) {
   TraceDump dump;
   std::string line;
   std::size_t line_no = 0;
-  // Header (skipping comments and blank lines).
-  for (;;) {
-    if (!std::getline(in, line)) malformed(line_no, "missing header");
+  std::vector<std::string_view> f;  // the fields of `line`
+  // Reads the next line and splits it at each space, write_dump's
+  // separator: a doubled space makes an empty field, which no parse takes.
+  const auto next_line = [&](const char* missing) {
+    if (!std::getline(in, line)) malformed(line_no, missing);
     ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    if (line != "mcs-trace v1") malformed(line_no, "bad header '" + line + "'");
-    break;
-  }
-  std::size_t name_count = 0;
-  {
-    if (!std::getline(in, line)) malformed(line_no, "missing names header");
-    ++line_no;
-    std::istringstream ls(line);
-    std::string tag;
-    if (!(ls >> tag >> name_count) || tag != "names") {
-      malformed(line_no, "expected 'names <N>'");
+    f.clear();
+    for (std::string_view rest = line;;) {
+      const std::size_t space = rest.find(' ');
+      f.push_back(rest.substr(0, space));
+      if (space == std::string_view::npos) break;
+      rest.remove_prefix(space + 1);
     }
+  };
+  // Header (skipping comments and blank lines).
+  do {
+    next_line("missing header");
+  } while (line.empty() || line[0] == '#');
+  if (line != "mcs-trace v1") malformed(line_no, "bad header '" + line + "'");
+  next_line("missing names header");
+  std::size_t name_count = 0;
+  if (f.size() != 2 || f[0] != "names" ||
+      !core::parse_whole(f[1], name_count)) {
+    malformed(line_no, "expected 'names <N>'");
   }
-  dump.names.resize(name_count);
   for (std::size_t i = 0; i < name_count; ++i) {
-    if (!std::getline(in, line)) malformed(line_no, "truncated name table");
-    ++line_no;
-    std::istringstream ls(line);
-    std::size_t id = 0;
-    std::string name;
-    if (!(ls >> id >> name) || id >= name_count) {
+    next_line("truncated name table");
+    std::size_t id = 0;  // must be the entry's index
+    if (f.size() != 2 || f[1].empty() || !core::parse_whole(f[0], id) ||
+        id != i) {
       malformed(line_no, "bad name entry '" + line + "'");
     }
-    dump.names[id] = name;
+    dump.names.emplace_back(f[1]);
   }
+  next_line("missing events header");
   std::size_t event_count = 0;
-  {
-    if (!std::getline(in, line)) malformed(line_no, "missing events header");
-    ++line_no;
-    std::istringstream ls(line);
-    std::string tag, dtag, ttag;
-    if (!(ls >> tag >> event_count >> dtag >> dump.dropped >> ttag >>
-          dump.total) ||
-        tag != "events" || dtag != "dropped" || ttag != "total") {
-      malformed(line_no, "expected 'events <M> dropped <D> total <T>'");
-    }
+  if (f.size() != 6 || f[0] != "events" || f[2] != "dropped" ||
+      f[4] != "total" || !core::parse_whole(f[1], event_count) ||
+      !core::parse_whole(f[3], dump.dropped) ||
+      !core::parse_whole(f[5], dump.total)) {
+    malformed(line_no, "expected 'events <M> dropped <D> total <T>'");
   }
-  dump.events.reserve(event_count);
   for (std::size_t i = 0; i < event_count; ++i) {
-    if (!std::getline(in, line)) malformed(line_no, "truncated event list");
-    ++line_no;
-    std::istringstream ls(line);
+    next_line("truncated event list");
     TraceEvent e;
-    int phase = 0;
-    unsigned name = 0;
-    if (!(ls >> e.at >> e.seq >> phase >> name >> e.track >> e.dur >> e.a >>
-          e.b) ||
-        phase < 0 || phase > 2 || name >= dump.names.size()) {
+    std::uint8_t phase = 0;
+    if (f.size() != 8 || !core::parse_whole(f[0], e.at) ||
+        !core::parse_whole(f[1], e.seq) || !core::parse_whole(f[2], phase) ||
+        !core::parse_whole(f[3], e.name) || !core::parse_whole(f[4], e.track) ||
+        !core::parse_whole(f[5], e.dur) || !core::parse_whole(f[6], e.a) ||
+        !core::parse_whole(f[7], e.b) || phase > 2 ||
+        e.name >= dump.names.size()) {
       malformed(line_no, "bad event '" + line + "'");
     }
     e.phase = static_cast<Phase>(phase);
-    e.name = static_cast<NameId>(name);
     dump.events.push_back(e);
   }
   return dump;

@@ -14,6 +14,7 @@
 //   <id> <name>            ... N lines
 //   events <M> dropped <D> total <T>
 //   <at> <seq> <phase> <name-id> <track> <dur> <a> <b>   ... M lines
+// Fields are separated by one space, and the name ids run 0..N-1 in order.
 #pragma once
 
 #include <cstdint>

@@ -117,11 +117,8 @@ void ExecutionEngine::set_slo(obs::SloTracker* slo) {
 
 std::uint32_t ExecutionEngine::intern_user(const std::string& name) {
   const auto [it, inserted] = user_ids_.try_emplace(
-      name, static_cast<std::uint32_t>(user_names_.size()));
-  if (inserted) {
-    user_names_.push_back(name);
-    user_usage_.push_back(0.0);
-  }
+      name, static_cast<std::uint32_t>(user_usage_.size()));
+  if (inserted) user_usage_.push_back(0.0);
   return it->second;
 }
 
@@ -554,25 +551,20 @@ void ExecutionEngine::complete_job(std::uint32_t job_slot, bool abandoned) {
   JobSlot& jr = jobs_[job_slot];
   JobStats stats;
   stats.id = jr.job.id;
-  stats.user = jr.job.user;
   stats.submit = jr.job.submit_time;
   stats.first_start = jr.started ? jr.first_start : sim_.now();
   stats.finish = sim_.now();
-  stats.wait_seconds = sim::to_seconds(stats.first_start - stats.submit);
-  stats.response_seconds = sim::to_seconds(stats.finish - stats.submit);
   stats.critical_path_seconds = jr.job.critical_path_seconds();
-  stats.slowdown = stats.response_seconds /
-                   std::max(stats.critical_path_seconds, 1e-6);
-  stats.tasks = jr.job.tasks.size();
   stats.task_failures = jr.failures;
   stats.abandoned = abandoned;
+  const double response_s = stats.response_seconds();
   if (abandoned) {
     ctr_abandoned_->add();
   } else {
     ctr_completed_->add();
-    h_job_wait_s_->record(stats.wait_seconds);
-    h_job_response_s_->record(stats.response_seconds);
-    h_job_slowdown_->record(stats.slowdown);
+    h_job_wait_s_->record(stats.wait_seconds());
+    h_job_response_s_->record(response_s);
+    h_job_slowdown_->record(stats.slowdown());
   }
   if (config_.lifecycle_spans) {
     // Per-class decomposition: an abandoned job records only how long it
@@ -580,10 +572,10 @@ void ExecutionEngine::complete_job(std::uint32_t job_slot, bool abandoned) {
     // (those histograms hold completed jobs only, like the legacy ones).
     SpanInstruments& sp = spans_[jr.klass];
     if (abandoned) {
-      sp.abandon->record(stats.response_seconds);
+      sp.abandon->record(response_s);
     } else {
-      sp.response->record(stats.response_seconds);
-      sp.slowdown->record(stats.slowdown);
+      sp.response->record(response_s);
+      sp.slowdown->record(stats.slowdown());
     }
   }
   if (slo_ != nullptr) {
@@ -591,7 +583,7 @@ void ExecutionEngine::complete_job(std::uint32_t job_slot, bool abandoned) {
     // every applicable objective and can never be "good".
     const double latency = abandoned
                                ? std::numeric_limits<double>::infinity()
-                               : stats.response_seconds;
+                               : response_s;
     for (std::size_t i : slo_by_class_[jr.klass]) {
       slo_->observe(i, stats.finish, latency);
     }
@@ -600,11 +592,11 @@ void ExecutionEngine::complete_job(std::uint32_t job_slot, bool abandoned) {
     tracer_->complete(stats.submit, stats.finish - stats.submit,
                       abandoned ? tn_.job_abandoned : tn_.job, 0,
                       static_cast<std::int64_t>(stats.id),
-                      static_cast<std::int64_t>(stats.tasks));
+                      static_cast<std::int64_t>(jr.job.tasks.size()));
   }
   // mcs-lint: allow(H3) — one append per completed *job* (not per task);
   // job count is unknown under open arrivals, growth is amortized.
-  completed_.push_back(std::move(stats));
+  completed_.push_back(stats);
 
   if (abandoned) {
     // Drop any still-queued/running work of this job.
@@ -674,30 +666,33 @@ double ExecutionEngine::pending_work_core_seconds() const {
 }
 
 std::size_t ExecutionEngine::eligible_within(sim::SimTime window) const {
-  std::size_t eligible = ready_.size();
-  const sim::SimTime horizon = sim_.now() + window;
-  // Successors of tasks that finish within the window, whose remaining
-  // dependency count would drop to zero.
-  jobs_.for_each([&](std::uint32_t job_slot, const JobSlot& jr) {
-    // Count, per task, how many of its missing deps finish inside the window.
-    for (std::size_t i = 0; i < jr.job.tasks.size(); ++i) {
-      if (jr.done[i] != 0 || jr.missing_deps[i] == 0) continue;
-      std::size_t resolving = 0;
-      for (std::size_t d : jr.job.tasks[i].deps) {
-        if (jr.done[d] != 0) continue;
-        for (std::uint32_t key = 0; key < running_.size(); ++key) {
-          if (!running_.live(key)) continue;
-          const RunningTask& rt = running_[key];
-          if (rt.job_slot == job_slot && rt.task_index == d &&
-              rt.expected_end <= horizon) {
-            ++resolving;
-            break;
-          }
-        }
-      }
-      if (resolving >= jr.missing_deps[i]) ++eligible;
+  const sim::SimTime horizon = sim::saturating_add(sim_.now(), window);
+  // One key (job slot, task) per dependency edge out of a running task
+  // that ends inside the window, read off its CSR successor list: a
+  // dependency runs at most once, and one listed twice in a task's deps is
+  // listed twice in the CSR too, so a task's key count is how many of its
+  // missing dependencies the window resolves.
+  std::vector<std::uint64_t> resolving;
+  running_.for_each([&](std::uint32_t, const RunningTask& rt) {
+    if (rt.expected_end > horizon) return;
+    const JobSlot& jr = jobs_[rt.job_slot];
+    for (std::uint32_t k = jr.succ_offsets[rt.task_index];
+         k < jr.succ_offsets[rt.task_index + 1]; ++k) {
+      resolving.push_back(std::uint64_t{rt.job_slot} << 32 |
+                          jr.succ_targets[k]);
     }
   });
+  std::sort(resolving.begin(), resolving.end());
+  std::size_t eligible = ready_.size();
+  for (std::size_t first = 0, last = 0; first < resolving.size();
+       first = last) {
+    const std::uint64_t key = resolving[first];
+    while (last < resolving.size() && resolving[last] == key) ++last;
+    const JobSlot& jr = jobs_[static_cast<std::uint32_t>(key >> 32)];
+    if (last - first >= jr.missing_deps[static_cast<std::uint32_t>(key)]) {
+      ++eligible;
+    }
+  }
   return eligible;
 }
 
@@ -762,8 +757,8 @@ RunResult summarize_run(const ExecutionEngine& engine,
       ++result.abandoned;
       continue;
     }
-    slowdown.add(j.slowdown);
-    wait.add(j.wait_seconds);
+    slowdown.add(j.slowdown());
+    wait.add(j.wait_seconds());
     first_submit = std::min(first_submit, j.submit);
     last_finish = std::max(last_finish, j.finish);
   }

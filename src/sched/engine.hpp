@@ -27,6 +27,7 @@
 // engine.cpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -153,21 +154,34 @@ inline constexpr std::size_t kWorkloadClasses = 2;
 [[nodiscard]] std::vector<obs::SloSpec> parse_engine_slo_specs(
     std::string_view text);
 
-/// Final accounting for one completed (or abandoned) job.
+/// Final accounting for one completed (or abandoned) job: the facts only.
+/// Wait, response and slowdown are derived from them on demand, so every
+/// reader (histograms, SLO samples, traces, digests, RunResult) computes
+/// the same doubles and no stored copy can disagree with the times.
 struct JobStats {
   workload::JobId id = 0;
-  std::string user;
   sim::SimTime submit = 0;
-  sim::SimTime first_start = 0;
+  sim::SimTime first_start = 0;  ///< = finish when no task ever started
   sim::SimTime finish = 0;
-  double wait_seconds = 0.0;       ///< first task start - submit
-  double response_seconds = 0.0;   ///< finish - submit
-  double slowdown = 1.0;           ///< response / critical path (>= 1 ideal)
   double critical_path_seconds = 0.0;
-  std::size_t tasks = 0;
   std::size_t task_failures = 0;   ///< tasks killed by machine failures
   bool abandoned = false;          ///< exceeded retry budget
+
+  /// First task start - submit.
+  [[nodiscard]] double wait_seconds() const {
+    return sim::to_seconds(first_start - submit);
+  }
+  /// Finish - submit.
+  [[nodiscard]] double response_seconds() const {
+    return sim::to_seconds(finish - submit);
+  }
+  /// Response / critical path (>= 1 ideal).
+  [[nodiscard]] double slowdown() const {
+    return response_seconds() / std::max(critical_path_seconds, 1e-6);
+  }
 };
+// The engine keeps one record per finished job for the whole run.
+static_assert(sizeof(JobStats) <= 56, "JobStats grew past 56 bytes");
 
 class ExecutionEngine {
  public:
@@ -371,7 +385,6 @@ class ExecutionEngine {
 
   /// User interning: name -> dense id at submit; per-id accounting after.
   std::map<std::string, std::uint32_t> user_ids_;
-  std::vector<std::string> user_names_;
   std::vector<double> user_usage_;  ///< core-seconds, indexed by user id
 
   std::vector<JobStats> completed_;

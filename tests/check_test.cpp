@@ -238,5 +238,26 @@ TEST(ShrinkTest, PassingSpecIsReturnedUnshrunk) {
   EXPECT_EQ(to_text(r.spec), to_text(spec));
 }
 
+TEST(ShrinkTest, FailingSpecShrinksToThePinnedMinimum) {
+  // The spec FuzzTest.BadFailureParameterIsReportedNotThrown runs: its
+  // failure model throws when it draws a repair time, so every candidate
+  // that keeps failures on and one inside the horizon still fails. The
+  // counts pin how many candidate runs the shrinker makes and keeps.
+  ScenarioSpec spec = make_spec(1, false);
+  spec.failures_enabled = true;
+  spec.failure.mean_repair_seconds = 0.0;
+  const ShrinkResult r = shrink(spec);
+  EXPECT_TRUE(r.failing);
+  EXPECT_FALSE(r.result.ok);
+  EXPECT_EQ(r.attempts, 135u);
+  EXPECT_EQ(r.accepted, 116u);
+  EXPECT_EQ(r.spec.job_limit, 1u);
+  EXPECT_EQ(r.spec.failure_limit, 1u);
+  EXPECT_EQ(r.spec.flap_count, 1u);
+  EXPECT_EQ(r.spec.racks, 1u);
+  EXPECT_EQ(r.spec.per_rack, 5u);
+  EXPECT_EQ(r.spec.horizon, 6954058906);
+}
+
 }  // namespace
 }  // namespace mcs::check

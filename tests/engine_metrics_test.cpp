@@ -79,6 +79,24 @@ TEST(EngineSignalsTest, EligibleWithinSeesUnlockingSuccessors) {
   ASSERT_EQ(engine.running_count(), 1u);
   EXPECT_EQ(engine.eligible_within(10 * sim::kSecond), 0u);   // finish at t=100
   EXPECT_EQ(engine.eligible_within(200 * sim::kSecond), 1u);  // task1 unlocks
+  // The horizon saturates: an unbounded window sees every unlock.
+  EXPECT_EQ(engine.eligible_within(sim::kTimeInfinity), 1u);
+}
+
+TEST(EngineSignalsTest, EligibleWithinNeedsEveryMissingDependency) {
+  auto dc = make_dc(1, 4.0);
+  sim::Simulator sim;
+  sched::ExecutionEngine engine(sim, dc, sched::make_fcfs());
+  // A join: task0 (ends at t=50) and task1 (ends at t=150) run side by
+  // side, and task2 waits on both, listing task1 twice.
+  workload::Job join = workload::make_bag_of_tasks(1, 3, 50.0);
+  join.tasks[1].work_seconds = 150.0;
+  join.tasks[2].deps = {0, 1, 1};
+  engine.submit(join);
+  sim.run_until(10 * sim::kSecond);
+  ASSERT_EQ(engine.running_count(), 2u);
+  EXPECT_EQ(engine.eligible_within(100 * sim::kSecond), 0u);  // task0 only
+  EXPECT_EQ(engine.eligible_within(200 * sim::kSecond), 1u);  // both
 }
 
 TEST(EngineSignalsTest, EligibleWithinCountsReadyTasks) {

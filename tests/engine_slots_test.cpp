@@ -57,7 +57,7 @@ TEST(EngineSlotsTest, RetryAfterFailureCompletesWithSlotReuse) {
   EXPECT_EQ(s.task_failures, 4u);
   EXPECT_EQ(engine.tasks_killed(), 4u);
   // Restarted from scratch at t=50: finish at 150s.
-  EXPECT_NEAR(s.response_seconds, 150.0, 0.5);
+  EXPECT_NEAR(s.response_seconds(), 150.0, 0.5);
 }
 
 TEST(EngineSlotsTest, SlotReuseAcrossJobChurnKeepsStatsIntact) {
@@ -78,8 +78,8 @@ TEST(EngineSlotsTest, SlotReuseAcrossJobChurnKeepsStatsIntact) {
   ASSERT_EQ(engine.completed().size(), 64u);
   for (const JobStats& s : engine.completed()) {
     EXPECT_FALSE(s.abandoned);
-    EXPECT_GE(s.slowdown, 1.0 - 1e-9);
-    EXPECT_GE(s.response_seconds, 30.0 - 1e-6);
+    EXPECT_GE(s.slowdown(), 1.0 - 1e-9);
+    EXPECT_GE(s.response_seconds(), 30.0 - 1e-6);
   }
 }
 
@@ -110,11 +110,11 @@ TEST(EngineSlotsTest, DrainWhileRunningFinishesButBlocksPlacement) {
   ASSERT_EQ(engine.completed().size(), 2u);
   for (const JobStats& s : engine.completed()) {
     if (s.id == 1) {
-      EXPECT_NEAR(s.response_seconds, 100.0, 0.5);
+      EXPECT_NEAR(s.response_seconds(), 100.0, 0.5);
     } else {
       // B: submitted at 10s, placed at undrain (120s), runs 50s, so it
       // finishes at 170s — a 160s response.
-      EXPECT_NEAR(s.response_seconds, 160.0, 0.5);
+      EXPECT_NEAR(s.response_seconds(), 160.0, 0.5);
     }
   }
 }
@@ -138,7 +138,7 @@ TEST(EngineSlotsTest, ScavengingPenaltyAndUsageAccounting) {
 
   ASSERT_TRUE(engine.all_done());
   EXPECT_EQ(engine.tasks_scavenged(), 1u);
-  EXPECT_NEAR(engine.completed()[0].response_seconds, 120.0, 0.5);
+  EXPECT_NEAR(engine.completed()[0].response_seconds(), 120.0, 0.5);
   EXPECT_NEAR(engine.busy_core_seconds(), 2.0 * 120.0, 1.0);
   const auto usage = engine.user_usage();
   ASSERT_EQ(usage.count("tenant-a"), 1u);

@@ -70,7 +70,7 @@ TEST(EdfIntegrationTest, EdfMeetsMoreDeadlinesThanFcfsUnderPressure) {
       const core::Sla sla({core::deadline_slo(job.id % 2 == 0 ? 300.0
                                                               : 3000.0)});
       if (sla.violations({{core::NfrDimension::kLatency,
-                           job.response_seconds}}) == 0) {
+                           job.response_seconds()}}) == 0) {
         ++met;
       }
     }
@@ -262,9 +262,9 @@ TEST_P(WorkloadPolicySweep, CompletesEverythingWithSaneAccounting) {
   EXPECT_EQ(result.jobs.size(), 50u);
   EXPECT_EQ(result.abandoned, 0u);
   for (const auto& j : result.jobs) {
-    EXPECT_GE(j.slowdown, 0.99) << param.label;
-    EXPECT_GE(j.response_seconds, 0.0);
-    EXPECT_LE(j.wait_seconds, j.response_seconds + 1e-6);
+    EXPECT_GE(j.slowdown(), 0.99) << param.label;
+    EXPECT_GE(j.response_seconds(), 0.0);
+    EXPECT_LE(j.wait_seconds(), j.response_seconds() + 1e-6);
   }
   EXPECT_GE(engine.busy_core_seconds(), total_work * 0.99);
   // Demand series returned to zero at the end.

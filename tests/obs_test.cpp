@@ -153,14 +153,37 @@ TEST(TraceExport, ReadDumpSkipsLeadingComments) {
 }
 
 TEST(TraceExport, ReadDumpRejectsMalformedInput) {
-  {
-    std::istringstream in("not-a-trace v9\n");
-    EXPECT_THROW(obs::read_dump(in), std::invalid_argument);
-  }
-  {
-    std::istringstream in("mcs-trace v1\nnames 1\n0 e\nevents 2 dropped 0 total 2\n1 0 0 0 0 0 0 0\n");
-    // Declares 2 events, provides 1.
-    EXPECT_THROW(obs::read_dump(in), std::invalid_argument);
+  const std::string names = "mcs-trace v1\nnames 1\n0 e\n";
+  const struct {
+    std::string text;
+    std::size_t line;  // the line the error names
+  } cases[] = {
+      {"not-a-trace v9\n", 1},
+      // Declares 2 events, provides 1.
+      {names + "events 2 dropped 0 total 2\n1 0 0 0 0 0 0 0\n", 5},
+      // Counts no dump could hold: the reader runs out of lines, it does
+      // not size its tables from the header.
+      {"mcs-trace v1\nnames 18446744073709551615\n0 e\n", 3},
+      {names + "events 18446744073709551615 dropped 0 total 0\n"
+               "1 0 0 0 0 0 0 0\n",
+       5},
+      // A name entry must carry its own index.
+      {"mcs-trace v1\nnames 2\n1 b\n0 a\n", 3},
+      // A negative unsigned seq, and an event with one field too many.
+      {names + "events 1 dropped 0 total 1\n1 -1 0 0 0 0 0 0\n", 5},
+      {names + "events 1 dropped 0 total 1\n1 0 0 0 0 0 0 0 9\n", 5},
+  };
+  for (const auto& c : cases) {
+    std::istringstream in(c.text);
+    try {
+      (void)obs::read_dump(in);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(
+                    "trace dump line " + std::to_string(c.line) + ":", 0),
+                0u)
+          << e.what();
+    }
   }
 }
 

@@ -43,8 +43,8 @@ TEST(EngineTest, RunsSingleTaskToCompletion) {
   ASSERT_TRUE(engine.all_done());
   ASSERT_EQ(engine.completed().size(), 1u);
   const JobStats& s = engine.completed()[0];
-  EXPECT_NEAR(s.response_seconds, 100.0, 0.01);
-  EXPECT_NEAR(s.slowdown, 1.0, 0.01);
+  EXPECT_NEAR(s.response_seconds(), 100.0, 0.01);
+  EXPECT_NEAR(s.slowdown(), 1.0, 0.01);
 }
 
 TEST(EngineTest, MachineSpeedScalesRuntime) {
@@ -53,7 +53,7 @@ TEST(EngineTest, MachineSpeedScalesRuntime) {
   ExecutionEngine engine(sim, dc, make_fcfs());
   engine.submit(workload::make_bag_of_tasks(1, 1, 100.0));
   sim.run_until();
-  EXPECT_NEAR(engine.completed()[0].response_seconds, 50.0, 0.01);
+  EXPECT_NEAR(engine.completed()[0].response_seconds(), 50.0, 0.01);
 }
 
 TEST(EngineTest, RespectsDependencies) {
@@ -63,7 +63,7 @@ TEST(EngineTest, RespectsDependencies) {
   // Chain of 4: must serialize despite 4 idle machines.
   engine.submit(workload::make_chain(1, 4, 25.0));
   sim.run_until();
-  EXPECT_NEAR(engine.completed()[0].response_seconds, 100.0, 0.1);
+  EXPECT_NEAR(engine.completed()[0].response_seconds(), 100.0, 0.1);
 }
 
 TEST(EngineTest, ParallelTasksOverlap) {
@@ -73,7 +73,7 @@ TEST(EngineTest, ParallelTasksOverlap) {
   // 32 single-core tasks on 32 cores: one wave.
   engine.submit(workload::make_bag_of_tasks(1, 32, 60.0));
   sim.run_until();
-  EXPECT_NEAR(engine.completed()[0].response_seconds, 60.0, 0.5);
+  EXPECT_NEAR(engine.completed()[0].response_seconds(), 60.0, 0.5);
 }
 
 TEST(EngineTest, QueueingDelaysSecondWave) {
@@ -83,7 +83,7 @@ TEST(EngineTest, QueueingDelaysSecondWave) {
   // 8 tasks, 4 cores: two waves of 30s.
   engine.submit(workload::make_bag_of_tasks(1, 8, 30.0));
   sim.run_until();
-  EXPECT_NEAR(engine.completed()[0].response_seconds, 60.0, 0.5);
+  EXPECT_NEAR(engine.completed()[0].response_seconds(), 60.0, 0.5);
   EXPECT_GT(engine.busy_core_seconds(), 239.0);
 }
 
@@ -196,7 +196,7 @@ TEST(PolicyTest, HeftPrefersFastMachines) {
   engine.submit(workload::make_bag_of_tasks(1, 4, 90.0));
   sim.run_until();
   // All four fit on the fast machine (4 cores): expect ~30s, not 90s.
-  EXPECT_LT(engine.completed()[0].response_seconds, 45.0);
+  EXPECT_LT(engine.completed()[0].response_seconds(), 45.0);
 }
 
 TEST(PolicyTest, EasyBackfillingProtectsWideJobFromStarvation) {
@@ -225,7 +225,7 @@ TEST(PolicyTest, EasyBackfillingProtectsWideJobFromStarvation) {
     auto dc = make_dc(1, 10.0);
     const RunResult r = run_workload(dc, build_jobs(), std::move(policy));
     for (const JobStats& j : r.jobs) {
-      if (j.id == 2) return j.wait_seconds;
+      if (j.id == 2) return j.wait_seconds();
     }
     return -1.0;
   };
@@ -249,9 +249,9 @@ TEST(PolicyTest, FairShareInterleavesUsers) {
   sim.run_until();
   const auto& done = engine.completed();
   ASSERT_EQ(done.size(), 2u);
-  const JobStats& bob_stats = done[0].user == "bob" ? done[0] : done[1];
+  const JobStats& bob_stats = done[0].id == bob.id ? done[0] : done[1];
   // Bob finished long before Alice's 200s backlog completed.
-  EXPECT_LT(bob_stats.response_seconds, 40.0);
+  EXPECT_LT(bob_stats.response_seconds(), 40.0);
 }
 
 TEST(PolicyTest, ConservativeBackfillNeverDelaysReservedTasks) {
@@ -271,7 +271,7 @@ TEST(PolicyTest, ConservativeBackfillNeverDelaysReservedTasks) {
         3, 1, 200.0, infra::ResourceVector{2.0, 2.0, 0.0}));
     const RunResult r = run_workload(dc, std::move(jobs), std::move(policy));
     for (const JobStats& j : r.jobs) {
-      if (j.id == 2) return j.wait_seconds;
+      if (j.id == 2) return j.wait_seconds();
     }
     return -1.0;
   };
@@ -306,7 +306,7 @@ TEST(PolicyTest, ConservativeAtLeastAsProtectiveAsGreedyFcfs) {
     }
     const RunResult r = run_workload(dc, std::move(jobs), std::move(policy));
     for (const JobStats& j : r.jobs) {
-      if (j.id == 2) return j.wait_seconds;
+      if (j.id == 2) return j.wait_seconds();
     }
     return -1.0;
   };
@@ -321,7 +321,7 @@ TEST(PolicyTest, MinMinRunsShortTasksFirstMaxMinOpposite) {
     jobs.push_back(workload::make_bag_of_tasks(2, 3, 5.0));
     const RunResult r = run_workload(dc, std::move(jobs), std::move(p));
     for (const JobStats& j : r.jobs) {
-      if (j.id == 2) return j.response_seconds;
+      if (j.id == 2) return j.response_seconds();
     }
     return -1.0;
   };
@@ -364,7 +364,7 @@ TEST(EngineFailureTest, TasksKilledByFailureAreRetried) {
   EXPECT_GT(s.task_failures, 0u);
   EXPECT_FALSE(s.abandoned);
   // Lost work stretches the response beyond the no-failure 200s bound.
-  EXPECT_GT(s.response_seconds, 100.0);
+  EXPECT_GT(s.response_seconds(), 100.0);
 }
 
 TEST(EngineFailureTest, RetryBudgetExhaustionAbandonsJob) {
@@ -670,7 +670,7 @@ TEST(PipelineTest, SpeedScoringEquivalentToHeftChoice) {
   engine.submit(workload::make_bag_of_tasks(1, 4, 50.0));
   sim.run_until();
   // All tasks fit the fast machine: ~20s.
-  EXPECT_LT(engine.completed()[0].response_seconds, 25.0);
+  EXPECT_LT(engine.completed()[0].response_seconds(), 25.0);
 }
 
 // ---- portfolio ------------------------------------------------------------------------------

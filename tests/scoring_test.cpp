@@ -1235,7 +1235,7 @@ TEST(EnginePlacementTest, SpreadLimitSerializesWhenFleetIsSmaller) {
   });
   sim.run_until();
   ASSERT_TRUE(engine.all_done());
-  EXPECT_NEAR(engine.completed()[0].response_seconds, 200.0, 0.1);
+  EXPECT_NEAR(engine.completed()[0].response_seconds(), 200.0, 0.1);
 }
 
 TEST(EnginePlacementTest, EveryPolicyHonorsZonesAndSpread) {
